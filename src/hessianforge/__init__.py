@@ -1,13 +1,11 @@
 """hessian-forge: fully nonlinear elliptic Dirichlet solves on a torus x strip.
 
-Subpackages
------------
+Modules
+-------
 hermitian    bordered Hermitian families and eigenvalue-concentration lemmas
 cones        symmetric cone functions, Garding cones, deleted-sum transforms
 grid         the discretized product manifold and complex tensor assembly
-subsolution  Poisson / harmonic strip solves and subsolution construction
-solver       damped Newton, continuity method, degenerate ladder, diagnostics
-cli          config ingestion, run orchestration, persistence
+errors       the shared ValidationError
 """
 
 __version__ = "0.1.0"

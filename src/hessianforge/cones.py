@@ -21,6 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import ValidationError
+
 __all__ = [
     "ConeDomainError",
     "ValidationError",
@@ -48,10 +50,6 @@ __all__ = [
     "sample_cone",
     "sample_pairs",
 ]
-
-
-class ValidationError(ValueError):
-    """Bad argument shapes, orders or ranges."""
 
 
 class ConeDomainError(ValueError):
@@ -244,10 +242,15 @@ class ConeFunction:
                 f"{self.describe()} expects vectors of length {self.n}, "
                 f"got {lam.shape[-1]}"
             )
-        if np.min(self.cone.margin(lam)) <= 0.0:
+        margin = self.cone.margin(lam)
+        if np.min(margin) <= 0.0:
+            where, point = "", lam
+            if lam.ndim > 1:
+                first = int(np.flatnonzero(margin.reshape(-1) <= 0.0)[0])
+                where, point = f" at flat index {first}", lam.reshape(-1, self.n)[first]
             raise ConeDomainError(
-                f"point outside {self.cone.ray_description()}: "
-                + self.cone.violated_inequality(lam)
+                f"point outside {self.cone.ray_description()}{where}: "
+                + self.cone.violated_inequality(point)
             )
         return lam
 

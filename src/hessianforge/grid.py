@@ -338,19 +338,42 @@ def complex_hessian(grid, u, order=2):
 # ---------------------------------------------------------------------------
 # metrics
 
-@dataclass
+@dataclass(frozen=True)
 class Metric:
     """Hermitian metric on the grid; ``g=None`` is the flat identity metric.
 
-    Caches the inverse and the inverse Cholesky factor used to reduce the
-    generalized eigenproblem; ``name`` records the preset for run ledgers.
+    A metric cannot be changed after construction, so its caches never go
+    stale: the dataclass is frozen, and ``g`` is kept as a read-only copy,
+    so writing into it raises and writing into the array it was built from
+    does not reach it.  Everything that depends on the metric alone is
+    computed once, on first use, and returned read-only:
+
+    - the inverse (:meth:`inverse`),
+    - the inverse Cholesky factor that reduces the generalized eigenproblem
+      (:meth:`inv_cholesky`),
+    - the Z coefficient tensor (:meth:`z_coefficients`); the torsion it is
+      built from is not kept,
+    - a passed positivity check (:meth:`validate_positive`).
+
+    ``name`` records the preset for run ledgers.
     """
 
     grid: ProductGrid
     g: np.ndarray = None
     name: str = "flat"
-    _inv: np.ndarray = field(default=None, repr=False)
-    _linv: np.ndarray = field(default=None, repr=False)
+    _inv: np.ndarray = field(default=None, init=False, repr=False)
+    _linv: np.ndarray = field(default=None, init=False, repr=False)
+    _za: np.ndarray = field(default=None, init=False, repr=False)
+    _positive: bool = field(default=False, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.g is not None:
+            self._keep("g", np.array(self.g))
+
+    def _keep(self, name, value):
+        """Store a read-only array on the frozen metric."""
+        value.flags.writeable = False
+        object.__setattr__(self, name, value)
 
     @property
     def is_flat(self):
@@ -368,18 +391,26 @@ class Metric:
         if self.is_flat:
             return self.matrix()
         if self._inv is None:
-            self._inv = np.linalg.inv(self.g)
+            self._keep("_inv", np.linalg.inv(self.g))
         return self._inv
 
     def inv_cholesky(self):
         """Inverse of the per-node Cholesky factor of g (lower triangular)."""
         if self._linv is None:
             lo = np.linalg.cholesky(self.g)
-            self._linv = np.linalg.inv(lo)
+            self._keep("_linv", np.linalg.inv(lo))
         return self._linv
 
+    def z_coefficients(self):
+        """The :func:`z_coefficients` tensor of this metric, computed once."""
+        if self._za is None:
+            self._keep("_za", z_coefficients(self.grid, self))
+        return self._za
+
     def validate_positive(self):
-        if self.is_flat:
+        """Raise :class:`PositivityError` at the first node where g is not
+        positive definite; once the check has passed it returns at once."""
+        if self.is_flat or self._positive:
             return
         eigs = np.linalg.eigvalsh(self.g)
         bad = eigs[..., 0] <= 0
@@ -389,6 +420,7 @@ class Metric:
                 f"metric not positive definite at node {self.grid.node_location(where)}"
                 f" (min eigenvalue {float(eigs[..., 0].min()):.3e})"
             )
+        object.__setattr__(self, "_positive", True)
 
 
 def metric_flat(grid):
@@ -475,7 +507,8 @@ def z_coefficients(grid, metric, t=None):
 
     Encodes the six-term torsion contraction of the gradient tensor in the
     deformed-form equation; Z vanishes identically for torsion-free metrics
-    and is linear in the holomorphic gradient of u.
+    and is linear in the holomorphic gradient of u.  Computed afresh on
+    every call; :meth:`Metric.z_coefficients` keeps one copy per metric.
     """
     n = grid.n
     if t is None:
@@ -497,11 +530,14 @@ def z_coefficients(grid, metric, t=None):
 
 
 def z_tensor(grid, metric, u, za=None, order=2):
-    """Gradient tensor Z(partial u) as a Hermitian field."""
+    """Gradient tensor Z(partial u) as a Hermitian field.
+
+    ``za`` defaults to the coefficients cached on the metric.
+    """
     if za is None:
         if metric.is_flat:
             return np.zeros(grid.shape + (grid.n, grid.n), dtype=complex)
-        za = z_coefficients(grid, metric)
+        za = metric.z_coefficients()
     uz = grad_z(grid, u, order)
     z = np.einsum("...pij,...p->...ij", za, uz)
     return z + np.conj(np.swapaxes(z, -1, -2))

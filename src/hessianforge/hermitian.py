@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 __all__ = [
     "ValidationError",
     "BorderedSpec",
@@ -32,10 +34,6 @@ __all__ = [
 ]
 
 HERMITICITY_RTOL = 1e-12
-
-
-class ValidationError(ValueError):
-    """Raised when an input violates a documented precondition."""
 
 
 def _as_matrix(a):
@@ -217,10 +215,10 @@ def interval_components(d, radius):
 
 
 def _component_counts(eigs, comps):
-    counts = np.zeros(len(comps), dtype=int)
-    for k, (lo, hi) in enumerate(comps):
-        counts[k] = int(np.count_nonzero((eigs > lo) & (eigs < hi)))
-    return counts
+    """Eigenvalues inside each component, counted along the last axis."""
+    lo, hi = np.array(comps).T
+    e = eigs[..., :, None]
+    return np.count_nonzero((e > lo) & (e < hi), axis=-2)
 
 
 def concentration_report(spec):
@@ -281,12 +279,9 @@ def count_stability_scan(spec, aa_grid):
             f"{thr:.6g}; counts are only stable above it"
         )
     comps = interval_components(np.sort(spec.d), spec.eps / (2 * spec.n - 3))
-    rows = []
-    for aa in aa_grid:
-        probe = BorderedSpec(spec.d, spec.a, aa, spec.eps)
-        eigs = eigh(bordered(probe), check=False)
-        rows.append(_component_counts(eigs, comps))
-    return np.vstack(rows)
+    shape = (aa_grid.size, spec.d.size)
+    mats = bordered_batch(np.broadcast_to(spec.d, shape), np.broadcast_to(spec.a, shape), aa_grid)
+    return _component_counts(np.linalg.eigvalsh(mats), comps)
 
 
 def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hessianforge import cones as cn
+from hessianforge import hermitian as hm
 
 ALL_FAMILIES = [
     ("log-ma", dict()),
@@ -114,6 +115,12 @@ class TestValuesAndGradients:
         g = make("log-p", 3)
         with pytest.raises(cn.ConeDomainError, match="deleted sum"):
             g.value(np.array([-3.0, 1.0, 1.0]))
+
+    def test_batched_point_outside_names_flat_index(self):
+        lam = np.ones((2, 3, 3))
+        lam[1, 2] = [1.0, 1.0, -1.0]
+        with pytest.raises(cn.ConeDomainError, match="at flat index 5: sigma_2 = -1"):
+            make("log-ma", 3).value_grad(lam)
 
     @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
     def test_gradient_matches_central_differences(self, family, kw):
@@ -337,6 +344,9 @@ class TestFactory:
             cn.cone_function("quotient-root", 3, k=2, l=2)
         with pytest.raises(cn.ValidationError):
             cn.cone_function("sigma-k-root", 3, k=4)
+
+    def test_one_validation_error_across_modules(self):
+        assert hm.ValidationError is cn.ValidationError
 
     def test_n1_rejected(self):
         with pytest.raises(cn.ValidationError):

@@ -344,8 +344,9 @@ class TestEigWrtMetric:
         gm[..., 0, 0], gm[..., 1, 1] = 1.0, 1.0
         gm[3, 0, 4, 0] = [[-1.0, 0.0], [0.0, 1.0]]
         metric = gr.Metric(g, gm, name="bad")
-        with pytest.raises(gr.PositivityError, match="node"):
-            gr.eig_wrt_metric(np.broadcast_to(np.eye(2, dtype=complex), gm.shape), metric)
+        for _ in range(2):  # a failed check is not remembered as a pass
+            with pytest.raises(gr.PositivityError, match="node"):
+                gr.eig_wrt_metric(np.broadcast_to(np.eye(2, dtype=complex), gm.shape), metric)
 
 
 class TestGauduchonFields:
@@ -395,6 +396,52 @@ class TestGauduchonFields:
         mu = np.sort(gr.eig_wrt_metric(uform, metric), axis=-1)
         expect = np.sort(lam.sum(axis=-1, keepdims=True) - lam, axis=-1)
         np.testing.assert_allclose(mu, expect, atol=1e-10)
+
+
+class TestMetricCaches:
+    @staticmethod
+    def inputs():
+        g = make_grid(n=3, res=(16, 1, 8, 1, 8, 1))
+        metric = gr.metric_conformal(g, 0.3)
+        u = np.random.default_rng(8).normal(size=g.shape)
+        return g, metric, u, 3.0 * metric.matrix(), np.broadcast_to(0.5 * g.sigma_hat(), g.shape)
+
+    def test_cached_z_matches_fresh_coefficients_bit_for_bit(self):
+        g, metric, u, chi, rho = self.inputs()
+        gr.gauduchon_fields(g, u, chi, rho, metric)
+        uform, gform = gr.gauduchon_fields(g, u, chi, rho, metric)
+        z = gr.z_tensor(g, metric, u, za=gr.z_coefficients(g, metric))
+        assert np.abs(z).max() > 1e-4  # the comparison is not vacuous
+        hess = gr.complex_hessian(g, u)
+        lap = gr.trace_wrt_metric(metric, hess)
+        gm = metric.matrix()
+        chihat = gr.trace_wrt_metric(metric, chi)[..., None, None] * gm / 2 - chi
+        np.testing.assert_array_equal(
+            uform, chi + lap[..., None, None] * gm - hess + rho[..., None, None] * z)
+        np.testing.assert_array_equal(
+            gform, hess + chihat + rho[..., None, None] * gr.w_from_z(metric, z) / 2)
+
+    def test_torsion_computed_once_per_metric(self, monkeypatch):
+        g, metric, u, chi, rho = self.inputs()
+        calls = []
+        fresh = gr.torsion
+        monkeypatch.setattr(gr, "torsion", lambda grid, m: calls.append(m) or fresh(grid, m))
+        for _ in range(2):
+            gr.gauduchon_fields(g, u, chi, rho, metric)
+        assert calls == [metric]
+
+    def test_metric_cannot_be_changed(self):
+        g, metric, *_ = self.inputs()
+        with pytest.raises(ValueError, match="read-only"):
+            metric.g[0, 0, 0, 0, 0, 0] = 2.0
+        with pytest.raises(AttributeError):
+            metric.g = 2.0 * metric.g
+        source = np.array(metric.g)
+        copied = gr.Metric(g, source, name="copy")
+        source[...] = 0.0
+        np.testing.assert_array_equal(copied.g, metric.g)
+        with pytest.raises(ValueError, match="read-only"):
+            metric.z_coefficients()[...] = 0.0
 
 
 class TestCurvature:

@@ -207,6 +207,18 @@ class TestCountStability:
             rows = hm.count_stability_scan(spec, thr * 2.0 ** np.arange(8))
             assert (rows == rows[0]).all()
 
+    def test_matches_per_corner_reports(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 4, 6):
+            spec = rand_spec(rng, n, 0.2)
+            aa_grid = spec.aa * rng.uniform(1.0, 10.0, 16)
+            rows = hm.count_stability_scan(spec, aa_grid)
+            ref = [
+                hm.concentration_report(hm.BorderedSpec(spec.d, spec.a, aa, spec.eps)).component_counts
+                for aa in aa_grid
+            ]
+            np.testing.assert_array_equal(rows, ref)
+
 
 class TestLemmaProperties:
     """Randomized batteries for the two concentration lemmas."""
