@@ -5,7 +5,7 @@ Modules
 hermitian    bordered Hermitian families and eigenvalue-concentration lemmas
 cones        symmetric cone functions, Garding cones, deleted-sum transforms
 grid         the discretized product manifold and complex tensor assembly
-errors       the shared ValidationError
+errors       the shared error hierarchy, rooted at ValidationError
 """
 
 __version__ = "0.1.0"

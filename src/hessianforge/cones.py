@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConeDomainError, ValidationError
 
 __all__ = [
     "ConeDomainError",
@@ -35,7 +35,6 @@ __all__ = [
     "sigma_deleted",
     "q_matrix",
     "q_inverse_matrix",
-    "q_det_exact",
     "q_transform",
     "q_inverse",
     "star_power_eigs",
@@ -43,17 +42,12 @@ __all__ = [
     "c_subsolution_margin",
     "addistruc_probe",
     "concavity_probe",
-    "LadderResult",
     "gamma_infinity_member",
     "gamma_r1_member",
     "c_sigma",
     "sample_cone",
     "sample_pairs",
 ]
-
-
-class ConeDomainError(ValueError):
-    """A point left the cone; carries the first violated inequality."""
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +199,12 @@ class ConeFunction:
     """A symmetric function f with its cone: evaluation, gradient, limits.
 
     Subclasses fill in ``_value``/``_grad`` on points known to lie in the
-    cone, the ray-limit rule and the boundary supremum.  Public entry
-    points validate cone membership and raise :class:`ConeDomainError`
-    carrying the violated inequality.
+    cone and the ray-limit rule.  Public entry points validate cone
+    membership and raise :class:`ConeDomainError` carrying the violated
+    inequality.
     """
 
     family = None
-    sup_boundary = None  # sup of f over the cone boundary
-    sup_value = math.inf  # sup of f over the cone
 
     def __init__(self, n):
         if n < 2:
@@ -290,7 +282,6 @@ class LogMA(ConeFunction):
     """Sum of eigenvalue logarithms on the positive cone."""
 
     family = "log-ma"
-    sup_boundary = -math.inf
 
     def _build_cone(self, n):
         return Cone.gamma(n, n)
@@ -312,7 +303,6 @@ class SigmaKRoot(ConeFunction):
     """k-th root of the k-th elementary symmetric polynomial on Gamma_k."""
 
     family = "sigma-k-root"
-    sup_boundary = 0.0
 
     def __init__(self, n, k):
         self.k = int(k)
@@ -348,7 +338,6 @@ class LogSigmaK(SigmaKRoot):
     """Logarithm of the k-th elementary symmetric polynomial on Gamma_k."""
 
     family = "log-sigma-k"
-    sup_boundary = -math.inf
 
     def _value(self, lam):
         return np.log(sigma_k(lam, self.k))
@@ -371,7 +360,6 @@ class QuotientRoot(ConeFunction):
     """
 
     family = "quotient-root"
-    sup_boundary = 0.0
 
     def __init__(self, n, k, l):
         self.k = int(k)
@@ -419,7 +407,6 @@ class LogDeletedSums(ConeFunction):
     """
 
     family = "log-p"
-    sup_boundary = -math.inf
 
     def _build_cone(self, n):
         return Cone.deleted_sum(n)
@@ -490,27 +477,6 @@ def q_inverse_matrix(n):
         raise ValidationError("Q is only defined for n >= 2")
     r = Fraction(1, n - 1)
     return [[r - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def q_det_exact(n):
-    """det Q as an exact integer, via fraction-free (Bareiss) elimination."""
-    m = [[int(x) for x in row] for row in q_matrix(n)]
-    prev = 1
-    sign = 1
-    size = len(m)
-    for p in range(size - 1):
-        if m[p][p] == 0:
-            swap = next((r for r in range(p + 1, size) if m[r][p] != 0), None)
-            if swap is None:
-                return 0
-            m[p], m[swap] = m[swap], m[p]
-            sign = -sign
-        for r in range(p + 1, size):
-            for c in range(p + 1, size):
-                m[r][c] = (m[r][c] * m[p][p] - m[r][p] * m[p][c]) // prev
-            m[r][p] = 0
-        prev = m[p][p]
-    return sign * m[-1][-1]
 
 
 def _is_exact(vec):
@@ -633,43 +599,31 @@ def concavity_probe(f, lam, mu):
     return flam - fmu - np.sum(g * (lam - mu), axis=-1)
 
 
-@dataclass
-class LadderResult:
-    member: bool
-    conclusive: bool
-    r_entry: float = math.nan
-
-
-def gamma_infinity_member(lam_prime, cone, r_max=2.0**40):
+def gamma_infinity_member(lam_prime, cone):
     """Membership of lam' in the projection of the cone along its last axis.
 
-    Searches the geometric ladder R = 1, 2, 4, ... for an R with
-    ``(lam', R)`` inside the cone.  A miss up to ``r_max`` is reported as
-    non-membership with ``conclusive=False``.
+    Exact, from closed forms: the projection of Gamma_k is Gamma_{k-1} in
+    n-1 variables (Gamma_1 projects onto all of R^(n-1)), and the
+    deleted-sum cone projects onto {sum lam' > 0}.
     """
     lam_prime = np.asarray(lam_prime, dtype=float)
     if lam_prime.shape != (cone.n - 1,):
         raise ValidationError(
             f"projection test expects length {cone.n - 1}, got {lam_prime.shape}"
         )
-    r = 1.0
-    while r <= r_max:
-        if cone.margin(np.append(lam_prime, r)) > 0:
-            return LadderResult(True, True, r)
-        r *= 2.0
-    return LadderResult(False, False)
+    if cone.kind != "gamma":
+        return bool(np.sum(lam_prime) > 0)
+    return cone.k == 1 or bool(Cone.gamma(cone.k - 1, cone.n - 1).contains(lam_prime))
 
 
-def gamma_r1_member(c, cone, t_max=2.0**40):
-    """Membership of the scalar c in {c : (t,...,t,c) in cone for some t>0}."""
-    t = 1.0
-    while t <= t_max:
-        point = np.full(cone.n, t)
-        point[-1] = c
-        if cone.margin(point) > 0:
-            return LadderResult(True, True, t)
-        t *= 2.0
-    return LadderResult(False, False)
+def gamma_r1_member(c, cone):
+    """Membership of the scalar c in {c : (t,...,t,c) in cone for some t>0}.
+
+    Exact: the set is (0, inf) when the cone is the positive orthant (Gamma_n,
+    or the deleted-sum cone at n = 2) and all of R otherwise.
+    """
+    orthant = cone.k == cone.n if cone.kind == "gamma" else cone.n == 2
+    return bool(c > 0) if orthant else True
 
 
 def c_sigma(f, sigma, tol=1e-10):

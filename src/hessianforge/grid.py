@@ -13,15 +13,15 @@ resolution 1 represents a direction the problem data does not vary along
 points.
 
 Derivative stencils are second-order centered, with one-sided second-order
-closures on the two boundary slices of the Re w axis; an optional
-fourth-order variant is available for the standalone derivative operators
-on periodic axes.
+closures on the two boundary slices of the Re w axis.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import GridError, PositivityError
 
 __all__ = [
     "GridError",
@@ -49,18 +49,9 @@ __all__ = [
     "eig_wrt_metric",
     "laplacian",
     "trace_wrt_metric",
-    "curvature",
 ]
 
 MIN_RESOLUTION = 8
-
-
-class GridError(ValueError):
-    """Invalid grid geometry or resolution layout."""
-
-
-class PositivityError(ValueError):
-    """A metric lost positivity somewhere; carries the node location."""
 
 
 @dataclass(frozen=True)
@@ -198,26 +189,15 @@ class ProductGrid:
 # ---------------------------------------------------------------------------
 # real-coordinate derivative stencils
 
-def _d1_periodic(u, axis, h, order):
+def _d1_periodic(u, axis, h):
     if u.shape[axis] == 1:
         return np.zeros_like(u)
-    if order == 4:
-        return (
-            8 * (np.roll(u, -1, axis) - np.roll(u, 1, axis))
-            - (np.roll(u, -2, axis) - np.roll(u, 2, axis))
-        ) / (12 * h)
     return (np.roll(u, -1, axis) - np.roll(u, 1, axis)) / (2 * h)
 
 
-def _d2_periodic(u, axis, h, order):
+def _d2_periodic(u, axis, h):
     if u.shape[axis] == 1:
         return np.zeros_like(u)
-    if order == 4:
-        return (
-            -30 * u
-            + 16 * (np.roll(u, -1, axis) + np.roll(u, 1, axis))
-            - (np.roll(u, -2, axis) + np.roll(u, 2, axis))
-        ) / (12 * h * h)
     return (np.roll(u, -1, axis) - 2 * u + np.roll(u, 1, axis)) / (h * h)
 
 
@@ -269,48 +249,48 @@ def _d2_strip(u, axis, h):
     return out
 
 
-def d1(grid, u, axis, order=2):
+def d1(grid, u, axis):
     """First derivative along a real coordinate axis."""
     u = np.asarray(u)
     h = grid.spacing(axis)
     if grid.is_periodic(axis):
-        return _d1_periodic(u, axis, h, order)
+        return _d1_periodic(u, axis, h)
     return _d1_strip(u, axis, h)
 
 
-def d2(grid, u, axis, order=2):
+def d2(grid, u, axis):
     """Second derivative along a real coordinate axis."""
     u = np.asarray(u)
     h = grid.spacing(axis)
     if grid.is_periodic(axis):
-        return _d2_periodic(u, axis, h, order)
+        return _d2_periodic(u, axis, h)
     return _d2_strip(u, axis, h)
 
 
-def d1d1(grid, u, axis_a, axis_b, order=2):
+def d1d1(grid, u, axis_a, axis_b):
     """Mixed second derivative along two distinct axes (operators commute)."""
-    return d1(grid, d1(grid, u, axis_b, order), axis_a, order)
+    return d1(grid, d1(grid, u, axis_b), axis_a)
 
 
 # ---------------------------------------------------------------------------
 # complex derivatives and the complex Hessian
 
-def d_dz(grid, u, i, order=2):
+def d_dz(grid, u, i):
     """Holomorphic derivative along z_i: (d/dx_i - i d/dy_i)/2."""
-    return 0.5 * (d1(grid, u, 2 * i, order) - 1j * d1(grid, u, 2 * i + 1, order))
+    return 0.5 * (d1(grid, u, 2 * i) - 1j * d1(grid, u, 2 * i + 1))
 
 
-def d_dzbar(grid, u, i, order=2):
+def d_dzbar(grid, u, i):
     """Antiholomorphic derivative along z_i: (d/dx_i + i d/dy_i)/2."""
-    return 0.5 * (d1(grid, u, 2 * i, order) + 1j * d1(grid, u, 2 * i + 1, order))
+    return 0.5 * (d1(grid, u, 2 * i) + 1j * d1(grid, u, 2 * i + 1))
 
 
-def grad_z(grid, u, order=2):
+def grad_z(grid, u):
     """All holomorphic derivatives, stacked on a trailing axis."""
-    return np.stack([d_dz(grid, u, i, order) for i in range(grid.n)], axis=-1)
+    return np.stack([d_dz(grid, u, i) for i in range(grid.n)], axis=-1)
 
 
-def complex_hessian(grid, u, order=2):
+def complex_hessian(grid, u):
     """Mixed complex Hessian u_{i jbar}, Hermitian by construction.
 
     Diagonal entries are quarter-Laplacians in each complex coordinate; the
@@ -322,13 +302,13 @@ def complex_hessian(grid, u, order=2):
     n = grid.n
     h = np.zeros(u.shape + (n, n), dtype=complex)
     for i in range(n):
-        h[..., i, i] = 0.25 * (d2(grid, u, 2 * i, order) + d2(grid, u, 2 * i + 1, order))
+        h[..., i, i] = 0.25 * (d2(grid, u, 2 * i) + d2(grid, u, 2 * i + 1))
         for j in range(i + 1, n):
             val = 0.25 * (
-                d1d1(grid, u, 2 * i, 2 * j, order)
-                + d1d1(grid, u, 2 * i + 1, 2 * j + 1, order)
-                + 1j * d1d1(grid, u, 2 * i, 2 * j + 1, order)
-                - 1j * d1d1(grid, u, 2 * i + 1, 2 * j, order)
+                d1d1(grid, u, 2 * i, 2 * j)
+                + d1d1(grid, u, 2 * i + 1, 2 * j + 1)
+                + 1j * d1d1(grid, u, 2 * i, 2 * j + 1)
+                - 1j * d1d1(grid, u, 2 * i + 1, 2 * j)
             )
             h[..., i, j] = val
             h[..., j, i] = np.conj(val)
@@ -338,7 +318,7 @@ def complex_hessian(grid, u, order=2):
 # ---------------------------------------------------------------------------
 # metrics
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Metric:
     """Hermitian metric on the grid; ``g=None`` is the flat identity metric.
 
@@ -355,7 +335,8 @@ class Metric:
       built from is not kept,
     - a passed positivity check (:meth:`validate_positive`).
 
-    ``name`` records the preset for run ledgers.
+    Two metrics are equal only when they are the same object, which also
+    makes a metric hashable.  ``name`` records the preset for run ledgers.
     """
 
     grid: ProductGrid
@@ -396,6 +377,8 @@ class Metric:
 
     def inv_cholesky(self):
         """Inverse of the per-node Cholesky factor of g (lower triangular)."""
+        if self.is_flat:
+            return self.matrix()
         if self._linv is None:
             lo = np.linalg.cholesky(self.g)
             self._keep("_linv", np.linalg.inv(lo))
@@ -463,16 +446,16 @@ def check_hermitian_field(h, tol=1e-10):
     return dev
 
 
-def gfield(grid, u, chi, eta=None, order=2):
+def gfield(grid, u, chi, eta=None):
     """The deformed form chi + complex Hessian + gradient coupling.
 
     ``eta`` is a constant or per-node complex vector of length n; the
     coupling adds u_i conj(eta_j) + eta_i conj(u_j) to each node matrix.
     """
-    g = complex_hessian(grid, u, order) + chi
+    g = complex_hessian(grid, u) + chi
     if eta is not None:
         eta = np.asarray(eta, dtype=complex)
-        uz = grad_z(grid, u, order)
+        uz = grad_z(grid, u)
         g = g + uz[..., :, None] * np.conj(eta)[..., None, :]
         g = g + eta[..., :, None] * np.conj(uz)[..., None, :]
     return g
@@ -529,7 +512,7 @@ def z_coefficients(grid, metric, t=None):
     return za
 
 
-def z_tensor(grid, metric, u, za=None, order=2):
+def z_tensor(grid, metric, u, za=None):
     """Gradient tensor Z(partial u) as a Hermitian field.
 
     ``za`` defaults to the coefficients cached on the metric.
@@ -538,7 +521,7 @@ def z_tensor(grid, metric, u, za=None, order=2):
         if metric.is_flat:
             return np.zeros(grid.shape + (grid.n, grid.n), dtype=complex)
         za = metric.z_coefficients()
-    uz = grad_z(grid, u, order)
+    uz = grad_z(grid, u)
     z = np.einsum("...pij,...p->...ij", za, uz)
     return z + np.conj(np.swapaxes(z, -1, -2))
 
@@ -557,9 +540,9 @@ def trace_wrt_metric(metric, h):
     return np.einsum("...ji,...ij->...", metric.inverse(), h).real
 
 
-def laplacian(grid, u, metric, order=2):
+def laplacian(grid, u, metric):
     """Complex Laplacian of a scalar with respect to the metric."""
-    return trace_wrt_metric(metric, complex_hessian(grid, u, order))
+    return trace_wrt_metric(metric, complex_hessian(grid, u))
 
 
 def hat_transform(metric, h):
@@ -568,7 +551,7 @@ def hat_transform(metric, h):
     return tr[..., None, None] * metric.matrix() - h
 
 
-def gauduchon_fields(grid, u, chi, rho, metric, order=2):
+def gauduchon_fields(grid, u, chi, rho, metric):
     """Assemble the star-transformed form U and its companion g-form.
 
     U = chi + (lap u) omega - dd u + rho Z, and the companion
@@ -579,10 +562,10 @@ def gauduchon_fields(grid, u, chi, rho, metric, order=2):
     if grid.n < 2:
         raise GridError("deleted-sum assembly needs n >= 2")
     n = grid.n
-    hess = complex_hessian(grid, u, order)
+    hess = complex_hessian(grid, u)
     lap = trace_wrt_metric(metric, hess)
     g = metric.matrix()
-    z = z_tensor(grid, metric, u, order=order)
+    z = z_tensor(grid, metric, u)
     u_form = chi + lap[..., None, None] * g - hess + rho[..., None, None] * z
     trchi = trace_wrt_metric(metric, chi)
     chihat = trchi[..., None, None] * g / (n - 1) - chi
@@ -610,21 +593,3 @@ def eig_wrt_metric(h, metric, vectors=False):
         return lam, np.conj(np.swapaxes(linv, -1, -2)) @ v
     return np.linalg.eigvalsh(reduced)
 
-
-def curvature(grid, metric):
-    """Chern curvature R_{i jbar k lbar}; diagnostic dump only.
-
-    No operation consumes this; it is exposed so model runs can record the
-    curvature of non-flat presets alongside their results.
-    """
-    n = grid.n
-    if metric.is_flat:
-        return np.zeros(grid.shape + (n, n, n, n), dtype=complex)
-    g = metric.g
-    hess = complex_hessian(grid, g)  # [..., k, l, i, j] second derivs of entries
-    dg = np.stack([d_dz(grid, g, i) for i in range(n)], axis=-3)
-    dgbar = np.conj(np.swapaxes(dg, -2, -1))  # dbar_j g_{p lbar} = conj(d_j g_{l pbar})
-    ginv = metric.inverse()
-    term2 = np.einsum("...qp,...ikq,...jpl->...ijkl", ginv, dg, dgbar)
-    r = -np.moveaxis(hess, (-2, -1), (-4, -3)) + term2
-    return r

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 HERMITICITY_RTOL = 1e-12
+_TRIAL_AMPLITUDE = 2.0
 
 
 def _as_matrix(a):
@@ -160,7 +161,7 @@ def _threshold_inputs(eps, d, a):
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     if d.shape != a.shape:
         raise ValidationError("d and a must have equal length")
-    return eps, d, a, d.size + 1
+    return eps, d, a, d.shape[-1] + 1
 
 
 def growth_threshold_main(eps, d, a):
@@ -169,12 +170,12 @@ def growth_threshold_main(eps, d, a):
     Value: ``(2n-3)/eps * sum|a_i|^2 + (n-1) * sum|d_i| + (n-2) eps/(2n-3)``.
     Above this corner value every sorted eigenvalue sits within ``eps`` of the
     sorted diagonal block and the top eigenvalue exceeds the corner by less
-    than ``(n-1) eps``.
+    than ``(n-1) eps``.  Stacked ``(..., n-1)`` rows give one threshold each.
     """
     eps, d, a, n = _threshold_inputs(eps, d, a)
     return (
-        (2 * n - 3) / eps * float(np.sum(np.abs(a) ** 2))
-        + (n - 1) * float(np.sum(np.abs(d)))
+        (2 * n - 3) / eps * np.sum(np.abs(a) ** 2, axis=-1)
+        + (n - 1) * np.sum(np.abs(d), axis=-1)
         + (n - 2) * eps / (2 * n - 3)
     )
 
@@ -184,14 +185,50 @@ def growth_threshold_refined(eps, d, a):
 
     Value: ``1/eps * sum|a_i|^2 + sum(d_i + (n-2)|d_i|) + (n-2) eps``.  Above
     it, every small eigenvalue lies within ``eps`` of *some* diagonal entry
-    (not necessarily its own after sorting).
+    (not necessarily its own after sorting).  Stacked ``(..., n-1)`` rows give
+    one threshold each.
     """
     eps, d, a, n = _threshold_inputs(eps, d, a)
     return (
-        float(np.sum(np.abs(a) ** 2)) / eps
-        + float(np.sum(d + (n - 2) * np.abs(d)))
+        np.sum(np.abs(a) ** 2, axis=-1) / eps
+        + np.sum(d + (n - 2) * np.abs(d), axis=-1)
         + (n - 2) * eps
     )
+
+
+def _main_conclusion(eps, ds, small, corner):
+    """The main lemma's conclusion, batched over leading axes.
+
+    ``ds`` is the sorted diagonal block, ``small`` the n-1 smallest
+    eigenvalues and ``corner`` the excess of the top eigenvalue over the
+    corner.  Returns ``(deviations, passed)``: every sorted eigenvalue within
+    ``eps`` of its own diagonal entry, and ``0 <= corner < (n-1) eps``.
+    """
+    n = ds.shape[-1] + 1
+    dev = np.abs(ds - small)
+    passed = np.all(dev < eps, axis=-1) & (corner >= 0.0) & (corner < (n - 1) * eps)
+    return dev, passed
+
+
+def _refined_conclusion(eps, ds, small, corner):
+    """The refined lemma's conclusion, batched over leading axes.
+
+    Each small eigenvalue is matched to its nearest diagonal entry, and the
+    corner excess bound is corrected by the matching defect
+    ``|sum_i (d_(i) - d_matched(i))|``.  Returns ``(deviations, matched,
+    passed)`` with the distances to the matched entries.
+    """
+    n = ds.shape[-1] + 1
+    gap = np.abs(small[..., :, None] - ds[..., None, :])
+    matched = np.argmin(gap, axis=-1)
+    dev = np.take_along_axis(gap, matched[..., None], axis=-1)[..., 0]
+    defect = np.abs(
+        np.sum(ds, axis=-1) - np.take_along_axis(ds, matched, axis=-1).sum(axis=-1)
+    )
+    passed = (
+        np.all(dev < eps, axis=-1) & (corner >= 0.0) & (corner < (n - 1) * eps + defect)
+    )
+    return dev, matched, passed
 
 
 def interval_components(d, radius):
@@ -227,36 +264,18 @@ def concentration_report(spec):
     Both conclusions are evaluated unconditionally; whether ``spec.aa``
     actually meets a growth threshold is the caller's concern.
     """
-    n = spec.n
-    eps = spec.eps
     eigs = eigh(bordered(spec), check=False)
     ds = np.sort(spec.d)
-    small = eigs[: n - 1]
-    deviations = np.abs(ds - small)
-    corner_excess = float(eigs[-1] - spec.aa)
-
-    passed_main = bool(
-        np.all(deviations < eps) and 0.0 <= corner_excess < (n - 1) * eps
-    )
-
-    # refinement conclusion: each small eigenvalue near *some* diagonal entry,
-    # with the corner excess bound corrected by the matching defect
-    matched = np.argmin(np.abs(small[:, None] - ds[None, :]), axis=1)
-    near_any = np.abs(small - ds[matched]) < eps
-    defect = abs(float(np.sum(ds - ds[matched])))
-    passed_refined = bool(
-        np.all(near_any) and 0.0 <= corner_excess < (n - 1) * eps + defect
-    )
-
-    comps = interval_components(ds, eps / (2 * n - 3))
-    counts = _component_counts(eigs, comps)
-
+    small, corner = eigs[:-1], eigs[-1] - spec.aa
+    deviations, passed_main = _main_conclusion(spec.eps, ds, small, corner)
+    _, matched, passed_refined = _refined_conclusion(spec.eps, ds, small, corner)
+    comps = interval_components(ds, spec.eps / (2 * spec.n - 3))
     return ConcentrationReport(
         deviations=deviations,
-        corner_excess=corner_excess,
-        passed_main=passed_main,
-        passed_refined=passed_refined,
-        component_counts=counts,
+        corner_excess=float(corner),
+        passed_main=bool(passed_main),
+        passed_refined=bool(passed_refined),
+        component_counts=_component_counts(eigs, comps),
         matched_indices=matched,
         eigenvalues=eigs,
     )
@@ -284,13 +303,13 @@ def count_stability_scan(spec, aa_grid):
     return _component_counts(np.linalg.eigvalsh(mats), comps)
 
 
-def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0,
-                      amplitude=2.0):
+def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0):
     """Random battery for the concentration lemmas, fully vectorized.
 
-    Draws ``trials`` random ``(d, a)`` pairs, sets the corner to ``aa_factor``
-    times the relevant growth threshold and checks the corresponding
-    conclusion on every draw.
+    Draws ``trials`` random ``(d, a)`` pairs with entries (real and imaginary
+    parts) uniform in ``[-2, 2]``, sets the corner to ``aa_factor`` times the
+    relevant growth threshold and checks the corresponding conclusion on
+    every draw.
 
     Returns
     -------
@@ -300,41 +319,20 @@ def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0,
     if n < 2:
         raise ValidationError("n must be at least 2")
     rng = np.random.default_rng(seed)
-    m = n - 1
-    d = rng.uniform(-amplitude, amplitude, size=(trials, m))
-    a = rng.uniform(-amplitude, amplitude, size=(trials, m)) + 1j * rng.uniform(
-        -amplitude, amplitude, size=(trials, m)
+    shape = (trials, n - 1)
+    d = rng.uniform(-_TRIAL_AMPLITUDE, _TRIAL_AMPLITUDE, shape)
+    a = rng.uniform(-_TRIAL_AMPLITUDE, _TRIAL_AMPLITUDE, shape) + 1j * rng.uniform(
+        -_TRIAL_AMPLITUDE, _TRIAL_AMPLITUDE, shape
     )
-    sq = np.sum(np.abs(a) ** 2, axis=1)
-    if refined:
-        thr = sq / eps + np.sum(d + (n - 2) * np.abs(d), axis=1) + (n - 2) * eps
-    else:
-        thr = (
-            (2 * n - 3) / eps * sq
-            + (n - 1) * np.sum(np.abs(d), axis=1)
-            + (n - 2) * eps / (2 * n - 3)
-        )
-    aa = aa_factor * thr
+    threshold = growth_threshold_refined if refined else growth_threshold_main
+    aa = aa_factor * threshold(eps, d, a)
     eigs = np.linalg.eigvalsh(bordered_batch(d, a, aa))
     ds = np.sort(d, axis=1)
-    small = eigs[:, :m]
-    corner = eigs[:, -1] - aa
-
+    small, corner = eigs[:, :-1], eigs[:, -1] - aa
     if refined:
-        dev = np.min(np.abs(small[:, :, None] - ds[:, None, :]), axis=2)
-        matched = np.argmin(np.abs(small[:, :, None] - ds[:, None, :]), axis=2)
-        defect = np.abs(
-            np.sum(ds, axis=1) - np.take_along_axis(ds, matched, axis=1).sum(axis=1)
-        )
-        ok = (
-            np.all(dev < eps, axis=1)
-            & (corner >= 0.0)
-            & (corner < (n - 1) * eps + defect)
-        )
+        dev, _, ok = _refined_conclusion(eps, ds, small, corner)
     else:
-        dev = np.abs(ds - small)
-        ok = np.all(dev < eps, axis=1) & (corner >= 0.0) & (corner < (n - 1) * eps)
-
+        dev, ok = _main_conclusion(eps, ds, small, corner)
     return {
         "trials": int(trials),
         "violations": int(np.count_nonzero(~ok)),

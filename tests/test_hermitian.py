@@ -114,6 +114,16 @@ class TestThresholds:
         vals = [hm.growth_threshold_main(e, d, a) for e in (0.05, 0.1, 0.2, 0.4)]
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("threshold", [hm.growth_threshold_main, hm.growth_threshold_refined])
+    def test_stacked_rows_match_row_by_row(self, threshold):
+        # n comes from the row length, not from the size of the whole stack
+        rng = np.random.default_rng(17)
+        d = rng.uniform(-2.0, 2.0, (40, 4))
+        a = rng.uniform(-1.0, 1.0, (40, 4)) + 1j * rng.uniform(-1.0, 1.0, (40, 4))
+        stacked = threshold(0.3, d, a)
+        assert stacked.shape == (40,)
+        np.testing.assert_array_equal(stacked, [threshold(0.3, d[t], a[t]) for t in range(40)])
+
     def test_rejects_bad_eps(self):
         with pytest.raises(hm.ValidationError):
             hm.growth_threshold_main(0.0, [1.0], [1.0])
