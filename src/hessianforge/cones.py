@@ -8,9 +8,10 @@ cone on which it is elliptic (positive partial derivatives) and concave.
 Also houses the deleted-sum linear algebra: the symmetric matrix Q with
 zero diagonal and unit off-diagonal entries maps eigenvalue vectors to
 their deleted sums, and the star-power map sends eigenvalues to deleted
-products.  Directional limits of every family along coordinate rays are
-evaluated in closed form through an exact ray polynomial, never by
-numerical extrapolation.
+products.  Limits of every family along coordinate rays lam + t e_i are
+read in closed form from the sigma table of lam and of lam without
+coordinate i, since sigma_j(lam + t e_i) = sigma_j(lam) + t sigma_{j-1}(lam
+without i); nothing is extrapolated numerically.
 
 Everything here is pure and accepts batched input along leading axes.
 """
@@ -80,53 +81,43 @@ def sigma_k(lam, k):
     return sigma_all(lam)[..., k]
 
 
+def _deleted_table(lam):
+    """sigma_all of lam with one coordinate deleted, for every coordinate.
+
+    Shape ``lam.shape + (n,)``: axis -2 indexes the deleted coordinate and
+    axis -1 the order 0..n-1.  One pass of the recurrence over the stacked
+    deleted vectors, so no unstable downdate is needed.
+    """
+    n = lam.shape[-1]
+    m = np.arange(n - 1)
+    return sigma_all(lam[..., m + (m >= np.arange(n)[:, None])])
+
+
 def sigma_deleted(lam, k):
     """sigma_k with one coordinate deleted, for every coordinate.
 
     Returns an array whose last axis indexes the deleted coordinate; order
-    ``k`` may be 0 (returns ones).  Each deleted polynomial is recomputed
-    from scratch, avoiding the unstable downdate recurrence.
+    ``k`` runs over 0..n-1 (0 gives ones).
     """
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[-1]
-    out = np.empty(lam.shape)
-    for i in range(n):
-        rest = np.delete(lam, i, axis=-1)
-        if k == 0:
-            out[..., i] = 1.0
-        else:
-            out[..., i] = sigma_all(rest)[..., k]
-    return out
+    if not 0 <= k < n:
+        raise ValidationError(f"order k={k} out of range 0..{n - 1}")
+    return _deleted_table(lam)[..., k].copy()  # a view would keep the whole table alive
 
 
-def _sigma_ray_poly(lam, v, k):
-    """Coefficients (ascending in t) of sigma_k(lam + t*v) as a polynomial in t.
+def _coordinate_ray(lam, e, i, k):
+    """Leading terms of sigma_1..sigma_k along lam + t e_i as t grows.
 
-    Exact double-precision dynamic programming over the product
-    prod_i (1 + x(lam_i + t v_i)); the x^k coefficient is returned as a
-    t-polynomial of degree at most k.
+    ``e`` is the sigma table of lam.  sigma_j(lam + t e_i) = e_j + t d_{j-1},
+    with d the sigma table of lam without coordinate i.  Returns
+    ``(enters, grows, lead)`` over j = 1..k: whether every sigma_j is
+    eventually positive, whether it grows in t, and its leading coefficient.
     """
-    lam = np.asarray(lam, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = lam.size
-    # p[j][m] = coefficient of x^j t^m
-    p = np.zeros((n + 1, n + 1))
-    p[0, 0] = 1.0
-    for i in range(n):
-        q = p.copy()
-        q[1:, :] += lam[i] * p[:-1, :]
-        q[1:, 1:] += v[i] * p[:-1, :-1]
-        p = q
-    coeffs = p[k]
-    deg = n
-    while deg > 0 and coeffs[deg] == 0.0:
-        deg -= 1
-    return coeffs[: deg + 1]
-
-
-def _ray_enters(polys):
-    """Whether every polynomial in the list is eventually positive."""
-    return all(c[-1] > 0.0 for c in polys)
+    d = _deleted_table(lam)[i, :k]
+    grows = d != 0.0
+    lead = np.where(grows, d, e[1 : k + 1])
+    return bool(np.all(lead > 0.0)), grows, lead
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +147,18 @@ class Cone:
     def deleted_sum(n):
         return Cone("deleted-sum", n)
 
+    def _margin_table(self, lam):
+        """Smallest slack with the table it is read from (float lam, batched).
+
+        The table is sigma_0..sigma_n of lam for a Garding cone and the
+        deleted sums for the deleted-sum cone.
+        """
+        if self.kind == "gamma":
+            table = sigma_all(lam)
+            return np.min(table[..., 1 : self.k + 1], axis=-1), table
+        table = q_inverse(lam)
+        return np.min(table, axis=-1), table
+
     def margin(self, lam):
         """Smallest slack among the defining inequalities (batched)."""
         lam = np.asarray(lam, dtype=float)
@@ -163,27 +166,21 @@ class Cone:
             raise ValidationError(
                 f"dimension mismatch: cone has n={self.n}, point has {lam.shape[-1]}"
             )
-        if self.kind == "gamma":
-            e = sigma_all(lam)
-            return np.min(e[..., 1 : self.k + 1], axis=-1)
-        mu = np.sum(lam, axis=-1, keepdims=True) - lam
-        return np.min(mu, axis=-1)
+        return self._margin_table(lam)[0]
 
     def contains(self, lam, margin=0.0):
         return self.margin(lam) > margin
 
     def violated_inequality(self, lam):
         """Human-readable description of the first failed inequality."""
-        lam = np.asarray(lam, dtype=float)
+        _, table = self._margin_table(np.asarray(lam, dtype=float))
         if self.kind == "gamma":
-            e = sigma_all(lam)
             for j in range(1, self.k + 1):
-                if e[..., j].min() <= 0:
-                    return f"sigma_{j} = {float(np.min(e[..., j])):.6g} <= 0"
+                if table[..., j].min() <= 0:
+                    return f"sigma_{j} = {float(np.min(table[..., j])):.6g} <= 0"
         else:
-            mu = np.sum(lam, axis=-1, keepdims=True) - lam
-            i = int(np.argmin(np.min(mu.reshape(-1, self.n), axis=0)))
-            return f"deleted sum {i + 1} = {float(mu.min()):.6g} <= 0"
+            i = int(np.argmin(np.min(table.reshape(-1, self.n), axis=0)))
+            return f"deleted sum {i + 1} = {float(table.min()):.6g} <= 0"
         return "no violated inequality"
 
     def ray_description(self):
@@ -199,9 +196,10 @@ class ConeFunction:
     """A symmetric function f with its cone: evaluation, gradient, limits.
 
     Subclasses fill in ``_value``/``_grad`` on points known to lie in the
-    cone and the ray-limit rule.  Public entry points validate cone
-    membership and raise :class:`ConeDomainError` carrying the violated
-    inequality.
+    cone and the coordinate-ray limit rule; each hook receives the table
+    the cone check computed (see ``Cone._margin_table``).  Public entry
+    points validate cone membership and raise :class:`ConeDomainError`
+    carrying the violated inequality.
     """
 
     family = None
@@ -216,25 +214,26 @@ class ConeFunction:
     def _build_cone(self, n):
         raise NotImplementedError
 
-    def _value(self, lam):
+    def _value(self, lam, table):
         raise NotImplementedError
 
-    def _grad(self, lam):
+    def _grad(self, lam, table):
         raise NotImplementedError
 
-    def _ray_limit(self, lam, v):
-        """(valid, limit) for t -> inf of f(lam + t v), v >= 0 nonzero."""
+    def _ray_limit(self, lam, table, i):
+        """(valid, limit) for t -> inf of f(lam + t e_i), lam a single vector."""
         raise NotImplementedError
 
     # -- public surface
     def _check(self, lam):
+        """(lam, table): lam as a float array inside the cone, and its table."""
         lam = np.asarray(lam, dtype=float)
         if lam.shape[-1] != self.n:
             raise ValidationError(
                 f"{self.describe()} expects vectors of length {self.n}, "
                 f"got {lam.shape[-1]}"
             )
-        margin = self.cone.margin(lam)
+        margin, table = self.cone._margin_table(lam)
         if np.min(margin) <= 0.0:
             where, point = "", lam
             if lam.ndim > 1:
@@ -244,35 +243,20 @@ class ConeFunction:
                 f"point outside {self.cone.ray_description()}{where}: "
                 + self.cone.violated_inequality(point)
             )
-        return lam
+        return lam, table
 
     def value(self, lam):
-        return self._value(self._check(lam))
+        return self._value(*self._check(lam))
 
     def grad(self, lam):
-        return self._grad(self._check(lam))
+        return self._grad(*self._check(lam))
 
     def value_grad(self, lam):
-        lam = self._check(lam)
-        return self._value(lam), self._grad(lam)
+        lam, table = self._check(lam)
+        return self._value(lam, table), self._grad(lam, table)
 
     def margin(self, lam):
         return self.cone.margin(np.asarray(lam, dtype=float))
-
-    def ray_limit(self, lam, v):
-        """Limit of f along ``lam + t v`` as t grows without bound.
-
-        Closed-form per family through the exact ray polynomial.  Returns
-        ``(valid, limit)``; ``valid`` is False when the ray never enters the
-        cone (the limit is then meaningless and reported as ``-inf``).
-        """
-        lam = np.asarray(lam, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if lam.shape != (self.n,) or v.shape != (self.n,):
-            raise ValidationError("ray_limit expects single vectors of length n")
-        if np.any(v < 0) or not np.any(v > 0):
-            raise ValidationError("ray direction must be nonnegative and nonzero")
-        return self._ray_limit(lam, v)
 
     def describe(self):
         return f"{self.family}(n={self.n})"
@@ -286,15 +270,19 @@ class LogMA(ConeFunction):
     def _build_cone(self, n):
         return Cone.gamma(n, n)
 
-    def _value(self, lam):
+    def _check(self, lam):
+        # Value and gradient read lam alone: holding the sigma table through
+        # them would only raise peak memory.
+        return super()._check(lam)[0], None
+
+    def _value(self, lam, table):
         return np.sum(np.log(lam), axis=-1)
 
-    def _grad(self, lam):
+    def _grad(self, lam, table):
         return 1.0 / lam
 
-    def _ray_limit(self, lam, v):
-        fixed = lam[v == 0]
-        if np.any(fixed <= 0):
+    def _ray_limit(self, lam, table, i):
+        if np.any(np.delete(lam, i) <= 0):
             return False, -math.inf
         return True, math.inf
 
@@ -307,28 +295,25 @@ class SigmaKRoot(ConeFunction):
     def __init__(self, n, k):
         self.k = int(k)
         super().__init__(n)
-        if not 1 <= self.k <= n:
-            raise ValidationError(f"order k={k} out of range 1..{n}")
 
     def _build_cone(self, n):
         return Cone.gamma(self.k, n)
 
-    def _value(self, lam):
-        return sigma_k(lam, self.k) ** (1.0 / self.k)
+    def _value(self, lam, table):
+        return table[..., self.k] ** (1.0 / self.k)
 
-    def _grad(self, lam):
-        ek = sigma_k(lam, self.k)[..., None]
+    def _grad(self, lam, table):
+        ek = table[..., self.k, None]
         dk = sigma_deleted(lam, self.k - 1)
         return (1.0 / self.k) * ek ** (1.0 / self.k - 1.0) * dk
 
-    def _ray_limit(self, lam, v):
-        polys = [_sigma_ray_poly(lam, v, j) for j in range(1, self.k + 1)]
-        if not _ray_enters(polys):
+    def _ray_limit(self, lam, table, i):
+        enters, grows, lead = _coordinate_ray(lam, table, i, self.k)
+        if not enters:
             return False, -math.inf
-        top = polys[-1]
-        if len(top) == 1:  # sigma_k independent of t
-            return True, top[0] ** (1.0 / self.k)
-        return True, math.inf
+        if grows[-1]:
+            return True, math.inf
+        return True, lead[-1] ** (1.0 / self.k)
 
     def describe(self):
         return f"{self.family}(n={self.n}, k={self.k})"
@@ -339,14 +324,14 @@ class LogSigmaK(SigmaKRoot):
 
     family = "log-sigma-k"
 
-    def _value(self, lam):
-        return np.log(sigma_k(lam, self.k))
+    def _value(self, lam, table):
+        return np.log(table[..., self.k])
 
-    def _grad(self, lam):
-        return sigma_deleted(lam, self.k - 1) / sigma_k(lam, self.k)[..., None]
+    def _grad(self, lam, table):
+        return sigma_deleted(lam, self.k - 1) / table[..., self.k, None]
 
-    def _ray_limit(self, lam, v):
-        valid, lim = SigmaKRoot._ray_limit(self, lam, v)
+    def _ray_limit(self, lam, table, i):
+        valid, lim = SigmaKRoot._ray_limit(self, lam, table, i)
         if not valid:
             return False, -math.inf
         return True, math.inf if math.isinf(lim) else self.k * math.log(lim)
@@ -371,29 +356,27 @@ class QuotientRoot(ConeFunction):
     def _build_cone(self, n):
         return Cone.gamma(self.k, n)
 
-    def _value(self, lam):
-        r = sigma_k(lam, self.k) / sigma_k(lam, self.l)
+    def _value(self, lam, table):
+        r = table[..., self.k] / table[..., self.l]
         return r ** (1.0 / (self.k - self.l))
 
-    def _grad(self, lam):
-        ek = sigma_k(lam, self.k)[..., None]
-        el = sigma_k(lam, self.l)[..., None]
-        dk = sigma_deleted(lam, self.k - 1)
-        dl = sigma_deleted(lam, self.l - 1)
+    def _grad(self, lam, table):
+        ek = table[..., self.k, None]
+        el = table[..., self.l, None]
+        d = _deleted_table(lam)
+        dk = d[..., self.k - 1]
+        dl = d[..., self.l - 1]
         val = (ek / el) ** (1.0 / (self.k - self.l))
         return val / (self.k - self.l) * (dk / ek - dl / el)
 
-    def _ray_limit(self, lam, v):
-        polys = [_sigma_ray_poly(lam, v, j) for j in range(1, self.k + 1)]
-        if not _ray_enters(polys):
+    def _ray_limit(self, lam, table, i):
+        enters, grows, lead = _coordinate_ray(lam, table, i, self.k)
+        if not enters:
             return False, -math.inf
-        pk, pl = polys[self.k - 1], polys[self.l - 1]
-        dk, dl = len(pk) - 1, len(pl) - 1
-        if dk > dl:
-            return True, math.inf
-        if dk < dl:
-            return True, 0.0
-        return True, (pk[-1] / pl[-1]) ** (1.0 / (self.k - self.l))
+        gk, gl = grows[self.k - 1], grows[self.l - 1]
+        if gk != gl:
+            return True, math.inf if gk else 0.0
+        return True, (lead[self.k - 1] / lead[self.l - 1]) ** (1.0 / (self.k - self.l))
 
     def describe(self):
         return f"{self.family}(n={self.n}, k={self.k}, l={self.l})"
@@ -403,7 +386,7 @@ class LogDeletedSums(ConeFunction):
     """Sum of logarithms of the deleted sums, on the deleted-sum cone.
 
     The operator of the Monge-Ampere equation for functions whose deleted
-    eigenvalue sums are positive.
+    eigenvalue sums are positive.  Its cone table is the deleted sums.
     """
 
     family = "log-p"
@@ -411,20 +394,15 @@ class LogDeletedSums(ConeFunction):
     def _build_cone(self, n):
         return Cone.deleted_sum(n)
 
-    def _value(self, lam):
-        mu = np.sum(lam, axis=-1, keepdims=True) - lam
-        return np.sum(np.log(mu), axis=-1)
+    def _value(self, lam, table):
+        return np.sum(np.log(table), axis=-1)
 
-    def _grad(self, lam):
-        mu = np.sum(lam, axis=-1, keepdims=True) - lam
-        inv = 1.0 / mu
-        return np.sum(inv, axis=-1, keepdims=True) - inv
+    def _grad(self, lam, table):
+        return q_inverse(1.0 / table)
 
-    def _ray_limit(self, lam, v):
-        slopes = np.sum(v) - v
-        mu = np.sum(lam) - lam
-        frozen = slopes == 0
-        if np.any(mu[frozen] <= 0):
+    def _ray_limit(self, lam, table, i):
+        # Along lam + t e_i only the i-th deleted sum stays fixed; the rest grow.
+        if table[i] <= 0:
             return False, -math.inf
         return True, math.inf
 
@@ -464,23 +442,32 @@ def cone_function(family, n, k=None, l=None):
 # ---------------------------------------------------------------------------
 # deleted-sum transforms
 
-def q_matrix(n):
-    """The symmetric integer matrix with zero diagonal, ones elsewhere."""
+def _q_size(n):
     if n < 2:
         raise ValidationError("Q is only defined for n >= 2")
+    return n
+
+
+def _q_operand(x):
+    """(x, n): an int/Fraction list or tuple as a list of Fractions, anything
+    else as a float array, with the length n of its last axis."""
+    if isinstance(x, (list, tuple)) and all(isinstance(v, (int, Fraction)) for v in x):
+        x = [Fraction(v) for v in x]
+        return x, _q_size(len(x))
+    x = np.asarray(x, dtype=float)
+    return x, _q_size(x.shape[-1])
+
+
+def q_matrix(n):
+    """The symmetric integer matrix with zero diagonal, ones elsewhere."""
+    n = _q_size(n)
     return np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
 
 
 def q_inverse_matrix(n):
     """Exact inverse of Q as a Fraction matrix: (1/(n-1)) J - I."""
-    if n < 2:
-        raise ValidationError("Q is only defined for n >= 2")
-    r = Fraction(1, n - 1)
+    r = Fraction(1, _q_size(n) - 1)
     return [[r - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def _is_exact(vec):
-    return all(isinstance(x, (int, Fraction)) for x in vec)
 
 
 def q_transform(mu):
@@ -490,31 +477,23 @@ def q_transform(mu):
     input is processed in exact rational arithmetic so the round trip with
     :func:`q_inverse` is exact; float input stays float.
     """
-    if isinstance(mu, (list, tuple)) and _is_exact(mu):
-        n = len(mu)
-        if n < 2:
-            raise ValidationError("Q is only defined for n >= 2")
-        s = Fraction(sum(Fraction(x) for x in mu), n - 1)
-        return [s - Fraction(x) for x in mu]
-    mu = np.asarray(mu, dtype=float)
-    n = mu.shape[-1]
-    if n < 2:
-        raise ValidationError("Q is only defined for n >= 2")
+    mu, n = _q_operand(mu)
+    if isinstance(mu, list):
+        s = sum(mu) / (n - 1)
+        return [s - x for x in mu]
     return np.sum(mu, axis=-1, keepdims=True) / (n - 1) - mu
 
 
 def q_inverse(lam):
-    """Map a vector to its deleted sums: mu = lam Q, mu_i = sum_{j != i} lam_j."""
-    if isinstance(lam, (list, tuple)) and _is_exact(lam):
-        n = len(lam)
-        if n < 2:
-            raise ValidationError("Q is only defined for n >= 2")
-        s = sum(Fraction(x) for x in lam)
-        return [s - Fraction(x) for x in lam]
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    if n < 2:
-        raise ValidationError("Q is only defined for n >= 2")
+    """Map a vector to its deleted sums: mu = lam Q, mu_i = sum_{j != i} lam_j.
+
+    The one place the deleted sums are formed; exact for int or Fraction
+    lists, batched along leading axes for arrays.
+    """
+    lam, _ = _q_operand(lam)
+    if isinstance(lam, list):
+        s = sum(lam)
+        return [s - x for x in lam]
     return np.sum(lam, axis=-1, keepdims=True) - lam
 
 
@@ -525,11 +504,7 @@ def star_power_eigs(lam):
     map applied to the logarithms.
     """
     lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    out = np.empty(lam.shape)
-    for i in range(n):
-        out[..., i] = np.prod(np.delete(lam, i, axis=-1), axis=-1)
-    return out
+    return sigma_deleted(lam, lam.shape[-1] - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -564,15 +539,14 @@ def c_subsolution_margin(f, lam, psi, i):
     """Margin of the relaxed (asymptotic) subsolution condition in direction i.
 
     Evaluates ``lim_t f(lam + t e_i) - psi`` with the family's closed-form
-    limit.  ``lam`` must lie in the cone.
+    limit.  ``lam`` must be a single vector in the cone.
     """
-    lam = np.asarray(lam, dtype=float)
-    f._check(lam)
+    lam, table = f._check(lam)
+    if lam.shape != (f.n,):
+        raise ValidationError(f"expected a single vector of length {f.n}, got shape {lam.shape}")
     if not 0 <= i < f.n:
         raise ValidationError(f"direction index {i} out of range 0..{f.n - 1}")
-    v = np.zeros(f.n)
-    v[i] = 1.0
-    valid, limit = f.ray_limit(lam, v)
+    valid, limit = f._ray_limit(lam, table, i)
     return MarginReport(direction=i, valid=valid, limit=limit, psi=float(psi))
 
 
@@ -665,7 +639,7 @@ def c_sigma(f, sigma, tol=1e-10):
 
 
 # ---------------------------------------------------------------------------
-# sampling (tests, probes, CLI)
+# sampling
 
 def sample_cone(cone, count, rng, box=3.0):
     """Draw cone points: positive-orthant draws mixed with box rejection.

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridError, PositivityError
+from .errors import GridError, PositivityError, ValidationError
 
 __all__ = [
     "GridError",
@@ -135,12 +135,6 @@ class ProductGrid:
             return self.period(axis)
         return self.period(axis) / r
 
-    @property
-    def max_spacing(self):
-        return max(
-            self.spacing(a) for a in range(2 * self.n) if self.resolutions[a] > 1
-        )
-
     def coord(self, axis):
         r = self.resolutions[axis]
         if axis == self.strip_axis:
@@ -172,11 +166,6 @@ class ProductGrid:
     def interior_slicer(self):
         idx = [slice(None)] * (2 * self.n)
         idx[self.strip_axis] = slice(1, self.resolutions[self.strip_axis] - 1)
-        return tuple(idx)
-
-    def slice_at(self, index):
-        idx = [slice(None)] * (2 * self.n)
-        idx[self.strip_axis] = index
         return tuple(idx)
 
     def node_location(self, flat_index):
@@ -442,7 +431,7 @@ def check_hermitian_field(h, tol=1e-10):
     """Largest deviation from Hermiticity over all nodes."""
     dev = np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2))))
     if dev > tol:
-        raise PositivityError(f"field is not Hermitian: deviation {dev:.3e}")
+        raise ValidationError(f"field is not Hermitian: deviation {dev:.3e}")
     return dev
 
 

@@ -62,6 +62,25 @@ class TestSigmaK:
         np.testing.assert_allclose(cn.sigma_deleted(lam, 2), [6, 3, 2])
         np.testing.assert_allclose(cn.sigma_deleted(lam, 0), [1, 1, 1])
 
+    def test_deleted_out_of_range(self):
+        for k in (-1, 3):
+            with pytest.raises(cn.ValidationError):
+                cn.sigma_deleted([1.0, 2.0, 3.0], k)
+
+    def test_value_grad_runs_the_recurrence_at_most_twice(self, monkeypatch):
+        calls = []
+
+        def counting(lam):
+            calls.append(np.shape(lam))
+            return sigma_all(lam)
+
+        f = make("quotient-root", 6, k=3, l=1)
+        lam = cn.sample_cone(f.cone, 50, np.random.default_rng(5))
+        sigma_all = cn.sigma_all
+        monkeypatch.setattr(cn, "sigma_all", counting)
+        f.value_grad(lam)
+        assert 1 <= len(calls) <= 2
+
 
 class TestConeMembership:
     def test_deleted_sum_cone(self):
@@ -258,6 +277,71 @@ class TestSubsolutionMargin:
         probe = lam.copy()
         probe[2] += t
         assert f.value(probe) == pytest.approx(rep.limit, rel=1e-6)
+
+
+def ray_poly_table(lam, v):
+    """Reference: p[j, m], the coefficient of x^j t^m in prod_i (1 + x (lam_i + t v_i))."""
+    n = lam.size
+    p = np.zeros((n + 1, n + 1))
+    p[0, 0] = 1.0
+    for i in range(n):
+        q = p.copy()
+        q[1:, :] += lam[i] * p[:-1, :]
+        q[1:, 1:] += v[i] * p[:-1, :-1]
+        p = q
+    return p
+
+
+def ray_limit_reference(f, lam, i):
+    """Reference (valid, limit) of f along lam + t e_i, read off the ray polynomials."""
+    v = np.zeros(f.n)
+    v[i] = 1.0
+    if f.family == "log-ma":
+        return (False, -math.inf) if np.any(lam[v == 0] <= 0) else (True, math.inf)
+    if f.family == "log-p":
+        frozen = np.sum(v) - v == 0
+        return (False, -math.inf) if np.any((np.sum(lam) - lam)[frozen] <= 0) else (True, math.inf)
+    p = ray_poly_table(lam, v)
+    polys = []
+    for j in range(1, f.k + 1):
+        deg = f.n
+        while deg > 0 and p[j, deg] == 0.0:
+            deg -= 1
+        polys.append(p[j, : deg + 1])
+    if not all(c[-1] > 0.0 for c in polys):
+        return False, -math.inf
+    top = polys[-1]
+    if f.family == "quotient-root":
+        pl = polys[f.l - 1]
+        if len(top) != len(pl):
+            return True, math.inf if len(top) > len(pl) else 0.0
+        return True, (top[-1] / pl[-1]) ** (1.0 / (f.k - f.l))
+    if len(top) > 1:
+        return True, math.inf
+    lim = top[0] ** (1.0 / f.k)
+    return True, f.k * math.log(lim) if f.family == "log-sigma-k" else lim
+
+
+class TestCoordinateRayLimits:
+    def test_match_ray_polynomial_reference(self):
+        rng = np.random.default_rng(12)
+        for n in range(2, 7):
+            fams = [make("log-ma", n), make("log-p", n)]
+            fams += [make(fam, n, k=k) for fam in ("sigma-k-root", "log-sigma-k") for k in range(1, n + 1)]
+            fams += [make("quotient-root", n, k=k, l=l) for k in range(2, n + 1) for l in range(1, k)]
+            integers = rng.integers(-2, 4, size=(400, n)).astype(float)
+            for f in fams:
+                inside = integers[f.margin(integers) > 0][:6]
+                for lam in np.concatenate([cn.sample_cone(f.cone, 6, rng), inside]):
+                    for i in range(n):
+                        rep = cn.c_subsolution_margin(f, lam, 0.0, i)
+                        assert (rep.valid, rep.limit) == ray_limit_reference(f, lam, i), (f.describe(), lam, i)
+
+    def test_batched_point_rejected(self):
+        f = make("quotient-root", 3, k=2, l=1)
+        with pytest.raises(cn.ValidationError) as caught:
+            cn.c_subsolution_margin(f, np.ones((2, 3)), 0.0, 0)
+        assert caught.type is cn.ValidationError
 
 
 class TestAddistruc:

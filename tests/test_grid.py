@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from hessianforge import grid as gr
+from hessianforge.errors import ValidationError
 
 TAU = 2 * math.pi
 
@@ -130,6 +131,12 @@ class TestComplexHessian:
         u = rng.normal(size=g.shape)
         h = gr.complex_hessian(g, u)
         assert gr.check_hermitian_field(h, tol=1e-12) < 1e-12
+
+    def test_non_hermitian_field_is_a_validation_error(self):
+        h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(ValidationError, match="not Hermitian") as caught:
+            gr.check_hermitian_field(h)
+        assert caught.type is ValidationError
 
 
 class TestGField:
