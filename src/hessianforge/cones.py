@@ -8,10 +8,10 @@ cone on which it is elliptic (positive partial derivatives) and concave.
 Also houses the deleted-sum linear algebra: the symmetric matrix Q with
 zero diagonal and unit off-diagonal entries maps eigenvalue vectors to
 their deleted sums, and the star-power map sends eigenvalues to deleted
-products.  Limits of every family along coordinate rays lam + t e_i are
-read in closed form from the sigma table of lam and of lam without
-coordinate i, since sigma_j(lam + t e_i) = sigma_j(lam) + t sigma_{j-1}(lam
-without i); nothing is extrapolated numerically.
+products.  Limits along coordinate rays lam + t e_i are closed forms:
+sigma_j(lam + t e_i) = sigma_j(lam) + t sigma_{j-1}(lam without i), and on
+Gamma_k every slope sigma_{j-1}(lam without i), j <= k, is positive, so only
+the quotient family has a finite limit, the ratio of two slopes.
 
 Everything here is pure and accepts batched input along leading axes.
 """
@@ -73,11 +73,19 @@ def sigma_all(lam):
 
 
 def sigma_k(lam, k):
-    """k-th elementary symmetric polynomial of the last axis."""
+    """k-th elementary symmetric polynomial of the last axis.
+
+    ``k`` may also be a range of orders, read as a view along the last
+    axis of one recurrence's table.  The cone functions read every sigma
+    of lam through here (see ``Cone._margin_table``).
+    """
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[-1]
-    if not 1 <= k <= n:
+    orders = k if isinstance(k, range) else range(k, k + 1)
+    if not orders or min(orders) < 1 or max(orders) > n:
         raise ValidationError(f"order k={k} out of range 1..{n}")
+    if isinstance(k, range):
+        k = slice(k.start, k.stop, k.step)
     return sigma_all(lam)[..., k]
 
 
@@ -104,20 +112,6 @@ def sigma_deleted(lam, k):
     if not 0 <= k < n:
         raise ValidationError(f"order k={k} out of range 0..{n - 1}")
     return _deleted_table(lam)[..., k].copy()  # a view would keep the whole table alive
-
-
-def _coordinate_ray(lam, e, i, k):
-    """Leading terms of sigma_1..sigma_k along lam + t e_i as t grows.
-
-    ``e`` is the sigma table of lam.  sigma_j(lam + t e_i) = e_j + t d_{j-1},
-    with d the sigma table of lam without coordinate i.  Returns
-    ``(enters, grows, lead)`` over j = 1..k: whether every sigma_j is
-    eventually positive, whether it grows in t, and its leading coefficient.
-    """
-    d = _deleted_table(lam)[i, :k]
-    grows = d != 0.0
-    lead = np.where(grows, d, e[1 : k + 1])
-    return bool(np.all(lead > 0.0)), grows, lead
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +144,12 @@ class Cone:
     def _margin_table(self, lam):
         """Smallest slack with the table it is read from (float lam, batched).
 
-        The table is sigma_0..sigma_n of lam for a Garding cone and the
-        deleted sums for the deleted-sum cone.
+        The table is sigma_1..sigma_k of lam for a Garding cone (column
+        j - 1 holds sigma_j) and the deleted sums for the deleted-sum cone.
         """
         if self.kind == "gamma":
-            table = sigma_all(lam)
-            return np.min(table[..., 1 : self.k + 1], axis=-1), table
+            table = sigma_k(lam, range(1, self.k + 1))
+            return np.min(table, axis=-1), table
         table = q_inverse(lam)
         return np.min(table, axis=-1), table
 
@@ -176,8 +170,8 @@ class Cone:
         _, table = self._margin_table(np.asarray(lam, dtype=float))
         if self.kind == "gamma":
             for j in range(1, self.k + 1):
-                if table[..., j].min() <= 0:
-                    return f"sigma_{j} = {float(np.min(table[..., j])):.6g} <= 0"
+                if table[..., j - 1].min() <= 0:
+                    return f"sigma_{j} = {float(np.min(table[..., j - 1])):.6g} <= 0"
         else:
             i = int(np.argmin(np.min(table.reshape(-1, self.n), axis=0)))
             return f"deleted sum {i + 1} = {float(table.min()):.6g} <= 0"
@@ -196,10 +190,9 @@ class ConeFunction:
     """A symmetric function f with its cone: evaluation, gradient, limits.
 
     Subclasses fill in ``_value``/``_grad`` on points known to lie in the
-    cone and the coordinate-ray limit rule; each hook receives the table
-    the cone check computed (see ``Cone._margin_table``).  Public entry
-    points validate cone membership and raise :class:`ConeDomainError`
-    carrying the violated inequality.
+    cone; each receives the table the cone check computed (see
+    ``Cone._margin_table``).  Public entry points validate cone membership
+    and raise :class:`ConeDomainError` carrying the violated inequality.
     """
 
     family = None
@@ -220,9 +213,15 @@ class ConeFunction:
     def _grad(self, lam, table):
         raise NotImplementedError
 
-    def _ray_limit(self, lam, table, i):
-        """(valid, limit) for t -> inf of f(lam + t e_i), lam a single vector."""
-        raise NotImplementedError
+    def _ray_limit(self, lam, i):
+        """(valid, limit) for t -> inf of f(lam + t e_i), lam a single vector
+        in the cone.
+
+        Every sigma_j, j <= k, grows without bound along the ray (its slope
+        sigma_{j-1}(lam without i) is positive on Gamma_k), and so do all
+        but one deleted sum, so every family but the quotient tends to +inf.
+        """
+        return True, math.inf
 
     # -- public surface
     def _check(self, lam):
@@ -281,11 +280,6 @@ class LogMA(ConeFunction):
     def _grad(self, lam, table):
         return 1.0 / lam
 
-    def _ray_limit(self, lam, table, i):
-        if np.any(np.delete(lam, i) <= 0):
-            return False, -math.inf
-        return True, math.inf
-
 
 class SigmaKRoot(ConeFunction):
     """k-th root of the k-th elementary symmetric polynomial on Gamma_k."""
@@ -300,20 +294,12 @@ class SigmaKRoot(ConeFunction):
         return Cone.gamma(self.k, n)
 
     def _value(self, lam, table):
-        return table[..., self.k] ** (1.0 / self.k)
+        return table[..., self.k - 1] ** (1.0 / self.k)
 
     def _grad(self, lam, table):
-        ek = table[..., self.k, None]
+        ek = table[..., self.k - 1, None]
         dk = sigma_deleted(lam, self.k - 1)
         return (1.0 / self.k) * ek ** (1.0 / self.k - 1.0) * dk
-
-    def _ray_limit(self, lam, table, i):
-        enters, grows, lead = _coordinate_ray(lam, table, i, self.k)
-        if not enters:
-            return False, -math.inf
-        if grows[-1]:
-            return True, math.inf
-        return True, lead[-1] ** (1.0 / self.k)
 
     def describe(self):
         return f"{self.family}(n={self.n}, k={self.k})"
@@ -325,16 +311,10 @@ class LogSigmaK(SigmaKRoot):
     family = "log-sigma-k"
 
     def _value(self, lam, table):
-        return np.log(table[..., self.k])
+        return np.log(table[..., self.k - 1])
 
     def _grad(self, lam, table):
-        return sigma_deleted(lam, self.k - 1) / table[..., self.k, None]
-
-    def _ray_limit(self, lam, table, i):
-        valid, lim = SigmaKRoot._ray_limit(self, lam, table, i)
-        if not valid:
-            return False, -math.inf
-        return True, math.inf if math.isinf(lim) else self.k * math.log(lim)
+        return sigma_deleted(lam, self.k - 1) / table[..., self.k - 1, None]
 
 
 class QuotientRoot(ConeFunction):
@@ -357,26 +337,25 @@ class QuotientRoot(ConeFunction):
         return Cone.gamma(self.k, n)
 
     def _value(self, lam, table):
-        r = table[..., self.k] / table[..., self.l]
+        r = table[..., self.k - 1] / table[..., self.l - 1]
         return r ** (1.0 / (self.k - self.l))
 
     def _grad(self, lam, table):
-        ek = table[..., self.k, None]
-        el = table[..., self.l, None]
+        ek = table[..., self.k - 1, None]
+        el = table[..., self.l - 1, None]
         d = _deleted_table(lam)
         dk = d[..., self.k - 1]
         dl = d[..., self.l - 1]
         val = (ek / el) ** (1.0 / (self.k - self.l))
         return val / (self.k - self.l) * (dk / ek - dl / el)
 
-    def _ray_limit(self, lam, table, i):
-        enters, grows, lead = _coordinate_ray(lam, table, i, self.k)
-        if not enters:
+    def _ray_limit(self, lam, i):
+        # The ratio of the slopes of sigma_k and sigma_l along the ray.
+        d = _deleted_table(lam)[i]
+        dk, dl = d[self.k - 1], d[self.l - 1]
+        if not (dk > 0.0 and dl > 0.0):  # rounding at the cone's boundary
             return False, -math.inf
-        gk, gl = grows[self.k - 1], grows[self.l - 1]
-        if gk != gl:
-            return True, math.inf if gk else 0.0
-        return True, (lead[self.k - 1] / lead[self.l - 1]) ** (1.0 / (self.k - self.l))
+        return True, (dk / dl) ** (1.0 / (self.k - self.l))
 
     def describe(self):
         return f"{self.family}(n={self.n}, k={self.k}, l={self.l})"
@@ -399,12 +378,6 @@ class LogDeletedSums(ConeFunction):
 
     def _grad(self, lam, table):
         return q_inverse(1.0 / table)
-
-    def _ray_limit(self, lam, table, i):
-        # Along lam + t e_i only the i-th deleted sum stays fixed; the rest grow.
-        if table[i] <= 0:
-            return False, -math.inf
-        return True, math.inf
 
 
 FAMILIES = {
@@ -514,7 +487,8 @@ def star_power_eigs(lam):
 class MarginReport:
     """Directional limit of f against a target level.
 
-    ``valid`` is False when the ray never enters the cone.  ``margin`` is
+    ``valid`` is False when a slope of the ray rounds to zero or below,
+    which only happens at the cone's boundary.  ``margin`` is
     ``limit - psi`` (may be +inf); positive margin certifies the relaxed
     subsolution condition in that direction.
     """
@@ -541,12 +515,12 @@ def c_subsolution_margin(f, lam, psi, i):
     Evaluates ``lim_t f(lam + t e_i) - psi`` with the family's closed-form
     limit.  ``lam`` must be a single vector in the cone.
     """
-    lam, table = f._check(lam)
+    lam, _ = f._check(lam)
     if lam.shape != (f.n,):
         raise ValidationError(f"expected a single vector of length {f.n}, got shape {lam.shape}")
     if not 0 <= i < f.n:
         raise ValidationError(f"direction index {i} out of range 0..{f.n - 1}")
-    valid, limit = f._ray_limit(lam, table, i)
+    valid, limit = f._ray_limit(lam, i)
     return MarginReport(direction=i, valid=valid, limit=limit, psi=float(psi))
 
 

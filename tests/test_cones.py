@@ -47,6 +47,23 @@ class TestSigmaK:
         with pytest.raises(cn.ValidationError):
             cn.sigma_k([1.0, 2.0], 0)
 
+    def test_range_of_orders(self):
+        lam = np.random.default_rng(8).normal(size=(30, 4))
+        np.testing.assert_array_equal(
+            cn.sigma_k(lam, range(1, 4)), np.stack([cn.sigma_k(lam, j) for j in (1, 2, 3)], axis=-1)
+        )
+        for orders in (range(1, 6), range(0, 2), range(2, 2)):
+            with pytest.raises(cn.ValidationError):
+                cn.sigma_k(lam, orders)
+
+    def test_families_read_sigma_through_sigma_k(self, monkeypatch):
+        # A defect in sigma_k must reach the family values.
+        f = make("sigma-k-root", 4, k=2)
+        lam = cn.sample_cone(f.cone, 20, np.random.default_rng(9))
+        exact, value = cn.sigma_k, f.value(lam)
+        monkeypatch.setattr(cn, "sigma_k", lambda lam, k: 4.0 * exact(lam, k))
+        np.testing.assert_allclose(f.value(lam), 2.0 * value, rtol=1e-14)
+
     def test_matches_polynomial_roots(self):
         # Vieta oracle: coefficients of prod (x - lam_i)
         rng = np.random.default_rng(1)
