@@ -170,11 +170,11 @@ class Cone:
         _, table = self._margin_table(np.asarray(lam, dtype=float))
         if self.kind == "gamma":
             for j in range(1, self.k + 1):
-                if table[..., j - 1].min() <= 0:
-                    return f"sigma_{j} = {float(np.min(table[..., j - 1])):.6g} <= 0"
+                if not table[..., j - 1].min() > 0:
+                    return f"sigma_{j} = {float(np.min(table[..., j - 1])):.6g}, not > 0"
         else:
             i = int(np.argmin(np.min(table.reshape(-1, self.n), axis=0)))
-            return f"deleted sum {i + 1} = {float(table.min()):.6g} <= 0"
+            return f"deleted sum {i + 1} = {float(table.min()):.6g}, not > 0"
         return "no violated inequality"
 
     def ray_description(self):
@@ -233,10 +233,10 @@ class ConeFunction:
                 f"got {lam.shape[-1]}"
             )
         margin, table = self.cone._margin_table(lam)
-        if np.min(margin) <= 0.0:
+        if not np.min(margin) > 0.0:  # min propagates NaN, which fails too
             where, point = "", lam
             if lam.ndim > 1:
-                first = int(np.flatnonzero(margin.reshape(-1) <= 0.0)[0])
+                first = int(np.flatnonzero(~(margin.reshape(-1) > 0.0))[0])
                 where, point = f" at flat index {first}", lam.reshape(-1, self.n)[first]
             raise ConeDomainError(
                 f"point outside {self.cone.ray_description()}{where}: "

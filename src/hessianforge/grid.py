@@ -14,6 +14,9 @@ points.
 
 Derivative stencils are second-order centered, with one-sided second-order
 closures on the two boundary slices of the Re w axis.
+
+The per-node eigenproblems of :func:`eig_wrt_metric` are solved in closed
+form at n = 2 and by LAPACK's ``eigh`` for every other n.
 """
 
 import math
@@ -52,6 +55,7 @@ __all__ = [
 ]
 
 MIN_RESOLUTION = 8
+_EIG2_BLOCK = 4096  # nodes per pass of the closed-form 2x2 eigensolve
 
 
 @dataclass(frozen=True)
@@ -563,22 +567,88 @@ def gauduchon_fields(grid, u, chi, rho, metric):
     return u_form, g_form
 
 
+def _eigh2(h, vectors):
+    """Ascending eigenvalues (and unit eigenvectors) of a stack of 2x2
+    Hermitian matrices, in closed form.
+
+    Only the lower triangle is read, as LAPACK's ``eigh`` does by default.
+    With a = Re h00, d = Re h11, c = h10, hd = (a - d)/2 and
+    r = hypot(hd, |c|), the eigenvalues are (a + d)/2 -+ r.  The first
+    eigenvector is read from the row of h - lam_0 that avoids cancellation
+    and divided by s = |hd| + r, the modulus of its largest entry:
+    (conj c/s, -1) when hd > 0, else (1, -c/s).  A scalar matrix (s = 0)
+    gets the identity.  The second eigenvector is (-conj y, conj x) for a
+    first one (x, y).
+
+    The node axis is processed in blocks of ``_EIG2_BLOCK``, so the
+    temporaries stay under 1 MB whatever the size of the stack.
+    """
+    batch = h.shape[:-2]
+    flat = h.reshape(-1, 2, 2)
+    lam = np.empty((flat.shape[0], 2))
+    if vectors:
+        vec = np.empty((flat.shape[0], 2, 2), dtype=complex)
+        vec_r, vec_i = vec.real, vec.imag
+    for lo in range(0, flat.shape[0], _EIG2_BLOCK):
+        rows = slice(lo, lo + _EIG2_BLOCK)
+        blk = flat[rows]
+        a2 = 0.5 * blk[:, 0, 0].real
+        d2 = 0.5 * blk[:, 1, 1].real
+        hd = a2 - d2
+        r = np.hypot(hd, np.abs(blk[:, 1, 0]))
+        mean = a2 + d2
+        np.subtract(mean, r, out=lam[rows, 0])
+        np.add(mean, r, out=lam[rows, 1])
+        if not vectors:
+            continue
+        s = np.abs(hd) + r
+        s[s == 0.0] = 1.0  # there c = 0, and the vectors are the identity
+        pr = blk[:, 1, 0].real / s
+        pi = -blk[:, 1, 0].imag / s
+        q = 1.0 / np.sqrt(1.0 + pr * pr + pi * pi)
+        pr *= q
+        pi *= q
+        # V = [[w, z], [-conj z, conj w]], where p = conj(c/s) q and
+        # (w, z) = (p, q) when hd > 0 (the vector read from row 0),
+        # (q, p) otherwise (read from row 1)
+        row0 = hd > 0.0
+        wr, zr = np.where(row0, pr, q), np.where(row0, q, pr)
+        wi, zi = np.where(row0, pi, 0.0), np.where(row0, 0.0, pi)
+        out_r, out_i = vec_r[rows], vec_i[rows]
+        out_r[:, 0, 0], out_i[:, 0, 0] = wr, wi
+        out_r[:, 0, 1], out_i[:, 0, 1] = zr, zi
+        out_r[:, 1, 0], out_i[:, 1, 0] = -zr, zi
+        out_r[:, 1, 1], out_i[:, 1, 1] = wr, -wi
+    lam = lam.reshape(batch + (2,))
+    if vectors:
+        return lam, vec.reshape(batch + (2, 2))
+    return lam
+
+
+def _eigh(h, vectors):
+    """Batched Hermitian eigensolve: the closed form at n = 2, LAPACK else."""
+    if h.shape[-1] == 2:
+        return _eigh2(h, vectors)
+    return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+
+
 def eig_wrt_metric(h, metric, vectors=False):
     """Eigenvalues (ascending) of a Hermitian field relative to the metric.
 
     For a non-flat metric the generalized problem is reduced through the
     per-node Cholesky factor; returned eigenvectors are metric-orthonormal.
+    At n = 2 the per-node eigenpairs come from a closed form (see
+    :func:`_eigh2`), flat metric or not; other n use LAPACK's ``eigh``.
     """
+    h = np.asarray(h)
     if metric.is_flat:
-        if vectors:
-            return np.linalg.eigh(h)
-        return np.linalg.eigvalsh(h)
+        return _eigh(h, vectors)
     metric.validate_positive()
     linv = metric.inv_cholesky()
     reduced = linv @ h @ np.conj(np.swapaxes(linv, -1, -2))
     reduced = 0.5 * (reduced + np.conj(np.swapaxes(reduced, -1, -2)))
     if vectors:
-        lam, v = np.linalg.eigh(reduced)
+        lam, v = _eigh(reduced, True)
         return lam, np.conj(np.swapaxes(linv, -1, -2)) @ v
-    return np.linalg.eigvalsh(reduced)
+    return _eigh(reduced, False)
 

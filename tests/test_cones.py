@@ -159,6 +159,17 @@ class TestValuesAndGradients:
         with pytest.raises(cn.ConeDomainError, match="at flat index 5: sigma_2 = -1"):
             make("log-ma", 3).value_grad(lam)
 
+    def test_nan_point_rejected(self):
+        with pytest.raises(cn.ConeDomainError, match="sigma_1 = nan"):
+            make("log-ma", 2).value([np.nan, 1.0])
+
+    @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
+    def test_batched_nan_names_flat_index(self, family, kw):
+        lam = np.full((2, 3, 3), 2.0)
+        lam[1, 0, 1] = np.nan
+        with pytest.raises(cn.ConeDomainError, match="at flat index 3:"):
+            make(family, 3, **kw).value_grad(lam)
+
     @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
     def test_gradient_matches_central_differences(self, family, kw):
         f = make(family, 4, **kw)
@@ -284,6 +295,11 @@ class TestSubsolutionMargin:
         f = make("log-ma", 2)
         with pytest.raises(cn.ConeDomainError):
             cn.c_subsolution_margin(f, np.array([-1.0, 1.0]), 0.0, 0)
+
+    def test_nan_point_raises(self):
+        f = make("quotient-root", 2, k=2, l=1)
+        with pytest.raises(cn.ConeDomainError):
+            cn.c_subsolution_margin(f, np.array([np.nan, 1.0]), 0.0, 0)
 
     def test_limit_against_numeric_ladder(self):
         # closed-form limits cross-checked by direct evaluation far out the ray

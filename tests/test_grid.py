@@ -1,5 +1,6 @@
 """Discretized product manifold: stencils, tensors, metric eigenproblems."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,6 +347,154 @@ class TestEigWrtMetric:
         for _ in range(2):  # a failed check is not remembered as a pass
             with pytest.raises(gr.PositivityError, match="node"):
                 gr.eig_wrt_metric(np.broadcast_to(np.eye(2, dtype=complex), gm.shape), metric)
+
+
+def hermitian_from_lower(h):
+    """The Hermitian matrix LAPACK's default eigh sees: lower triangle, real diagonal."""
+    full = np.tril(h, -1)
+    full = full + np.conj(np.swapaxes(full, -1, -2))
+    full[..., 0, 0] = h[..., 0, 0].real
+    full[..., 1, 1] = h[..., 1, 1].real
+    return full
+
+
+def adversarial_batches():
+    """Named stacks of 2x2 Hermitian matrices that stress the closed form."""
+    rng = np.random.default_rng(21)
+    m = 4000
+
+    def herm(a, d, c):
+        h = np.empty(np.shape(a) + (2, 2), dtype=complex)
+        h[..., 0, 0], h[..., 1, 1] = a, d
+        h[..., 1, 0], h[..., 0, 1] = c, np.conj(c)
+        return h
+
+    def normal():
+        return rng.normal(size=m)
+
+    def phase():
+        return np.exp(2j * np.pi * rng.random(m))
+
+    base = normal()
+    ratio = np.exp(rng.normal(size=m))
+    random = herm(normal(), normal(), normal() + 1j * normal())
+    return {
+        "random": random,
+        "repeated": herm(base, base, np.zeros(m)),
+        "cluster": herm(base + 1e-13 * normal(), base, 1e-13 * (normal() + 1j * normal())),
+        "tiny_offdiagonal": herm(base, np.where(np.arange(m) % 2, base, normal()), 1e-300 * phase()),
+        "scaled_up": 1e150 * random,
+        "scaled_down": 1e-150 * random,
+        "zero": np.zeros((m, 2, 2), dtype=complex),
+        "near_singular": herm(ratio, 1.0 / ratio + 1e-15 * normal(), phase()),
+    }
+
+
+FLAT = gr.metric_flat(make_grid(res=(8, 1, 8, 1)))
+
+
+@pytest.mark.filterwarnings("error")
+class TestClosedFormEigh2:
+    """The n = 2 closed form against LAPACK, on adversarial and odd-shaped input."""
+
+    @staticmethod
+    def assert_eigenpairs(h, lam, v):
+        scale = np.abs(h).max(axis=(-1, -2))[..., None]
+        ref = np.linalg.eigvalsh(h)
+        assert np.all(np.abs(lam - ref) <= 1e-12 * scale)
+        full = hermitian_from_lower(h)
+        resid = np.abs(full @ v - v * lam[..., None, :]).max(axis=-2)
+        assert np.all(resid <= 1e-12 * scale)
+        gram = np.conj(np.swapaxes(v, -1, -2)) @ v
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(2), gram.shape), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", list(adversarial_batches()))
+    def test_adversarial_batches_against_lapack(self, name):
+        h = adversarial_batches()[name]
+        lam, v = gr.eig_wrt_metric(h, FLAT, vectors=True)
+        self.assert_eigenpairs(h, lam, v)
+        np.testing.assert_array_equal(gr.eig_wrt_metric(h, FLAT), lam)
+
+    def test_scalar_matrices_get_the_identity(self):
+        h = np.broadcast_to(np.diag([3.0, 3.0]).astype(complex), (5, 2, 2))
+        lam, v = gr.eig_wrt_metric(h, FLAT, vectors=True)
+        np.testing.assert_array_equal(lam, np.full((5, 2), 3.0))
+        np.testing.assert_array_equal(v, np.broadcast_to(np.eye(2), v.shape))
+
+    def test_single_matrix(self):
+        h = np.array([[2.0, 1.0 - 0.5j], [1.0 + 0.5j, -1.0]])
+        lam, v = gr.eig_wrt_metric(h, FLAT, vectors=True)
+        assert lam.shape == (2,) and v.shape == (2, 2)
+        np.testing.assert_allclose(lam, np.linalg.eigh(h)[0], rtol=0, atol=1e-14)
+        self.assert_eigenpairs(h, lam, v)
+
+    def test_read_only_broadcast_input(self):
+        h = np.broadcast_to(np.array([[1.0, 2j], [-2j, 0.5]]), (3, 4, 2, 2))
+        assert not h.flags.writeable
+        lam, v = gr.eig_wrt_metric(h, FLAT, vectors=True)
+        assert lam.shape == (3, 4, 2) and v.shape == (3, 4, 2, 2)
+        np.testing.assert_allclose(lam, np.linalg.eigh(h)[0], rtol=0, atol=1e-14)
+        self.assert_eigenpairs(h, lam, v)
+
+    def test_node_count_not_a_multiple_of_the_block(self):
+        h = adversarial_batches()["random"]
+        h = np.concatenate([h, h, h])[: 2 * gr._EIG2_BLOCK + 17]
+        lam, v = gr.eig_wrt_metric(h, FLAT, vectors=True)
+        assert lam.shape == (2 * gr._EIG2_BLOCK + 17, 2)
+        np.testing.assert_allclose(lam, np.linalg.eigh(h)[0], rtol=0, atol=1e-12 * np.abs(h).max())
+        self.assert_eigenpairs(h, lam, v)
+
+    def test_reads_the_lower_triangle_only(self):
+        rng = np.random.default_rng(22)
+        h = adversarial_batches()["random"].copy()
+        h[..., 0, 1] = 1e3 * (rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0]))
+        h[..., 0, 0] += 5j
+        lam, v = gr.eig_wrt_metric(h, FLAT, vectors=True)
+        np.testing.assert_allclose(lam, np.linalg.eigh(h)[0], rtol=0, atol=1e-12 * np.abs(h).max())
+        self.assert_eigenpairs(h, lam, v)
+
+    def test_non_flat_metric_against_scipy(self):
+        g = make_grid(res=(8, 1, 8, 1))
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=g.shape + (2, 2)) + 1j * rng.normal(size=g.shape + (2, 2))
+        gm = a @ np.conj(np.swapaxes(a, -1, -2)) + 0.3 * np.eye(2)
+        h = a + np.conj(np.swapaxes(a, -1, -2))
+        lam, v = gr.eig_wrt_metric(h, gr.Metric(g, gm, name="random"), vectors=True)
+        for idx in np.ndindex(g.shape):
+            ref = scipy.linalg.eigh(h[idx], gm[idx], eigvals_only=True)
+            np.testing.assert_allclose(lam[idx], ref, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(h[idx] @ v[idx], gm[idx] @ v[idx] * lam[idx], rtol=0, atol=1e-10)
+            gram = np.conj(v[idx].T) @ gm[idx] @ v[idx]
+            np.testing.assert_allclose(gram, np.eye(2), rtol=0, atol=1e-12)
+
+    def test_no_lapack_call_at_n2(self, monkeypatch):
+        metric = gr.metric_conformal(make_grid(res=(8, 1, 8, 1)), 0.3)
+        h = np.broadcast_to(np.diag([2.0, 1.0]).astype(complex), metric.g.shape)
+
+        def lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called at n = 2")
+
+        monkeypatch.setattr(np.linalg, "eigh", lapack)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lapack)
+        gr.eig_wrt_metric(h, metric, vectors=True)
+        gr.eig_wrt_metric(h, metric)
+        gr.eig_wrt_metric(h, gr.metric_flat(metric.grid), vectors=True)
+        gr.eig_wrt_metric(h, gr.metric_flat(metric.grid))
+
+    def test_scratch_memory_stays_flat(self):
+        # The blocked kernel allocates its outputs plus well under 1 MiB; a
+        # kernel vectorised over all 65,536 nodes at once needs about 11 MiB.
+        g = make_grid(res=(16, 16, 16, 16))
+        a = np.random.default_rng(24).normal(size=g.shape + (2, 2)) + 0j
+        h = a + np.swapaxes(a, -1, -2)
+        metric = gr.metric_flat(g)
+        tracemalloc.start()
+        try:
+            out = gr.eig_wrt_metric(h, metric, vectors=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(o.nbytes for o in out) < 2 * 2**20
 
 
 class TestGauduchonFields:
