@@ -12,6 +12,11 @@ resolution 1 represents a direction the problem data does not vary along
 (all derivatives vanish identically there); resolved axes need at least 8
 points.
 
+A field may also be stored at any shape that broadcasts to the grid's: a
+length-1 axis means it is constant along that axis, where its derivatives
+vanish.  :class:`Metric` keeps g at such a natural shape, and the quantities
+computed from the metric alone inherit it.
+
 Derivative stencils are second-order centered, with one-sided second-order
 closures on the two boundary slices of the Re w axis.
 
@@ -83,10 +88,12 @@ class ProductGrid:
             raise GridError("complex dimension n >= 2 required")
         if len(self.torus_periods) != self.n - 1:
             raise GridError(f"need {self.n - 1} torus period pairs")
-        object.__setattr__(
-            self, "torus_periods",
-            tuple((float(a), float(b)) for a, b in self.torus_periods),
-        )
+        periods = tuple((float(a), float(b)) for a, b in self.torus_periods)
+        every = [self.strip_imag_period] + [p for pair in periods for p in pair]
+        if not all(math.isfinite(p) and p > 0 for p in every):
+            raise GridError(f"periods must be finite and positive, got {periods} and "
+                            f"strip_imag_period={self.strip_imag_period}")
+        object.__setattr__(self, "torus_periods", periods)
         s0, s1 = (float(v) for v in self.strip_bounds)
         if not s0 < s1:
             raise GridError("strip bounds must satisfy s0 < s1")
@@ -172,9 +179,6 @@ class ProductGrid:
         idx[self.strip_axis] = slice(1, self.resolutions[self.strip_axis] - 1)
         return tuple(idx)
 
-    def node_location(self, flat_index):
-        return tuple(int(v) for v in np.unravel_index(flat_index, self.shape))
-
     def zeros(self, dtype=float):
         return np.zeros(self.shape, dtype=dtype)
 
@@ -183,14 +187,10 @@ class ProductGrid:
 # real-coordinate derivative stencils
 
 def _d1_periodic(u, axis, h):
-    if u.shape[axis] == 1:
-        return np.zeros_like(u)
     return (np.roll(u, -1, axis) - np.roll(u, 1, axis)) / (2 * h)
 
 
 def _d2_periodic(u, axis, h):
-    if u.shape[axis] == 1:
-        return np.zeros_like(u)
     return (np.roll(u, -1, axis) - 2 * u + np.roll(u, 1, axis)) / (h * h)
 
 
@@ -243,8 +243,10 @@ def _d2_strip(u, axis, h):
 
 
 def d1(grid, u, axis):
-    """First derivative along a real coordinate axis."""
+    """First derivative along a real coordinate axis (zero on length 1)."""
     u = np.asarray(u)
+    if u.shape[axis] == 1:
+        return np.zeros_like(u)
     h = grid.spacing(axis)
     if grid.is_periodic(axis):
         return _d1_periodic(u, axis, h)
@@ -252,8 +254,10 @@ def d1(grid, u, axis):
 
 
 def d2(grid, u, axis):
-    """Second derivative along a real coordinate axis."""
+    """Second derivative along a real coordinate axis (zero on length 1)."""
     u = np.asarray(u)
+    if u.shape[axis] == 1:
+        return np.zeros_like(u)
     h = grid.spacing(axis)
     if grid.is_periodic(axis):
         return _d2_periodic(u, axis, h)
@@ -313,13 +317,20 @@ def complex_hessian(grid, u):
 
 @dataclass(frozen=True, eq=False)
 class Metric:
-    """Hermitian metric on the grid; ``g=None`` is the flat identity metric.
+    """Hermitian metric on the grid, stored at its natural broadcast shape.
+
+    ``g`` has shape ``s + (n, n)``, where ``s`` broadcasts to ``grid.shape``
+    and has length 1 along every axis the metric does not vary on: flat is
+    ``(1,) * 2n + (n, n)``, :func:`metric_conformal` ``(R, 1, ..., 1, n, n)``.
+    Missing leading axes are padded with 1s; any other shape raises
+    :class:`GridError`.  :meth:`matrix` is a read-only full-shape view.
 
     A metric cannot be changed after construction, so its caches never go
-    stale: the dataclass is frozen, and ``g`` is kept as a read-only copy,
-    so writing into it raises and writing into the array it was built from
-    does not reach it.  Everything that depends on the metric alone is
-    computed once, on first use, and returned read-only:
+    stale: the dataclass is frozen, and ``g`` is kept as a read-only complex
+    copy, so writing into it raises and writing into the array it was built
+    from does not reach it.  Everything that depends on the metric alone is
+    computed once, on first use, at the broadcast shape of ``g``, and
+    returned read-only:
 
     - the inverse (:meth:`inverse`),
     - the inverse Cholesky factor that reduces the generalized eigenproblem
@@ -328,50 +339,49 @@ class Metric:
       built from is not kept,
     - a passed positivity check (:meth:`validate_positive`).
 
+    ``is_flat`` (g is exactly the identity) is found once, from the data;
+    :func:`eig_wrt_metric` then skips the Cholesky reduction.
+
     Two metrics are equal only when they are the same object, which also
     makes a metric hashable.  ``name`` records the preset for run ledgers.
     """
 
     grid: ProductGrid
-    g: np.ndarray = None
-    name: str = "flat"
+    g: np.ndarray
+    name: str = "custom"
+    is_flat: bool = field(default=False, init=False)
     _inv: np.ndarray = field(default=None, init=False, repr=False)
     _linv: np.ndarray = field(default=None, init=False, repr=False)
     _za: np.ndarray = field(default=None, init=False, repr=False)
     _positive: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
-        if self.g is not None:
-            self._keep("g", np.array(self.g))
+        n = self.grid.n
+        full = self.grid.shape + (n, n)
+        g = np.array(self.g, dtype=complex)
+        g = g.reshape((1,) * (len(full) - g.ndim) + g.shape)
+        if (g.shape[-2:] != (n, n) or g.ndim != len(full)
+                or any(a not in (1, b) for a, b in zip(g.shape, full))):
+            raise GridError(f"metric of shape {np.shape(self.g)} does not broadcast to {full}")
+        self._keep("g", g)
+        object.__setattr__(self, "is_flat", bool(np.all(g == np.eye(n))))
 
     def _keep(self, name, value):
         """Store a read-only array on the frozen metric."""
         value.flags.writeable = False
         object.__setattr__(self, name, value)
 
-    @property
-    def is_flat(self):
-        return self.g is None
-
     def matrix(self):
-        if self.is_flat:
-            return np.broadcast_to(
-                np.eye(self.grid.n, dtype=complex),
-                self.grid.shape + (self.grid.n, self.grid.n),
-            )
-        return self.g
+        """Read-only view of g at the full grid shape ``grid.shape + (n, n)``."""
+        return np.broadcast_to(self.g, self.grid.shape + self.g.shape[-2:])
 
     def inverse(self):
-        if self.is_flat:
-            return self.matrix()
         if self._inv is None:
             self._keep("_inv", np.linalg.inv(self.g))
         return self._inv
 
     def inv_cholesky(self):
         """Inverse of the per-node Cholesky factor of g (lower triangular)."""
-        if self.is_flat:
-            return self.matrix()
         if self._linv is None:
             lo = np.linalg.cholesky(self.g)
             self._keep("_linv", np.linalg.inv(lo))
@@ -385,45 +395,40 @@ class Metric:
 
     def validate_positive(self):
         """Raise :class:`PositivityError` at the first node where g is not
-        positive definite; once the check has passed it returns at once."""
-        if self.is_flat or self._positive:
+        positive definite; once the check has passed it returns at once.
+        The node is read in the shape of ``g``, where it is a grid node."""
+        if self._positive:
             return
         eigs = np.linalg.eigvalsh(self.g)
         bad = eigs[..., 0] <= 0
         if np.any(bad):
-            where = int(np.flatnonzero(bad.reshape(-1))[0])
+            node = tuple(int(v) for v in np.unravel_index(np.argmax(bad), bad.shape))
             raise PositivityError(
-                f"metric not positive definite at node {self.grid.node_location(where)}"
+                f"metric not positive definite at node {node}"
                 f" (min eigenvalue {float(eigs[..., 0].min()):.3e})"
             )
         object.__setattr__(self, "_positive", True)
 
 
 def metric_flat(grid):
-    return Metric(grid, None, name="flat")
+    return Metric(grid, np.eye(grid.n), name="flat")
 
 
 def metric_conformal(grid, eps):
     """Conformal metric exp(eps * cos(2 pi x_1 / L)) times the identity."""
     lx = grid.torus_periods[0][0]
     rho = eps * np.cos(2 * math.pi * grid.coord_field(0) / lx)
-    factor = np.broadcast_to(np.exp(rho), grid.shape).astype(complex)
-    g = np.zeros(grid.shape + (grid.n, grid.n), dtype=complex)
-    for i in range(grid.n):
-        g[..., i, i] = factor
-    m = Metric(grid, g, name=f"conformal({eps})")
+    m = Metric(grid, np.exp(rho)[..., None, None] * np.eye(grid.n), name=f"conformal({eps})")
     m.validate_positive()
     return m
 
 
 def metric_product(grid, profile):
     """Product metric diag(1, ..., 1, g_S(sigma_hat)); g_S must be positive."""
-    gs = np.broadcast_to(profile(grid.sigma_hat()), grid.shape).astype(complex)
-    g = np.zeros(grid.shape + (grid.n, grid.n), dtype=complex)
-    for i in range(grid.n - 1):
-        g[..., i, i] = 1.0
-    g[..., grid.n - 1, grid.n - 1] = gs
-    m = Metric(grid, g, name="product")
+    sigma = grid.sigma_hat()
+    diag = np.ones(sigma.shape + (grid.n,), dtype=complex)
+    diag[..., -1] = profile(sigma)
+    m = Metric(grid, diag[..., None] * np.eye(grid.n), name="product")
     m.validate_positive()
     return m
 
@@ -457,12 +462,10 @@ def gfield(grid, u, chi, eta=None):
 def torsion(grid, metric):
     """Chern torsion T^k_{ij} of the metric, antisymmetric in (i, j).
 
-    Indices are stored as T[..., k, i, j].  The flat metric returns zeros
-    without touching any stencil.
+    Indices are stored as T[..., k, i, j], at the broadcast shape of the
+    metric's ``g``: zero along every axis the metric does not vary on.
     """
     n = grid.n
-    if metric.is_flat:
-        return np.zeros(grid.shape + (n, n, n), dtype=complex)
     g = metric.g
     dg = np.stack(
         [d_dz(grid, g, i) for i in range(n)], axis=-3
@@ -485,12 +488,13 @@ def z_coefficients(grid, metric, t=None):
     deformed-form equation; Z vanishes identically for torsion-free metrics
     and is linear in the holomorphic gradient of u.  Computed afresh on
     every call; :meth:`Metric.z_coefficients` keeps one copy per metric.
+    The result has the broadcast shape of the metric's ``g``.
     """
     n = grid.n
     if t is None:
         t = torsion(grid, metric)
     tau = torsion_trace(t)
-    g = metric.matrix()
+    g = metric.g
     ginv = metric.inverse()
     # w_p = sum_q g^{p qbar} conj(tau_q)
     w = np.einsum("...qp,...q->...p", ginv, np.conj(tau))
@@ -511,8 +515,6 @@ def z_tensor(grid, metric, u, za=None):
     ``za`` defaults to the coefficients cached on the metric.
     """
     if za is None:
-        if metric.is_flat:
-            return np.zeros(grid.shape + (grid.n, grid.n), dtype=complex)
         za = metric.z_coefficients()
     uz = grad_z(grid, u)
     z = np.einsum("...pij,...p->...ij", za, uz)
@@ -523,13 +525,11 @@ def w_from_z(metric, z):
     """W = (trace of Z wrt the metric) g - (n-1) Z."""
     n = z.shape[-1]
     tr = trace_wrt_metric(metric, z)
-    return tr[..., None, None] * metric.matrix() - (n - 1) * z
+    return tr[..., None, None] * metric.g - (n - 1) * z
 
 
 def trace_wrt_metric(metric, h):
     """tr_omega H = sum g^{i jbar} H_{i jbar} (real for Hermitian H)."""
-    if metric.is_flat:
-        return np.einsum("...ii->...", h).real
     return np.einsum("...ji,...ij->...", metric.inverse(), h).real
 
 
@@ -541,7 +541,7 @@ def laplacian(grid, u, metric):
 def hat_transform(metric, h):
     """(tr_omega H) g - H; exchanges the two forms of the deleted-sum equation."""
     tr = trace_wrt_metric(metric, h)
-    return tr[..., None, None] * metric.matrix() - h
+    return tr[..., None, None] * metric.g - h
 
 
 def gauduchon_fields(grid, u, chi, rho, metric):
@@ -552,12 +552,10 @@ def gauduchon_fields(grid, u, chi, rho, metric):
     The two satisfy U = (tr g) omega - g identically on the grid, so their
     eigenvalue vectors are deleted-sum transforms of one another.
     """
-    if grid.n < 2:
-        raise GridError("deleted-sum assembly needs n >= 2")
     n = grid.n
     hess = complex_hessian(grid, u)
     lap = trace_wrt_metric(metric, hess)
-    g = metric.matrix()
+    g = metric.g
     z = z_tensor(grid, metric, u)
     u_form = chi + lap[..., None, None] * g - hess + rho[..., None, None] * z
     trchi = trace_wrt_metric(metric, chi)
@@ -635,8 +633,9 @@ def _eigh(h, vectors):
 def eig_wrt_metric(h, metric, vectors=False):
     """Eigenvalues (ascending) of a Hermitian field relative to the metric.
 
-    For a non-flat metric the generalized problem is reduced through the
-    per-node Cholesky factor; returned eigenvectors are metric-orthonormal.
+    Unless the metric is exactly the identity, the generalized problem is
+    reduced through the per-node Cholesky factor, which broadcasts from the
+    metric's shape; returned eigenvectors are metric-orthonormal.
     At n = 2 the per-node eigenpairs come from a closed form (see
     :func:`_eigh2`), flat metric or not; other n use LAPACK's ``eigh``.
     """

@@ -318,6 +318,8 @@ def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0):
     """
     if n < 2:
         raise ValidationError("n must be at least 2")
+    if trials < 1:
+        raise ValidationError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     shape = (trials, n - 1)
     d = rng.uniform(-_TRIAL_AMPLITUDE, _TRIAL_AMPLITUDE, shape)

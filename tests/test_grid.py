@@ -1,5 +1,6 @@
 """Discretized product manifold: stencils, tensors, metric eigenproblems."""
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,15 @@ class TestGridLayout:
             gr.ProductGrid(2, ((TAU, TAU),), (0, 1), (8, 1, 1, 8))
         with pytest.raises(gr.GridError, match="s0 < s1"):
             gr.ProductGrid(2, ((TAU, TAU),), (1, 0), (8, 1, 8, 1))
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_periods(self, period):
+        with pytest.raises(gr.GridError, match="periods"):
+            gr.ProductGrid(2, ((period, TAU),), (0, 1), (8,) * 4)
+        with pytest.raises(gr.GridError, match="periods"):
+            gr.ProductGrid(2, ((TAU, period),), (0, 1), (8,) * 4)
+        with pytest.raises(gr.GridError, match="periods"):
+            gr.ProductGrid(2, ((TAU, TAU),), (0, 1), (8,) * 4, strip_imag_period=period)
 
     def test_coords_and_spacing(self):
         g = make_grid(res=(8, 1, 9, 1))
@@ -67,6 +77,15 @@ class TestDerivatives:
         g = make_grid()
         u = np.broadcast_to(np.sin(g.coord_field(0)), g.shape)
         np.testing.assert_array_equal(gr.d1(g, u, 1), 0.0)
+
+    @pytest.mark.parametrize("axis", [0, 2])
+    def test_length_one_axis_is_constant(self, axis):
+        # a field stored at a broadcast shape, on a resolved periodic axis
+        # and on the strip axis, whose one-sided closures need 4 points
+        g = make_grid(res=(8, 1, 8, 1))
+        u = np.ones((1, 1, 1, 1))
+        np.testing.assert_array_equal(gr.d1(g, u, axis), np.zeros_like(u))
+        np.testing.assert_array_equal(gr.d2(g, u, axis), np.zeros_like(u))
 
     @pytest.mark.parametrize("axis", [0, 2])
     def test_second_order_convergence(self, axis):
@@ -594,8 +613,7 @@ class TestMetricCaches:
 
     def test_flat_inv_cholesky_is_identity(self):
         g = make_grid(res=(8, 1, 8, 1))
-        linv = gr.metric_flat(g).inv_cholesky()
-        assert linv.shape == g.shape + (2, 2)
+        linv = np.broadcast_to(gr.metric_flat(g).inv_cholesky(), g.shape + (2, 2))
         np.testing.assert_array_equal(linv, np.broadcast_to(np.eye(2), linv.shape))
 
     def test_equality_and_hash_by_identity(self):
@@ -605,3 +623,90 @@ class TestMetricCaches:
         assert len({metric, twin, metric}) == 2
         flat = gr.metric_flat(g)
         assert flat != gr.metric_flat(g) and hash(flat) == hash(flat)
+
+
+def product_profile(s):
+    return 1.0 + 0.5 * np.sin(math.pi * s)
+
+
+class TestNaturalShape:
+    """Metrics stored at their natural broadcast shape, against dense twins."""
+
+    @staticmethod
+    def grid3():
+        return make_grid(n=3, res=(16, 1, 8, 1, 9, 8))
+
+    def test_shapes(self):
+        g = self.grid3()
+        assert gr.metric_flat(g).g.shape == (1,) * 6 + (3, 3)
+        assert gr.metric_conformal(g, 0.3).g.shape == (16,) + (1,) * 5 + (3, 3)
+        assert gr.metric_product(g, product_profile).g.shape == (1, 1, 1, 1, 9, 1, 3, 3)
+        for metric in (gr.metric_flat(g), gr.metric_conformal(g, 0.3)):
+            full = metric.matrix()
+            assert full.shape == g.shape + (3, 3) and not full.flags.writeable
+            np.testing.assert_array_equal(full, np.broadcast_to(metric.g, full.shape))
+        assert gr.metric_flat(g).inverse().shape == (1,) * 6 + (3, 3)
+        assert gr.metric_conformal(g, 0.3).z_coefficients().shape == (16,) + (1,) * 5 + (3, 3, 3)
+
+    @staticmethod
+    def assert_close(a, b):
+        """Agreement to 1e-13 relative to the largest entry; a broadcasts to b."""
+        scale = max(1.0, float(np.abs(b).max()))
+        np.testing.assert_allclose(np.broadcast_to(a, b.shape), b, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("make", [
+        lambda g: gr.metric_conformal(g, 0.3),
+        lambda g: gr.metric_product(g, product_profile),
+    ], ids=["conformal", "product"])
+    def test_agrees_with_dense_twin(self, make):
+        g = self.grid3()
+        metric = make(g)
+        dense = gr.Metric(g, metric.matrix().copy())
+        assert dense.g.shape == g.shape + (3, 3)
+        u = np.random.default_rng(30).normal(size=g.shape)
+        chi = 3.0 * metric.matrix()
+        rho = np.broadcast_to(0.5 * g.sigma_hat(), g.shape)
+        self.assert_close(gr.torsion(g, metric), gr.torsion(g, dense))
+        self.assert_close(metric.z_coefficients(), gr.z_coefficients(g, dense))
+        forms = gr.gauduchon_fields(g, u, chi, rho, metric)
+        dense_forms = gr.gauduchon_fields(g, u, chi, rho, dense)
+        for form, dense_form in zip(forms, dense_forms):
+            self.assert_close(form, dense_form)
+        lam, v = gr.eig_wrt_metric(forms[1], metric, vectors=True)
+        dense_lam, dense_v = gr.eig_wrt_metric(forms[1], dense, vectors=True)
+        self.assert_close(lam, dense_lam)
+        self.assert_close(v, dense_v)
+
+    def test_nonpositive_slice_names_a_grid_node(self):
+        g = self.grid3()
+        bad = g.sigma_hat().flat[5]
+
+        def profile(s):
+            return np.where(s == bad, -0.5, 1.0)
+
+        # the failing index of the (1, 1, 1, 1, 9, 1) array is a grid node
+        with pytest.raises(gr.PositivityError, match=re.escape("node (0, 0, 0, 0, 5, 0)")):
+            gr.metric_product(g, profile)
+
+    def test_dense_identity_skips_the_reduction(self, monkeypatch):
+        g = make_grid(res=(8, 1, 8, 1))
+        dense = gr.Metric(g, np.broadcast_to(np.eye(2), g.shape + (2, 2)))
+        h = gr.complex_hessian(g, np.random.default_rng(31).normal(size=g.shape)) + np.eye(2)
+
+        def reduction(self):
+            raise AssertionError("Cholesky reduction on an identity metric")
+
+        monkeypatch.setattr(gr.Metric, "inv_cholesky", reduction)
+        for metric in (dense, gr.metric_flat(g)):
+            lam, v = gr.eig_wrt_metric(h, metric, vectors=True)
+            np.testing.assert_allclose(h @ v, v * lam[..., None, :], rtol=0, atol=1e-12)
+        with pytest.raises(AssertionError, match="Cholesky"):
+            gr.eig_wrt_metric(h, gr.metric_conformal(g, 0.3))
+
+    @pytest.mark.parametrize("shape", [
+        (3, 3), (1, 1), (2,), (), (4, 1, 1, 1, 2, 2), (8, 1, 8, 2, 2, 2), (2, 8, 1, 8, 1, 2, 2),
+    ])
+    def test_wrong_shape_rejected(self, shape):
+        g = make_grid(res=(8, 1, 8, 1))
+        with pytest.raises(gr.GridError, match="broadcast"):
+            gr.Metric(g, np.ones(shape))

@@ -246,6 +246,11 @@ class TestLemmaProperties:
         out = hm.lemma_trial_batch(4, 0.1, trials=1500, seed=5, aa_factor=factor)
         assert out["violations"] == 0
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_empty_battery(self, trials):
+        with pytest.raises(hm.ValidationError, match="trials"):
+            hm.lemma_trial_batch(3, 0.1, trials=trials, seed=1)
+
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     @pytest.mark.parametrize("eps", [0.5, 0.01])
     def test_refined_lemma_zero_violations(self, n, eps):
