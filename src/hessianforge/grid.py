@@ -21,7 +21,8 @@ Derivative stencils are second-order centered, with one-sided second-order
 closures on the two boundary slices of the Re w axis.
 
 The per-node eigenproblems of :func:`eig_wrt_metric` are solved in closed
-form at n = 2 and by LAPACK's ``eigh`` for every other n.
+form at n = 2 and by LAPACK's ``eigh`` for every other n.  A diagonal metric
+(flat, conformal and product metrics all are) reduces them elementwise.
 """
 
 import math
@@ -50,7 +51,6 @@ __all__ = [
     "torsion_trace",
     "z_coefficients",
     "z_tensor",
-    "w_from_z",
     "check_hermitian_field",
     "gauduchon_fields",
     "hat_transform",
@@ -339,8 +339,12 @@ class Metric:
       built from is not kept,
     - a passed positivity check (:meth:`validate_positive`).
 
-    ``is_flat`` (g is exactly the identity) is found once, from the data;
-    :func:`eig_wrt_metric` then skips the Cholesky reduction.
+    ``g`` must be Hermitian to the tolerance of
+    :func:`check_hermitian_field`, or construction raises
+    :class:`ValidationError`.  Two properties are found once, from the data,
+    and read by :func:`eig_wrt_metric`: ``is_flat`` (g is exactly the
+    identity) skips the reduction, and ``is_diagonal`` (every off-diagonal
+    entry is exactly 0) reduces elementwise instead of by matrix products.
 
     Two metrics are equal only when they are the same object, which also
     makes a metric hashable.  ``name`` records the preset for run ledgers.
@@ -350,6 +354,7 @@ class Metric:
     g: np.ndarray
     name: str = "custom"
     is_flat: bool = field(default=False, init=False)
+    is_diagonal: bool = field(default=False, init=False)
     _inv: np.ndarray = field(default=None, init=False, repr=False)
     _linv: np.ndarray = field(default=None, init=False, repr=False)
     _za: np.ndarray = field(default=None, init=False, repr=False)
@@ -363,8 +368,10 @@ class Metric:
         if (g.shape[-2:] != (n, n) or g.ndim != len(full)
                 or any(a not in (1, b) for a, b in zip(g.shape, full))):
             raise GridError(f"metric of shape {np.shape(self.g)} does not broadcast to {full}")
+        check_hermitian_field(g)
         self._keep("g", g)
         object.__setattr__(self, "is_flat", bool(np.all(g == np.eye(n))))
+        object.__setattr__(self, "is_diagonal", bool(np.all((g == 0) | np.eye(n, dtype=bool))))
 
     def _keep(self, name, value):
         """Store a read-only array on the frozen metric."""
@@ -396,16 +403,19 @@ class Metric:
     def validate_positive(self):
         """Raise :class:`PositivityError` at the first node where g is not
         positive definite; once the check has passed it returns at once.
-        The node is read in the shape of ``g``, where it is a grid node."""
+        The node is read in the shape of ``g``, where it is a grid node; a
+        node with a NaN or infinite entry fails, with eigenvalue NaN."""
         if self._positive:
             return
-        eigs = np.linalg.eigvalsh(self.g)
-        bad = eigs[..., 0] <= 0
+        finite = np.all(np.isfinite(self.g), axis=(-2, -1))
+        low = np.full(finite.shape, np.nan)
+        low[finite] = np.linalg.eigvalsh(self.g[finite])[:, 0]  # LAPACK may fail on NaN
+        bad = ~(low > 0)
         if np.any(bad):
             node = tuple(int(v) for v in np.unravel_index(np.argmax(bad), bad.shape))
             raise PositivityError(
                 f"metric not positive definite at node {node}"
-                f" (min eigenvalue {float(eigs[..., 0].min()):.3e})"
+                f" (min eigenvalue there {float(low[node]):.3e})"
             )
         object.__setattr__(self, "_positive", True)
 
@@ -512,20 +522,18 @@ def z_coefficients(grid, metric, t=None):
 def z_tensor(grid, metric, u, za=None):
     """Gradient tensor Z(partial u) as a Hermitian field.
 
-    ``za`` defaults to the coefficients cached on the metric.
+    ``za`` defaults to the coefficients cached on the metric.  When ZA has
+    no nonzero entry (a torsion-free metric) the zero field is returned
+    without differentiating u.
     """
     if za is None:
         za = metric.z_coefficients()
+    if not np.any(za):
+        shape = np.broadcast_shapes(za.shape[:-3], np.shape(u))
+        return np.zeros(shape + za.shape[-2:], dtype=complex)
     uz = grad_z(grid, u)
     z = np.einsum("...pij,...p->...ij", za, uz)
     return z + np.conj(np.swapaxes(z, -1, -2))
-
-
-def w_from_z(metric, z):
-    """W = (trace of Z wrt the metric) g - (n-1) Z."""
-    n = z.shape[-1]
-    tr = trace_wrt_metric(metric, z)
-    return tr[..., None, None] * metric.g - (n - 1) * z
 
 
 def trace_wrt_metric(metric, h):
@@ -548,21 +556,23 @@ def gauduchon_fields(grid, u, chi, rho, metric):
     """Assemble the star-transformed form U and its companion g-form.
 
     U = chi + (lap u) omega - dd u + rho Z, and the companion
-    g = dd u + chihat + rho W/(n-1) with chihat = (tr chi/(n-1)) omega - chi.
-    The two satisfy U = (tr g) omega - g identically on the grid, so their
-    eigenvalue vectors are deleted-sum transforms of one another.
+    g = dd u + chihat + rho W/(n-1) with chihat = (tr chi/(n-1)) omega - chi
+    and W = (tr Z) omega - (n-1) Z, all traces taken with respect to the
+    metric.  The two satisfy U = (tr g) omega - g, so their eigenvalue
+    vectors are deleted-sum transforms of one another.
+
+    Both are assembled in one pass: the g-form is written out as
+    dd u - chi - rho Z + ((tr chi + rho tr Z)/(n-1)) omega, and U is its
+    :func:`hat_transform`.
     """
-    n = grid.n
-    hess = complex_hessian(grid, u)
-    lap = trace_wrt_metric(metric, hess)
-    g = metric.g
-    z = z_tensor(grid, metric, u)
-    u_form = chi + lap[..., None, None] * g - hess + rho[..., None, None] * z
-    trchi = trace_wrt_metric(metric, chi)
-    chihat = trchi[..., None, None] * g / (n - 1) - chi
-    wz = w_from_z(metric, z)
-    g_form = hess + chihat + rho[..., None, None] * wz / (n - 1)
-    return u_form, g_form
+    rz = z_tensor(grid, metric, u)
+    rz *= rho[..., None, None]
+    g_form = complex_hessian(grid, u)
+    g_form -= chi
+    g_form -= rz
+    shift = (trace_wrt_metric(metric, chi) + trace_wrt_metric(metric, rz)) / (grid.n - 1)
+    g_form += shift[..., None, None] * metric.g
+    return hat_transform(metric, g_form), g_form
 
 
 def _eigh2(h, vectors):
@@ -634,20 +644,32 @@ def eig_wrt_metric(h, metric, vectors=False):
     """Eigenvalues (ascending) of a Hermitian field relative to the metric.
 
     Unless the metric is exactly the identity, the generalized problem is
-    reduced through the per-node Cholesky factor, which broadcasts from the
-    metric's shape; returned eigenvectors are metric-orthonormal.
+    reduced through the per-node inverse Cholesky factor L^-1, which
+    broadcasts from the metric's shape: h becomes L^-1 h L^-H, and an
+    eigenvector v of that becomes L^-H v, so returned eigenvectors are
+    metric-orthonormal.  For a diagonal metric L^-1 is the diagonal d of
+    1/sqrt(g_ii), and both steps are elementwise: h_ij d_i d_j and d_i v_i.
+    The real weight keeps h Hermitian, so no symmetrization follows.
     At n = 2 the per-node eigenpairs come from a closed form (see
     :func:`_eigh2`), flat metric or not; other n use LAPACK's ``eigh``.
+    Both read only the lower triangle of the reduced matrix.
     """
     h = np.asarray(h)
     if metric.is_flat:
         return _eigh(h, vectors)
     metric.validate_positive()
     linv = metric.inv_cholesky()
-    reduced = linv @ h @ np.conj(np.swapaxes(linv, -1, -2))
-    reduced = 0.5 * (reduced + np.conj(np.swapaxes(reduced, -1, -2)))
-    if vectors:
-        lam, v = _eigh(reduced, True)
-        return lam, np.conj(np.swapaxes(linv, -1, -2)) @ v
-    return _eigh(reduced, False)
+    if metric.is_diagonal:
+        d = np.diagonal(linv, axis1=-2, axis2=-1).real[..., :, None]
+        reduced = h * (d * np.swapaxes(d, -1, -2))
+    else:
+        reduced = linv @ h @ np.conj(np.swapaxes(linv, -1, -2))
+        reduced = 0.5 * (reduced + np.conj(np.swapaxes(reduced, -1, -2)))
+    if not vectors:
+        return _eigh(reduced, False)
+    lam, v = _eigh(reduced, True)
+    if metric.is_diagonal:
+        v *= d
+        return lam, v
+    return lam, np.conj(np.swapaxes(linv, -1, -2)) @ v
 

@@ -579,14 +579,15 @@ class TestMetricCaches:
         uform, gform = gr.gauduchon_fields(g, u, chi, rho, metric)
         z = gr.z_tensor(g, metric, u, za=gr.z_coefficients(g, metric))
         assert np.abs(z).max() > 1e-4  # the comparison is not vacuous
-        hess = gr.complex_hessian(g, u)
-        lap = gr.trace_wrt_metric(metric, hess)
         gm = metric.matrix()
-        chihat = gr.trace_wrt_metric(metric, chi)[..., None, None] * gm / 2 - chi
+        rz = rho[..., None, None] * z
+        # g-form = dd u + chihat + rho W/(n-1) with W = (tr Z) g - (n-1) Z,
+        # summed as dd u - chi - rho Z + ((tr chi + rho tr Z)/(n-1)) g
+        shift = (gr.trace_wrt_metric(metric, chi) + gr.trace_wrt_metric(metric, rz)) / 2
+        ref_g = gr.complex_hessian(g, u) - chi - rz + shift[..., None, None] * gm
+        np.testing.assert_array_equal(gform, ref_g)
         np.testing.assert_array_equal(
-            uform, chi + lap[..., None, None] * gm - hess + rho[..., None, None] * z)
-        np.testing.assert_array_equal(
-            gform, hess + chihat + rho[..., None, None] * gr.w_from_z(metric, z) / 2)
+            uform, gr.trace_wrt_metric(metric, ref_g)[..., None, None] * gm - ref_g)
 
     def test_torsion_computed_once_per_metric(self, monkeypatch):
         g, metric, u, chi, rho = self.inputs()
@@ -710,3 +711,148 @@ class TestNaturalShape:
         g = make_grid(res=(8, 1, 8, 1))
         with pytest.raises(gr.GridError, match="broadcast"):
             gr.Metric(g, np.ones(shape))
+
+
+def random_hermitian(rng, shape, n):
+    a = rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
+    return a + np.conj(np.swapaxes(a, -1, -2))
+
+
+class TestDiagonalMetric:
+    """The elementwise reduction of diagonal metrics, and the checks on g."""
+
+    @staticmethod
+    def grid3():
+        """512 nodes, small enough to compare with scipy node by node."""
+        return make_grid(n=3, res=(8, 1, 1, 1, 8, 8))
+
+    @staticmethod
+    def assert_generalized_eigenpairs(h, gm, lam, v):
+        """Values against scipy's eigh(h, g) to 1e-12 relative; g-orthonormal
+        vectors with residuals under 1e-12 relative, at every node."""
+        n = h.shape[-1]
+        for idx in np.ndindex(h.shape[:-2]):
+            ref = scipy.linalg.eigh(h[idx], gm[idx], eigvals_only=True)
+            scale = max(1.0, float(np.abs(ref).max()))
+            np.testing.assert_allclose(lam[idx], ref, rtol=0, atol=1e-12 * scale)
+            resid = h[idx] @ v[idx] - gm[idx] @ v[idx] * lam[idx]
+            assert np.abs(resid).max() <= 1e-12 * scale
+            gram = np.conj(v[idx].T) @ gm[idx] @ v[idx]
+            np.testing.assert_allclose(gram, np.eye(n), rtol=0, atol=1e-12)
+
+    def test_detection(self):
+        g = self.grid3()
+        for metric in (gr.metric_flat(g), gr.metric_conformal(g, 0.3),
+                       gr.metric_product(g, product_profile)):
+            assert metric.is_diagonal
+        rng = np.random.default_rng(40)
+        a = rng.normal(size=g.shape + (3, 3)) + 1j * rng.normal(size=g.shape + (3, 3))
+        spd = gr.Metric(g, a @ np.conj(np.swapaxes(a, -1, -2)) + 0.3 * np.eye(3))
+        assert not spd.is_diagonal and not spd.is_flat
+
+    @pytest.mark.parametrize("n, make", [
+        (2, lambda g: gr.metric_conformal(g, 0.3)),
+        (3, lambda g: gr.metric_conformal(g, 0.3)),
+        (3, lambda g: gr.metric_product(g, product_profile)),
+    ], ids=["conformal-n2", "conformal-n3", "product-n3"])
+    def test_against_scipy(self, n, make):
+        g = make_grid(res=(16, 1, 8, 1)) if n == 2 else self.grid3()
+        metric = make(g)
+        h = random_hermitian(np.random.default_rng(41), g.shape, n)
+        lam, v = gr.eig_wrt_metric(h, metric, vectors=True)
+        self.assert_generalized_eigenpairs(h, metric.matrix(), lam, v)
+        values = gr.eig_wrt_metric(h, metric)  # LAPACK's eigvalsh, or the same closed form
+        np.testing.assert_allclose(values, lam, rtol=0, atol=1e-12 * max(1.0, np.abs(lam).max()))
+
+    def test_one_off_diagonal_entry_takes_the_cholesky_path(self):
+        g = self.grid3()
+        gm = gr.metric_conformal(g, 0.3).matrix().copy()
+        gm[3, 0, 0, 0, 4, 5, 0, 2] = 0.2 + 0.1j
+        gm[3, 0, 0, 0, 4, 5, 2, 0] = 0.2 - 0.1j
+        metric = gr.Metric(g, gm)
+        assert not metric.is_diagonal
+        h = random_hermitian(np.random.default_rng(42), g.shape, 3)
+        lam, v = gr.eig_wrt_metric(h, metric, vectors=True)
+        self.assert_generalized_eigenpairs(h, gm, lam, v)
+
+    @pytest.mark.parametrize("make", [
+        lambda g: gr.metric_conformal(g, 0.3),
+        lambda g: gr.metric_product(g, product_profile),
+    ], ids=["conformal", "product"])
+    def test_one_pass_assembly_matches_the_two_form_assembly(self, make):
+        g = self.grid3()
+        metric = make(g)
+        u = np.random.default_rng(43).normal(size=g.shape)
+        chi = 3.0 * metric.matrix() + random_hermitian(np.random.default_rng(44), g.shape, 3)
+        rho = np.broadcast_to(0.5 + g.sigma_hat(), g.shape)
+        uform, gform = gr.gauduchon_fields(g, u, chi, rho, metric)
+        # the reference assembles U and the g-form separately, with
+        # chihat = (tr chi/(n-1)) g - chi and W = (tr Z) g - (n-1) Z
+        hess = gr.complex_hessian(g, u)
+        gm = metric.matrix()
+        z = gr.z_tensor(g, metric, u)
+        lap = gr.trace_wrt_metric(metric, hess)
+        ref_u = chi + lap[..., None, None] * gm - hess + rho[..., None, None] * z
+        chihat = gr.trace_wrt_metric(metric, chi)[..., None, None] * gm / 2 - chi
+        w = gr.trace_wrt_metric(metric, z)[..., None, None] * gm - 2 * z
+        ref_g = hess + chihat + rho[..., None, None] * w / 2
+        TestNaturalShape.assert_close(uform, ref_u)
+        TestNaturalShape.assert_close(gform, ref_g)
+
+    def test_non_hermitian_metric_rejected(self):
+        g = make_grid(res=(8, 1, 8, 1))
+        for gm in ([[2, 5], [0, 1]], [[2, 1j], [1j, 1]], np.diag([2.0 + 1e-3j, 1.0])):
+            with pytest.raises(ValidationError, match="not Hermitian"):
+                gr.Metric(g, gm)
+        g = self.grid3()
+        a = random_hermitian(np.random.default_rng(45), g.shape, 3) + 1j
+        rounded = a @ np.conj(np.swapaxes(a, -1, -2)) + 0.3 * np.eye(3)
+        assert np.abs(rounded - np.conj(np.swapaxes(rounded, -1, -2))).max() > 0
+        gr.Metric(g, rounded).validate_positive()  # Hermitian to rounding is accepted
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_nan_metric_raises_on_every_call(self, n):
+        g = make_grid(n=n)
+        metric = gr.Metric(g, np.full((n, n), np.nan))
+        h = np.broadcast_to(np.eye(n, dtype=complex), g.shape + (n, n))
+        for _ in range(2):
+            with pytest.raises(gr.PositivityError, match=re.escape(f"node {(0,) * 2 * n}")):
+                metric.validate_positive()
+            with pytest.raises(gr.PositivityError, match="nan"):
+                gr.eig_wrt_metric(h, metric)
+
+    def test_nan_node_named_among_positive_ones(self):
+        g = make_grid(n=3, res=(8, 1, 8, 1, 8, 1))
+        gm = np.array(gr.metric_conformal(g, 0.3).matrix())
+        gm[2, 0, 5, 0, 1, 0, 1, 1] = np.nan
+        with pytest.raises(gr.PositivityError, match=re.escape("node (2, 0, 5, 0, 1, 0)")):
+            gr.Metric(g, gm).validate_positive()
+
+    @pytest.mark.parametrize("make", [
+        gr.metric_flat, lambda g: gr.metric_product(g, product_profile),
+    ], ids=["flat", "product"])
+    def test_torsion_free_z_skips_the_gradient(self, make, monkeypatch):
+        g = self.grid3()
+        metric = make(g)
+        u = np.random.default_rng(46).normal(size=g.shape)
+        chi = 3.0 * metric.matrix()
+        rho = np.broadcast_to(0.5 * g.sigma_hat(), g.shape)
+        za = metric.z_coefficients()
+        assert not np.any(za)
+        full = np.einsum("...pij,...p->...ij", za, gr.grad_z(g, u))
+        full = full + np.conj(np.swapaxes(full, -1, -2))
+        rz = rho[..., None, None] * full
+        shift = (gr.trace_wrt_metric(metric, chi) + gr.trace_wrt_metric(metric, rz)) / 2
+        ref_g = gr.complex_hessian(g, u) - chi - rz + shift[..., None, None] * metric.g
+        ref_u = gr.hat_transform(metric, ref_g)
+
+        def grad_z(grid, field):
+            raise AssertionError("grad_z called for a zero Z tensor")
+
+        monkeypatch.setattr(gr, "grad_z", grad_z)
+        z = gr.z_tensor(g, metric, u)
+        assert z.shape == full.shape and z.dtype == full.dtype
+        np.testing.assert_array_equal(z, full)
+        uform, gform = gr.gauduchon_fields(g, u, chi, rho, metric)
+        np.testing.assert_array_equal(uform, ref_u)
+        np.testing.assert_array_equal(gform, ref_g)
