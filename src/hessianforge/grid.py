@@ -21,8 +21,10 @@ Derivative stencils are second-order centered, with one-sided second-order
 closures on the two boundary slices of the Re w axis.
 
 The per-node eigenproblems of :func:`eig_wrt_metric` are solved in closed
-form at n = 2 and by LAPACK's ``eigh`` for every other n.  A diagonal metric
-(flat, conformal and product metrics all are) reduces them elementwise.
+form at n = 2 and n = 3, and by LAPACK's ``eigh`` for every other n and at
+the n = 3 nodes whose eigenvalues nearly coincide, where the closed form
+would miss a 1e-12 relative target.  A diagonal metric (flat, conformal
+and product metrics all are) reduces them elementwise.
 """
 
 import math
@@ -60,7 +62,15 @@ __all__ = [
 ]
 
 MIN_RESOLUTION = 8
-_EIG2_BLOCK = 4096  # nodes per pass of the closed-form 2x2 eigensolve
+_EIG_BLOCK = 4096  # nodes per pass of the closed-form 2x2 and 3x3 eigensolves
+# The 3x3 closed form loses accuracy as two eigenvalues meet: its errors in
+# the eigenvalues, residuals and orthonormality, relative to the largest
+# entry modulus, grow like C eps / gap, with gap the smallest eigenvalue gap
+# in the same units and eps = 2.2e-16.  Swept over spectra with gaps from
+# 1e-1 to 1e-14 and shifts up to 1e6, C stayed under 4.3.  A 1e-12 target
+# thus needs gap >= C eps / 1e-12; the guard takes C = 10 (gap >= 2.2e-3),
+# and LAPACK solves the nodes below it.
+_EIG3_GUARD = 10 * np.finfo(float).eps / 1e-12
 
 
 @dataclass(frozen=True)
@@ -339,8 +349,9 @@ class Metric:
       built from is not kept,
     - a passed positivity check (:meth:`validate_positive`).
 
-    ``g`` must be Hermitian to the tolerance of
-    :func:`check_hermitian_field`, or construction raises
+    ``g`` must be finite, or construction raises :class:`PositivityError`
+    naming the first node with a NaN or infinite entry, and Hermitian to
+    the tolerance of :func:`check_hermitian_field`, or it raises
     :class:`ValidationError`.  Two properties are found once, from the data,
     and read by :func:`eig_wrt_metric`: ``is_flat`` (g is exactly the
     identity) skips the reduction, and ``is_diagonal`` (every off-diagonal
@@ -368,6 +379,10 @@ class Metric:
         if (g.shape[-2:] != (n, n) or g.ndim != len(full)
                 or any(a not in (1, b) for a, b in zip(g.shape, full))):
             raise GridError(f"metric of shape {np.shape(self.g)} does not broadcast to {full}")
+        finite = np.all(np.isfinite(g), axis=(-2, -1))
+        if not finite.all():
+            node = tuple(int(v) for v in np.unravel_index(np.argmin(finite), finite.shape))
+            raise PositivityError(f"metric has a NaN or infinite entry at node {node}")
         check_hermitian_field(g)
         self._keep("g", g)
         object.__setattr__(self, "is_flat", bool(np.all(g == np.eye(n))))
@@ -403,14 +418,11 @@ class Metric:
     def validate_positive(self):
         """Raise :class:`PositivityError` at the first node where g is not
         positive definite; once the check has passed it returns at once.
-        The node is read in the shape of ``g``, where it is a grid node; a
-        node with a NaN or infinite entry fails, with eigenvalue NaN."""
+        The node is read in the shape of ``g``, where it is a grid node."""
         if self._positive:
             return
-        finite = np.all(np.isfinite(self.g), axis=(-2, -1))
-        low = np.full(finite.shape, np.nan)
-        low[finite] = np.linalg.eigvalsh(self.g[finite])[:, 0]  # LAPACK may fail on NaN
-        bad = ~(low > 0)
+        low = np.linalg.eigvalsh(self.g)[..., 0]
+        bad = low <= 0
         if np.any(bad):
             node = tuple(int(v) for v in np.unravel_index(np.argmax(bad), bad.shape))
             raise PositivityError(
@@ -447,10 +459,16 @@ def metric_product(grid, profile):
 # tensor assembly
 
 def check_hermitian_field(h, tol=1e-10):
-    """Largest deviation from Hermiticity over all nodes."""
+    """Largest deviation from Hermiticity over all nodes.
+
+    Raises :class:`ValidationError` when it exceeds ``tol`` times
+    max(1, max |h|): rounding in a field with large entries leaves a
+    deviation in proportion to them.
+    """
     dev = np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2))))
-    if dev > tol:
-        raise ValidationError(f"field is not Hermitian: deviation {dev:.3e}")
+    bound = tol * max(1.0, float(np.max(np.abs(h))))
+    if dev > bound:
+        raise ValidationError(f"field is not Hermitian: deviation {dev:.3e} exceeds {bound:.3e}")
     return dev
 
 
@@ -575,7 +593,7 @@ def gauduchon_fields(grid, u, chi, rho, metric):
     return hat_transform(metric, g_form), g_form
 
 
-def _eigh2(h, vectors):
+def _eigh2(h, vectors, overwrite=False):
     """Ascending eigenvalues (and unit eigenvectors) of a stack of 2x2
     Hermitian matrices, in closed form.
 
@@ -588,17 +606,19 @@ def _eigh2(h, vectors):
     gets the identity.  The second eigenvector is (-conj y, conj x) for a
     first one (x, y).
 
-    The node axis is processed in blocks of ``_EIG2_BLOCK``, so the
-    temporaries stay under 1 MB whatever the size of the stack.
+    The node axis is processed in blocks of ``_EIG_BLOCK``, so the
+    temporaries stay under 1 MB whatever the size of the stack.  With
+    ``overwrite`` (h complex) the eigenvectors are written over h, each
+    block after it has been read.
     """
     batch = h.shape[:-2]
     flat = h.reshape(-1, 2, 2)
     lam = np.empty((flat.shape[0], 2))
     if vectors:
-        vec = np.empty((flat.shape[0], 2, 2), dtype=complex)
+        vec = flat if overwrite else np.empty(flat.shape, dtype=complex)
         vec_r, vec_i = vec.real, vec.imag
-    for lo in range(0, flat.shape[0], _EIG2_BLOCK):
-        rows = slice(lo, lo + _EIG2_BLOCK)
+    for lo in range(0, flat.shape[0], _EIG_BLOCK):
+        rows = slice(lo, lo + _EIG_BLOCK)
         blk = flat[rows]
         a2 = 0.5 * blk[:, 0, 0].real
         d2 = 0.5 * blk[:, 1, 1].real
@@ -633,10 +653,144 @@ def _eigh2(h, vectors):
     return lam
 
 
-def _eigh(h, vectors):
-    """Batched Hermitian eigensolve: the closed form at n = 2, LAPACK else."""
+def _eigh3(h, vectors, overwrite=False):
+    """Ascending eigenvalues (and unit eigenvectors) of a stack of 3x3
+    Hermitian matrices, in closed form, with LAPACK at near-degenerate nodes.
+
+    Only the lower triangle is read, as LAPACK's ``eigh`` does by default.
+    Each matrix A is first divided by its largest entry modulus s, so
+    entries of 1e+-150 neither overflow nor underflow.  The eigenvalues
+    come from the trigonometric Cardano formula on the shifted matrix
+    B = A - (tr A/3) I (Kopp, Int. J. Mod. Phys. C 19, 2008): with
+    p^2 = |B|_F^2 / 6 and r = det(B) / (2 p^3) clipped to [-1, 1], the
+    outer two are tr A/3 + 2p cos(arccos(r)/3 + {2 pi/3, 0}), and the
+    middle one is tr A minus the outer two.
+
+    The eigenvector of an outer eigenvalue lam is the cross product of two
+    rows of A - lam I.  The three such products are the columns of the
+    adjugate of A - lam I, a rank-one matrix c v v^H, so the longest is the
+    column k with the largest diagonal entry |c| |v_k|^2; only that column
+    is formed, and normalised.  The middle eigenvector is conj(v_lo x v_hi),
+    orthogonal to both by construction.
+
+    A node whose smallest eigenvalue gap is at most ``_EIG3_GUARD`` s is
+    solved again by LAPACK, together with the other such nodes of its
+    block; so is a node whose longest adjugate column, in units where
+    p = 1, is shorter than ``_EIG3_GUARD``, which the gap bound implies
+    but rounding might not.  A node with a non-finite entry gets NaN and
+    is not passed to LAPACK.
+
+    The node axis is processed in blocks of ``_EIG_BLOCK``, so the
+    temporaries stay near 2.5 MB whatever the size of the stack.  With
+    ``overwrite`` (h complex) the eigenvectors are written over h, each
+    block after it has been read.
+    """
+    batch = h.shape[:-2]
+    flat = h.reshape(-1, 3, 3)
+    lam = np.empty((flat.shape[0], 3))
+    if vectors:
+        vec = flat if overwrite else np.empty(flat.shape, dtype=complex)
+    for lo in range(0, flat.shape[0], _EIG_BLOCK):
+        rows = slice(lo, lo + _EIG_BLOCK)
+        blk = flat[rows]
+        diag = [blk[:, i, i].real for i in range(3)]
+        off = [blk[:, 1, 0], blk[:, 2, 0], blk[:, 2, 1]]
+        scale = np.abs(diag[0])
+        for x in diag[1:] + off:
+            np.maximum(scale, np.abs(x), out=scale)
+        bad = ~np.isfinite(scale)
+        if bad.any():
+            diag = [np.where(bad, 0.0, x) for x in diag]
+            off = [np.where(bad, 0.0, x) for x in off]
+        # a zero, subnormal or non-finite node keeps entries below 1e-307
+        # here, so p < _EIG3_GUARD below and the node is redone
+        scale[bad | (scale < np.finfo(float).tiny)] = 1.0
+        inv = 1.0 / scale
+        a0, a1, a2 = (x * inv for x in diag)
+        e10, e20, e21 = (x * inv for x in off)
+        tr = a0 + a1 + a2
+        mean = tr / 3.0
+        b0, b1, b2 = a0 - mean, a1 - mean, a2 - mean
+        n10, n20, n21 = (np.square(x.real) + np.square(x.imag) for x in (e10, e20, e21))
+        p = np.sqrt((b0 * b0 + b1 * b1 + b2 * b2) / 6.0 + (n10 + n20 + n21) / 3.0)
+        # B / p has eigenvalues 2 cos(phi + 2 pi j/3).  With p < _EIG3_GUARD
+        # they span at most 2 sqrt(3) p, so some gap is under the guard's
+        # reach and the node is redone; the floor only keeps quotients finite.
+        redo = p < _EIG3_GUARD
+        ip = 1.0 / np.maximum(p, _EIG3_GUARD)
+        for x in (b0, b1, b2, e10, e20, e21):
+            x *= ip
+        ip *= ip
+        for x in (n10, n20, n21):
+            x *= ip
+        q = e10 * e21
+        det = b0 * (b1 * b2 - n21) - b1 * n20 - b2 * n10
+        det += 2.0 * (q.real * e20.real + q.imag * e20.imag)
+        phi = np.arccos(np.clip(0.5 * det, -1.0, 1.0)) / 3.0
+        beta_lo = 2.0 * np.cos(phi + 2.0 * math.pi / 3.0)
+        beta_hi = 2.0 * np.cos(phi)
+        lam_lo = mean + p * beta_lo
+        lam_hi = mean + p * beta_hi
+        lam_mid = np.clip(tr - lam_lo - lam_hi, lam_lo, lam_hi)
+        redo |= np.minimum(lam_mid - lam_lo, lam_hi - lam_mid) <= _EIG3_GUARD
+        for j, x in enumerate((lam_lo, lam_mid, lam_hi)):
+            np.multiply(x, scale, out=lam[rows, j])
+        if vectors:
+            ends = []
+            for beta in (beta_lo, beta_hi):
+                d0, d1, d2 = b0 - beta, b1 - beta, b2 - beta
+                # the adjugate J of B/p - beta I, from its diagonal and lower
+                # triangle; column k is (J00, J10, J20), (conj J10, J11, J21)
+                # or (conj J20, conj J21, J22)
+                j00, j11, j22 = d1 * d2 - n21, d0 * d2 - n20, d0 * d1 - n10
+                j10 = e20 * np.conj(e21) - d2 * e10
+                j20 = q - d1 * e20
+                j21 = np.conj(e10) * e20 - d0 * e21
+                w0, w1, w2 = np.abs(j00), np.abs(j11), np.abs(j22)
+                k0 = (w0 >= w1) & (w0 >= w2)
+                k1 = ~k0 & (w1 >= w2)
+                col = (np.where(k0, j00, np.where(k1, np.conj(j10), np.conj(j20))),
+                       np.where(k0, j10, np.where(k1, j11, np.conj(j21))),
+                       np.where(k0, j20, np.where(k1, j21, j22)))
+                norm2 = sum(np.square(c.real) + np.square(c.imag) for c in col)
+                redo |= norm2 < _EIG3_GUARD * _EIG3_GUARD
+                unit = 1.0 / np.sqrt(np.maximum(norm2, np.finfo(float).tiny))
+                ends.append([c * unit for c in col])
+        redo &= ~bad
+        idx = lo + np.flatnonzero(redo)
+        again = flat[idx]  # a copy, taken before vec (maybe flat) is written
+        if vectors:
+            (u0, u1, u2), (v0, v1, v2) = ends
+            dst = vec[rows]
+            dst[:, 0, 0], dst[:, 1, 0], dst[:, 2, 0] = u0, u1, u2
+            dst[:, 0, 2], dst[:, 1, 2], dst[:, 2, 2] = v0, v1, v2
+            np.conj(u1 * v2 - u2 * v1, out=dst[:, 0, 1])
+            np.conj(u2 * v0 - u0 * v2, out=dst[:, 1, 1])
+            np.conj(u0 * v1 - u1 * v0, out=dst[:, 2, 1])
+            dst[bad] = np.nan
+        lam[rows][bad] = np.nan
+        if idx.size:
+            if vectors:
+                lam[idx], vec[idx] = np.linalg.eigh(again)
+            else:
+                lam[idx] = np.linalg.eigvalsh(again)
+    lam = lam.reshape(batch + (3,))
+    if vectors:
+        return lam, vec.reshape(batch + (3, 3))
+    return lam
+
+
+def _eigh(h, vectors, overwrite=False):
+    """Batched Hermitian eigensolve: closed forms at n = 2 and 3 (the latter
+    with LAPACK at near-degenerate nodes), LAPACK's ``eigh`` at other n.
+
+    ``overwrite`` lets the closed forms write the eigenvectors over h, a
+    complex array the caller gives up; read them from the return value.
+    """
     if h.shape[-1] == 2:
-        return _eigh2(h, vectors)
+        return _eigh2(h, vectors, overwrite)
+    if h.shape[-1] == 3:
+        return _eigh3(h, vectors, overwrite)
     return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
 
 
@@ -650,9 +804,13 @@ def eig_wrt_metric(h, metric, vectors=False):
     metric-orthonormal.  For a diagonal metric L^-1 is the diagonal d of
     1/sqrt(g_ii), and both steps are elementwise: h_ij d_i d_j and d_i v_i.
     The real weight keeps h Hermitian, so no symmetrization follows.
-    At n = 2 the per-node eigenpairs come from a closed form (see
-    :func:`_eigh2`), flat metric or not; other n use LAPACK's ``eigh``.
-    Both read only the lower triangle of the reduced matrix.
+
+    The per-node eigenpairs come from closed forms at n = 2 and n = 3 (see
+    :func:`_eigh2` and :func:`_eigh3`), flat metric or not; at n = 3, nodes
+    whose eigenvalues nearly coincide are handed to LAPACK's ``eigh``, as
+    is every node at other n.  All read only the lower triangle of the
+    reduced matrix, and a closed form writes the eigenvectors into the
+    reduced matrix, which no one else holds, instead of a new array.
     """
     h = np.asarray(h)
     if metric.is_flat:
@@ -661,15 +819,14 @@ def eig_wrt_metric(h, metric, vectors=False):
     linv = metric.inv_cholesky()
     if metric.is_diagonal:
         d = np.diagonal(linv, axis1=-2, axis2=-1).real[..., :, None]
-        reduced = h * (d * np.swapaxes(d, -1, -2))
+        reduced = np.multiply(h, d * np.swapaxes(d, -1, -2), dtype=complex)
     else:
         reduced = linv @ h @ np.conj(np.swapaxes(linv, -1, -2))
         reduced = 0.5 * (reduced + np.conj(np.swapaxes(reduced, -1, -2)))
     if not vectors:
         return _eigh(reduced, False)
-    lam, v = _eigh(reduced, True)
+    lam, v = _eigh(reduced, True, overwrite=True)
     if metric.is_diagonal:
         v *= d
         return lam, v
     return lam, np.conj(np.swapaxes(linv, -1, -2)) @ v
-

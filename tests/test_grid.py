@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hessianforge import cones as cn
 from hessianforge import grid as gr
 from hessianforge.errors import ValidationError
 
@@ -367,14 +368,55 @@ class TestEigWrtMetric:
             with pytest.raises(gr.PositivityError, match="node"):
                 gr.eig_wrt_metric(np.broadcast_to(np.eye(2, dtype=complex), gm.shape), metric)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_finite_node_is_nan_and_named_by_the_cone_check(self, n, monkeypatch):
+        g = make_grid(n=n, res=(8, 1, 8, 1) if n == 2 else (8, 1, 1, 1, 8, 1))
+        metric = gr.metric_conformal(g, 0.3)
+        # reduced to diag(1, ..., n) at every node: no eigenvalue gap is small
+        h = np.array(metric.matrix() * np.arange(1.0, n + 1.0))
+        node = (5,) + (0,) * (2 * n - 3) + (3, 0)
+        h[node][n - 1, 0] = np.nan
+
+        def lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        monkeypatch.setattr(np.linalg, "eigh", lapack)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lapack)
+        lam, v = gr.eig_wrt_metric(h, metric, vectors=True)
+        assert np.isnan(lam[node]).all() and np.isnan(v[node]).all()
+        others = np.delete(lam.reshape(-1, n), np.ravel_multi_index(node, g.shape), axis=0)
+        np.testing.assert_allclose(others, np.broadcast_to(np.arange(1.0, n + 1.0), others.shape), rtol=1e-12)
+        np.testing.assert_array_equal(gr.eig_wrt_metric(h, metric), lam)
+        with pytest.raises(cn.ConeDomainError, match=f"at flat index {np.ravel_multi_index(node, g.shape)}:"):
+            cn.cone_function("log-ma", n).value_grad(lam)
+
+
+def random_hermitian(rng, shape, n):
+    a = rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
+    return a + np.conj(np.swapaxes(a, -1, -2))
+
 
 def hermitian_from_lower(h):
     """The Hermitian matrix LAPACK's default eigh sees: lower triangle, real diagonal."""
     full = np.tril(h, -1)
     full = full + np.conj(np.swapaxes(full, -1, -2))
-    full[..., 0, 0] = h[..., 0, 0].real
-    full[..., 1, 1] = h[..., 1, 1].real
+    i = np.arange(h.shape[-1])
+    full[..., i, i] = h[..., i, i].real
     return full
+
+
+def assert_unit_eigenpairs(h, lam, v):
+    """Eigenvalues against LAPACK's eigvalsh, and residuals, to 1e-12 times
+    max |h| per node; orthonormality of the vectors to 1e-12."""
+    scale = np.abs(h).max(axis=(-1, -2))[..., None]
+    ref = np.linalg.eigvalsh(h)
+    assert np.all(np.abs(lam - ref) <= 1e-12 * scale)
+    full = hermitian_from_lower(h)
+    resid = np.abs(full @ v - v * lam[..., None, :]).max(axis=-2)
+    assert np.all(resid <= 1e-12 * scale)
+    gram = np.conj(np.swapaxes(v, -1, -2)) @ v
+    np.testing.assert_allclose(gram, np.broadcast_to(np.eye(h.shape[-1]), gram.shape), rtol=0, atol=1e-12)
 
 
 def adversarial_batches():
@@ -416,22 +458,11 @@ FLAT = gr.metric_flat(make_grid(res=(8, 1, 8, 1)))
 class TestClosedFormEigh2:
     """The n = 2 closed form against LAPACK, on adversarial and odd-shaped input."""
 
-    @staticmethod
-    def assert_eigenpairs(h, lam, v):
-        scale = np.abs(h).max(axis=(-1, -2))[..., None]
-        ref = np.linalg.eigvalsh(h)
-        assert np.all(np.abs(lam - ref) <= 1e-12 * scale)
-        full = hermitian_from_lower(h)
-        resid = np.abs(full @ v - v * lam[..., None, :]).max(axis=-2)
-        assert np.all(resid <= 1e-12 * scale)
-        gram = np.conj(np.swapaxes(v, -1, -2)) @ v
-        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(2), gram.shape), rtol=0, atol=1e-12)
-
     @pytest.mark.parametrize("name", list(adversarial_batches()))
     def test_adversarial_batches_against_lapack(self, name):
         h = adversarial_batches()[name]
         lam, v = gr.eig_wrt_metric(h, FLAT, vectors=True)
-        self.assert_eigenpairs(h, lam, v)
+        assert_unit_eigenpairs(h, lam, v)
         np.testing.assert_array_equal(gr.eig_wrt_metric(h, FLAT), lam)
 
     def test_scalar_matrices_get_the_identity(self):
@@ -445,7 +476,7 @@ class TestClosedFormEigh2:
         lam, v = gr.eig_wrt_metric(h, FLAT, vectors=True)
         assert lam.shape == (2,) and v.shape == (2, 2)
         np.testing.assert_allclose(lam, np.linalg.eigh(h)[0], rtol=0, atol=1e-14)
-        self.assert_eigenpairs(h, lam, v)
+        assert_unit_eigenpairs(h, lam, v)
 
     def test_read_only_broadcast_input(self):
         h = np.broadcast_to(np.array([[1.0, 2j], [-2j, 0.5]]), (3, 4, 2, 2))
@@ -453,15 +484,15 @@ class TestClosedFormEigh2:
         lam, v = gr.eig_wrt_metric(h, FLAT, vectors=True)
         assert lam.shape == (3, 4, 2) and v.shape == (3, 4, 2, 2)
         np.testing.assert_allclose(lam, np.linalg.eigh(h)[0], rtol=0, atol=1e-14)
-        self.assert_eigenpairs(h, lam, v)
+        assert_unit_eigenpairs(h, lam, v)
 
     def test_node_count_not_a_multiple_of_the_block(self):
         h = adversarial_batches()["random"]
-        h = np.concatenate([h, h, h])[: 2 * gr._EIG2_BLOCK + 17]
+        h = np.concatenate([h, h, h])[: 2 * gr._EIG_BLOCK + 17]
         lam, v = gr.eig_wrt_metric(h, FLAT, vectors=True)
-        assert lam.shape == (2 * gr._EIG2_BLOCK + 17, 2)
+        assert lam.shape == (2 * gr._EIG_BLOCK + 17, 2)
         np.testing.assert_allclose(lam, np.linalg.eigh(h)[0], rtol=0, atol=1e-12 * np.abs(h).max())
-        self.assert_eigenpairs(h, lam, v)
+        assert_unit_eigenpairs(h, lam, v)
 
     def test_reads_the_lower_triangle_only(self):
         rng = np.random.default_rng(22)
@@ -470,7 +501,7 @@ class TestClosedFormEigh2:
         h[..., 0, 0] += 5j
         lam, v = gr.eig_wrt_metric(h, FLAT, vectors=True)
         np.testing.assert_allclose(lam, np.linalg.eigh(h)[0], rtol=0, atol=1e-12 * np.abs(h).max())
-        self.assert_eigenpairs(h, lam, v)
+        assert_unit_eigenpairs(h, lam, v)
 
     def test_non_flat_metric_against_scipy(self):
         g = make_grid(res=(8, 1, 8, 1))
@@ -514,6 +545,185 @@ class TestClosedFormEigh2:
         finally:
             tracemalloc.stop()
         assert peak - sum(o.nbytes for o in out) < 2 * 2**20
+
+
+def adversarial_batches3():
+    """Named stacks of 3x3 Hermitian matrices that stress the closed form."""
+    rng = np.random.default_rng(31)
+    m = 3000
+
+    def with_spectrum(lam):
+        a = rng.normal(size=(m, 3, 3)) + 1j * rng.normal(size=(m, 3, 3))
+        u = np.linalg.qr(a)[0]
+        return (u * lam[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+
+    def diagonal(lam):
+        h = np.zeros((m, 3, 3), dtype=complex)
+        h[:, [0, 1, 2], [0, 1, 2]] = lam
+        return h
+
+    base = rng.normal(size=(m, 1))
+    step = np.exp(rng.normal(size=(m, 1)))
+    random = random_hermitian(rng, (m,), 3)
+    # gaps of 1.2 to 3 times the guard, relative to the spectral radius,
+    # which bounds the largest entry modulus: the closed form at its worst;
+    # the second spectrum is shifted by 50 times its width
+    near = gr._EIG3_GUARD * rng.uniform(1.2, 3.0, size=(m, 1))
+
+    def near_spectrum(shift):
+        ones = np.ones((m, 1))
+        return shift + np.concatenate([-ones, (1.0 + shift) * near - 1.0, ones], axis=1)
+    return {
+        "random": random,
+        "diagonal": diagonal(rng.normal(size=(m, 3))),
+        "diagonal_repeated": diagonal(np.concatenate([base, base, base + step], axis=1)),
+        "triple": with_spectrum(np.repeat(base, 3, axis=1)),
+        "double_low": with_spectrum(np.concatenate([base, base, base + step], axis=1)),
+        "double_high": with_spectrum(np.concatenate([base - step, base, base], axis=1)),
+        "cluster": base[..., None] * np.eye(3) + 1e-13 * random,
+        "near_guard": with_spectrum(near_spectrum(0.0)),
+        "near_guard_shifted": with_spectrum(near_spectrum(100.0)),
+        "scaled_up": 1e150 * random,
+        "scaled_down": 1e-150 * random,
+        "zero": np.zeros((m, 3, 3), dtype=complex),
+    }
+
+
+FLAT3 = gr.metric_flat(make_grid(n=3, res=(8, 1, 8, 1, 8, 1)))
+
+
+class LapackRows:
+    """Stand-ins for LAPACK's eigh and eigvalsh that record the matrices
+    they are given."""
+
+    def __init__(self, monkeypatch):
+        self.seen = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, self.recording(real))
+
+    def recording(self, real):
+        def call(a, *args, **kwargs):
+            self.seen.append(np.array(a))
+            return real(a, *args, **kwargs)
+        return call
+
+    def rows(self):
+        return np.concatenate(self.seen) if self.seen else np.zeros((0, 3, 3), dtype=complex)
+
+
+@pytest.mark.filterwarnings("error")
+class TestClosedFormEigh3:
+    """The guarded n = 3 closed form against LAPACK, on adversarial and
+    odd-shaped input."""
+
+    @pytest.mark.parametrize("name", list(adversarial_batches3()))
+    def test_adversarial_batches_against_lapack(self, name):
+        h = adversarial_batches3()[name]
+        lam, v = gr.eig_wrt_metric(h, FLAT3, vectors=True)
+        assert_unit_eigenpairs(h, lam, v)
+        scale = np.abs(h).max(axis=(-1, -2))[..., None]
+        assert np.all(np.abs(gr.eig_wrt_metric(h, FLAT3) - lam) <= 1e-12 * scale)
+
+    def test_well_separated_nodes_stay_closed_form(self, monkeypatch):
+        batches = adversarial_batches3()
+        h = np.concatenate([batches["near_guard"], batches["near_guard_shifted"]])
+        gap = np.diff(np.linalg.eigvalsh(h), axis=-1).min(axis=-1)
+        assert np.all(gap > gr._EIG3_GUARD * np.abs(h).max(axis=(-1, -2)))
+        lapack = LapackRows(monkeypatch)
+        for scale in (1.0, 1e150, 1e-150):
+            gr.eig_wrt_metric(scale * h, FLAT3, vectors=True)
+            gr.eig_wrt_metric(scale * h, FLAT3)
+        assert len(lapack.rows()) == 0
+
+    def test_lapack_sees_exactly_the_guarded_nodes(self, monkeypatch):
+        batches = adversarial_batches3()
+        well = batches["near_guard"][:500]
+        degenerate = batches["double_low"][:7]
+        h = np.concatenate([well[:200], degenerate[:3], well[200:], degenerate[3:]])
+        for vectors in (True, False):
+            lapack = LapackRows(monkeypatch)
+            gr.eig_wrt_metric(h, FLAT3, vectors=vectors)
+            np.testing.assert_array_equal(lapack.rows(), degenerate)
+
+    def test_non_finite_nodes_get_nan_without_lapack(self, monkeypatch):
+        h = np.broadcast_to(np.diag([1.0, 2.0, 3.0]).astype(complex), (9, 3, 3)).copy()
+        h[2, 1, 0] = np.nan
+        h[4, 2, 2] = np.inf
+        h[6, 2, 1] = complex(-np.inf, np.nan)
+        lapack = LapackRows(monkeypatch)
+        lam, v = gr.eig_wrt_metric(h, FLAT3, vectors=True)
+        assert len(lapack.rows()) == 0
+        bad = [2, 4, 6]
+        assert np.isnan(lam[bad]).all() and np.isnan(v[bad]).all()
+        good = [0, 1, 3, 5, 7, 8]
+        np.testing.assert_allclose(lam[good], np.broadcast_to([1.0, 2.0, 3.0], (6, 3)), rtol=1e-15)
+        np.testing.assert_array_equal(gr.eig_wrt_metric(h, FLAT3), lam)
+
+    def test_single_matrix(self):
+        h = np.array([[2.0, 1.0 - 0.5j, 0.3j], [1.0 + 0.5j, -1.0, 0.2], [-0.3j, 0.2, 0.5]])
+        lam, v = gr.eig_wrt_metric(h, FLAT3, vectors=True)
+        assert lam.shape == (3,) and v.shape == (3, 3)
+        assert_unit_eigenpairs(h, lam, v)
+
+    def test_read_only_broadcast_input(self):
+        h = np.broadcast_to(np.array([[1.0, 2j, 0.5], [-2j, 0.5, 1.0 - 1j], [0.5, 1.0 + 1j, -2.0]]),
+                            (3, 4, 3, 3))
+        assert not h.flags.writeable
+        lam, v = gr.eig_wrt_metric(h, FLAT3, vectors=True)
+        assert lam.shape == (3, 4, 3) and v.shape == (3, 4, 3, 3)
+        assert_unit_eigenpairs(h, lam, v)
+
+    def test_node_count_not_a_multiple_of_the_block(self):
+        h = adversarial_batches3()["random"]
+        h = np.concatenate([h, h, h])[: 2 * gr._EIG_BLOCK + 17]
+        lam, v = gr.eig_wrt_metric(h, FLAT3, vectors=True)
+        assert lam.shape == (2 * gr._EIG_BLOCK + 17, 3)
+        assert_unit_eigenpairs(h, lam, v)
+
+    def test_reads_the_lower_triangle_only(self):
+        rng = np.random.default_rng(32)
+        h = adversarial_batches3()["random"].copy()
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            h[..., i, j] = 1e3 * (rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0]))
+        h[..., [0, 1, 2], [0, 1, 2]] += 5j
+        lam, v = gr.eig_wrt_metric(h, FLAT3, vectors=True)
+        assert_unit_eigenpairs(h, lam, v)
+
+    @pytest.mark.parametrize("make", [
+        lambda g: gr.metric_conformal(g, 0.3),
+        lambda g: gr.metric_product(g, product_profile),
+    ], ids=["conformal", "product"])
+    def test_diagonal_metrics_against_scipy(self, make):
+        g = TestDiagonalMetric.grid3()
+        metric = make(g)
+        u = np.random.default_rng(33).normal(size=g.shape)
+        rho = np.broadcast_to(0.5 * g.sigma_hat(), g.shape)
+        _, h = gr.gauduchon_fields(g, u, 3.0 * metric.matrix(), rho, metric)
+        kept = h.copy()
+        lam, v = gr.eig_wrt_metric(h, metric, vectors=True)
+        np.testing.assert_array_equal(h, kept)  # only the reduced copy is overwritten
+        TestDiagonalMetric.assert_generalized_eigenpairs(h, metric.matrix(), lam, v)
+
+    @staticmethod
+    def scratch_bytes(h, metric):
+        tracemalloc.start()
+        try:
+            out = gr.eig_wrt_metric(h, metric, vectors=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(o.nbytes for o in out)
+
+    def test_scratch_memory_stays_flat(self):
+        # The blocked kernel allocates its outputs plus about 2.5 MiB; a
+        # kernel vectorised over all 65,536 nodes at once needs about 35 MiB.
+        g = make_grid(n=3, res=(16, 1, 16, 16, 16, 1))
+        h = random_hermitian(np.random.default_rng(34), g.shape, 3)
+        assert self.scratch_bytes(h, gr.metric_flat(g)) < 4 * 2**20
+        # With a metric, the eigenvectors overwrite the reduced matrix (9 MiB
+        # here) instead of taking a second array of that size.
+        assert self.scratch_bytes(h, gr.metric_conformal(g, 0.3)) < 4 * 2**20
 
 
 class TestGauduchonFields:
@@ -713,11 +923,6 @@ class TestNaturalShape:
             gr.Metric(g, np.ones(shape))
 
 
-def random_hermitian(rng, shape, n):
-    a = rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
-    return a + np.conj(np.swapaxes(a, -1, -2))
-
-
 class TestDiagonalMetric:
     """The elementwise reduction of diagonal metrics, and the checks on g."""
 
@@ -810,16 +1015,24 @@ class TestDiagonalMetric:
         assert np.abs(rounded - np.conj(np.swapaxes(rounded, -1, -2))).max() > 0
         gr.Metric(g, rounded).validate_positive()  # Hermitian to rounding is accepted
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", [2, 3])
-    def test_nan_metric_raises_on_every_call(self, n):
+    def test_non_finite_metric_refused_at_construction(self, n):
         g = make_grid(n=n)
-        metric = gr.Metric(g, np.full((n, n), np.nan))
-        h = np.broadcast_to(np.eye(n, dtype=complex), g.shape + (n, n))
-        for _ in range(2):
-            with pytest.raises(gr.PositivityError, match=re.escape(f"node {(0,) * 2 * n}")):
-                metric.validate_positive()
-            with pytest.raises(gr.PositivityError, match="nan"):
-                gr.eig_wrt_metric(h, metric)
+        for gm in (np.full((n, n), np.nan), np.diag([np.inf] + [1.0] * (n - 1))):
+            with pytest.raises(gr.PositivityError, match=re.escape(f"infinite entry at node {(0,) * 2 * n}")):
+                gr.Metric(g, gm)
+
+    def test_hermitian_tolerance_scales_with_the_entries(self):
+        g = self.grid3()
+        a = random_hermitian(np.random.default_rng(45), g.shape, 3) + 1j
+        big = 1e6 * (a @ np.conj(np.swapaxes(a, -1, -2)) + 0.3 * np.eye(3))
+        assert np.abs(big - np.conj(np.swapaxes(big, -1, -2))).max() > 1e-9  # rounding only
+        gr.Metric(g, big).validate_positive()
+        skew = big.copy()
+        skew[..., 1, 0] += 1e-8 * np.abs(big).max()
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            gr.Metric(g, skew)
 
     def test_nan_node_named_among_positive_ones(self):
         g = make_grid(n=3, res=(8, 1, 8, 1, 8, 1))
