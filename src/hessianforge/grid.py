@@ -20,11 +20,13 @@ computed from the metric alone inherit it.
 Derivative stencils are second-order centered, with one-sided second-order
 closures on the two boundary slices of the Re w axis.
 
-The per-node eigenproblems of :func:`eig_wrt_metric` are solved in closed
-form at n = 2 and n = 3, and by LAPACK's ``eigh`` for every other n and at
-the n = 3 nodes whose eigenvalues nearly coincide, where the closed form
-would miss a 1e-12 relative target.  A diagonal metric (flat, conformal
-and product metrics all are) reduces them elementwise.
+The per-node eigenproblems of :func:`eig_wrt_metric` all go through one
+blocked driver, :func:`_eigh`: closed forms at n = 2 and n = 3, and LAPACK's
+``eigh`` at every other n and at the n = 3 nodes whose eigenvalues nearly
+coincide, where the closed form would miss a 1e-12 relative target.  On
+every n and metric, a node with a NaN or infinite entry gets NaN eigenpairs
+without a warning.  A diagonal metric (flat, conformal and product metrics
+all are) reduces them elementwise.
 """
 
 import math
@@ -50,7 +52,6 @@ __all__ = [
     "metric_product",
     "gfield",
     "torsion",
-    "torsion_trace",
     "z_coefficients",
     "z_tensor",
     "check_hermitian_field",
@@ -62,7 +63,8 @@ __all__ = [
 ]
 
 MIN_RESOLUTION = 8
-_EIG_BLOCK = 4096  # nodes per pass of the closed-form 2x2 and 3x3 eigensolves
+HERMITIAN_RTOL = 1e-10  # check_hermitian_field, relative to max(1, max |h|)
+_EIG_BLOCK = 4096  # nodes per pass of the eigensolve driver _eigh
 # The 3x3 closed form loses accuracy as two eigenvalues meet: its errors in
 # the eigenvalues, residuals and orthonormality, relative to the largest
 # entry modulus, grow like C eps / gap, with gap the smallest eigenvalue gap
@@ -458,16 +460,17 @@ def metric_product(grid, profile):
 # ---------------------------------------------------------------------------
 # tensor assembly
 
-def check_hermitian_field(h, tol=1e-10):
+def check_hermitian_field(h):
     """Largest deviation from Hermiticity over all nodes.
 
-    Raises :class:`ValidationError` when it exceeds ``tol`` times
-    max(1, max |h|): rounding in a field with large entries leaves a
-    deviation in proportion to them.
+    Raises :class:`ValidationError` unless it is at most ``HERMITIAN_RTOL``
+    times max(1, max |h|), so a NaN entry raises too.  The bound scales
+    because rounding in a field with large entries leaves a deviation in
+    proportion to them.
     """
     dev = np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2))))
-    bound = tol * max(1.0, float(np.max(np.abs(h))))
-    if dev > bound:
+    bound = HERMITIAN_RTOL * max(1.0, float(np.max(np.abs(h))))
+    if not dev <= bound:
         raise ValidationError(f"field is not Hermitian: deviation {dev:.3e} exceeds {bound:.3e}")
     return dev
 
@@ -504,11 +507,6 @@ def torsion(grid, metric):
     return np.einsum("...lk,...ijl->...kij", ginv, anti)
 
 
-def torsion_trace(t):
-    """tau_i = sum_k T^k_{ik}."""
-    return np.einsum("...kik->...i", t)
-
-
 def z_coefficients(grid, metric, t=None):
     """Coefficient tensors ZA[..., p, i, j] with Z = sum_p ZA[p] u_p + h.c.
 
@@ -521,7 +519,7 @@ def z_coefficients(grid, metric, t=None):
     n = grid.n
     if t is None:
         t = torsion(grid, metric)
-    tau = torsion_trace(t)
+    tau = np.einsum("...kik->...i", t)  # tau_i = sum_k T^k_{ik}
     g = metric.g
     ginv = metric.inverse()
     # w_p = sum_q g^{p qbar} conj(tau_q)
@@ -593,9 +591,21 @@ def gauduchon_fields(grid, u, chi, rho, metric):
     return hat_transform(metric, g_form), g_form
 
 
-def _eigh2(h, vectors, overwrite=False):
-    """Ascending eigenvalues (and unit eigenvectors) of a stack of 2x2
-    Hermitian matrices, in closed form.
+def _non_finite(h):
+    """Nodes of an (m, n, n) stack with a NaN or infinite entry in the lower
+    triangle or real diagonal, each tested through a strided view."""
+    ok = np.isfinite(h[:, 0, 0].real)
+    for i in range(1, h.shape[-1]):
+        ok &= np.isfinite(h[:, i, i].real)
+        for j in range(i):
+            ok &= np.isfinite(h[:, i, j])
+    return ~ok
+
+
+def _eigh2(h, lam, vec):
+    """Ascending eigenvalues (and unit eigenvectors) of a block of 2x2
+    Hermitian matrices, in closed form, written into ``lam`` and, unless it
+    is None, ``vec``; returns None, as no node is left to LAPACK.
 
     Only the lower triangle is read, as LAPACK's ``eigh`` does by default.
     With a = Re h00, d = Re h11, c = h10, hd = (a - d)/2 and
@@ -604,58 +614,42 @@ def _eigh2(h, vectors, overwrite=False):
     and divided by s = |hd| + r, the modulus of its largest entry:
     (conj c/s, -1) when hd > 0, else (1, -c/s).  A scalar matrix (s = 0)
     gets the identity.  The second eigenvector is (-conj y, conj x) for a
-    first one (x, y).
-
-    The node axis is processed in blocks of ``_EIG_BLOCK``, so the
-    temporaries stay under 1 MB whatever the size of the stack.  With
-    ``overwrite`` (h complex) the eigenvectors are written over h, each
-    block after it has been read.
+    first one (x, y).  Temporaries stay under 1 MB per ``_EIG_BLOCK`` nodes.
     """
-    batch = h.shape[:-2]
-    flat = h.reshape(-1, 2, 2)
-    lam = np.empty((flat.shape[0], 2))
-    if vectors:
-        vec = flat if overwrite else np.empty(flat.shape, dtype=complex)
-        vec_r, vec_i = vec.real, vec.imag
-    for lo in range(0, flat.shape[0], _EIG_BLOCK):
-        rows = slice(lo, lo + _EIG_BLOCK)
-        blk = flat[rows]
-        a2 = 0.5 * blk[:, 0, 0].real
-        d2 = 0.5 * blk[:, 1, 1].real
-        hd = a2 - d2
-        r = np.hypot(hd, np.abs(blk[:, 1, 0]))
-        mean = a2 + d2
-        np.subtract(mean, r, out=lam[rows, 0])
-        np.add(mean, r, out=lam[rows, 1])
-        if not vectors:
-            continue
-        s = np.abs(hd) + r
-        s[s == 0.0] = 1.0  # there c = 0, and the vectors are the identity
-        pr = blk[:, 1, 0].real / s
-        pi = -blk[:, 1, 0].imag / s
-        q = 1.0 / np.sqrt(1.0 + pr * pr + pi * pi)
-        pr *= q
-        pi *= q
-        # V = [[w, z], [-conj z, conj w]], where p = conj(c/s) q and
-        # (w, z) = (p, q) when hd > 0 (the vector read from row 0),
-        # (q, p) otherwise (read from row 1)
-        row0 = hd > 0.0
-        wr, zr = np.where(row0, pr, q), np.where(row0, q, pr)
-        wi, zi = np.where(row0, pi, 0.0), np.where(row0, 0.0, pi)
-        out_r, out_i = vec_r[rows], vec_i[rows]
-        out_r[:, 0, 0], out_i[:, 0, 0] = wr, wi
-        out_r[:, 0, 1], out_i[:, 0, 1] = zr, zi
-        out_r[:, 1, 0], out_i[:, 1, 0] = -zr, zi
-        out_r[:, 1, 1], out_i[:, 1, 1] = wr, -wi
-    lam = lam.reshape(batch + (2,))
-    if vectors:
-        return lam, vec.reshape(batch + (2, 2))
-    return lam
+    a2 = 0.5 * h[:, 0, 0].real
+    d2 = 0.5 * h[:, 1, 1].real
+    hd = a2 - d2
+    r = np.hypot(hd, np.abs(h[:, 1, 0]))
+    mean = a2 + d2
+    np.subtract(mean, r, out=lam[:, 0])
+    np.add(mean, r, out=lam[:, 1])
+    if vec is None:
+        return
+    s = np.abs(hd) + r
+    s[s == 0.0] = 1.0  # there c = 0, and the vectors are the identity
+    pr = h[:, 1, 0].real / s
+    pi = -h[:, 1, 0].imag / s
+    q = 1.0 / np.sqrt(1.0 + pr * pr + pi * pi)
+    pr *= q
+    pi *= q
+    # V = [[w, z], [-conj z, conj w]], where p = conj(c/s) q and
+    # (w, z) = (p, q) when hd > 0 (the vector read from row 0),
+    # (q, p) otherwise (read from row 1)
+    row0 = hd > 0.0
+    wr, zr = np.where(row0, pr, q), np.where(row0, q, pr)
+    wi, zi = np.where(row0, pi, 0.0), np.where(row0, 0.0, pi)
+    out_r, out_i = vec.real, vec.imag
+    out_r[:, 0, 0], out_i[:, 0, 0] = wr, wi
+    out_r[:, 0, 1], out_i[:, 0, 1] = zr, zi
+    out_r[:, 1, 0], out_i[:, 1, 0] = -zr, zi
+    out_r[:, 1, 1], out_i[:, 1, 1] = wr, -wi
 
 
-def _eigh3(h, vectors, overwrite=False):
-    """Ascending eigenvalues (and unit eigenvectors) of a stack of 3x3
-    Hermitian matrices, in closed form, with LAPACK at near-degenerate nodes.
+def _eigh3(h, lam, vec):
+    """Ascending eigenvalues (and unit eigenvectors) of a block of 3x3
+    Hermitian matrices, in closed form, written into ``lam`` and, unless it
+    is None, ``vec``; returns the mask of near-degenerate nodes, which
+    LAPACK must solve instead.
 
     Only the lower triangle is read, as LAPACK's ``eigh`` does by default.
     Each matrix A is first divided by its largest entry modulus s, so
@@ -673,125 +667,126 @@ def _eigh3(h, vectors, overwrite=False):
     is formed, and normalised.  The middle eigenvector is conj(v_lo x v_hi),
     orthogonal to both by construction.
 
-    A node whose smallest eigenvalue gap is at most ``_EIG3_GUARD`` s is
-    solved again by LAPACK, together with the other such nodes of its
-    block; so is a node whose longest adjugate column, in units where
-    p = 1, is shorter than ``_EIG3_GUARD``, which the gap bound implies
-    but rounding might not.  A node with a non-finite entry gets NaN and
-    is not passed to LAPACK.
-
-    The node axis is processed in blocks of ``_EIG_BLOCK``, so the
-    temporaries stay near 2.5 MB whatever the size of the stack.  With
-    ``overwrite`` (h complex) the eigenvectors are written over h, each
-    block after it has been read.
+    A node is returned for LAPACK when its smallest eigenvalue gap is at
+    most ``_EIG3_GUARD`` s, or when its longest adjugate column, in units
+    where p = 1, is shorter than ``_EIG3_GUARD``, which the gap bound
+    implies but rounding might not.  Temporaries stay near 2.5 MB per
+    ``_EIG_BLOCK`` nodes.
     """
-    batch = h.shape[:-2]
-    flat = h.reshape(-1, 3, 3)
-    lam = np.empty((flat.shape[0], 3))
-    if vectors:
-        vec = flat if overwrite else np.empty(flat.shape, dtype=complex)
-    for lo in range(0, flat.shape[0], _EIG_BLOCK):
-        rows = slice(lo, lo + _EIG_BLOCK)
-        blk = flat[rows]
-        diag = [blk[:, i, i].real for i in range(3)]
-        off = [blk[:, 1, 0], blk[:, 2, 0], blk[:, 2, 1]]
-        scale = np.abs(diag[0])
-        for x in diag[1:] + off:
-            np.maximum(scale, np.abs(x), out=scale)
-        bad = ~np.isfinite(scale)
-        if bad.any():
-            diag = [np.where(bad, 0.0, x) for x in diag]
-            off = [np.where(bad, 0.0, x) for x in off]
-        # a zero, subnormal or non-finite node keeps entries below 1e-307
-        # here, so p < _EIG3_GUARD below and the node is redone
-        scale[bad | (scale < np.finfo(float).tiny)] = 1.0
-        inv = 1.0 / scale
-        a0, a1, a2 = (x * inv for x in diag)
-        e10, e20, e21 = (x * inv for x in off)
-        tr = a0 + a1 + a2
-        mean = tr / 3.0
-        b0, b1, b2 = a0 - mean, a1 - mean, a2 - mean
-        n10, n20, n21 = (np.square(x.real) + np.square(x.imag) for x in (e10, e20, e21))
-        p = np.sqrt((b0 * b0 + b1 * b1 + b2 * b2) / 6.0 + (n10 + n20 + n21) / 3.0)
-        # B / p has eigenvalues 2 cos(phi + 2 pi j/3).  With p < _EIG3_GUARD
-        # they span at most 2 sqrt(3) p, so some gap is under the guard's
-        # reach and the node is redone; the floor only keeps quotients finite.
-        redo = p < _EIG3_GUARD
-        ip = 1.0 / np.maximum(p, _EIG3_GUARD)
-        for x in (b0, b1, b2, e10, e20, e21):
-            x *= ip
-        ip *= ip
-        for x in (n10, n20, n21):
-            x *= ip
-        q = e10 * e21
-        det = b0 * (b1 * b2 - n21) - b1 * n20 - b2 * n10
-        det += 2.0 * (q.real * e20.real + q.imag * e20.imag)
-        phi = np.arccos(np.clip(0.5 * det, -1.0, 1.0)) / 3.0
-        beta_lo = 2.0 * np.cos(phi + 2.0 * math.pi / 3.0)
-        beta_hi = 2.0 * np.cos(phi)
-        lam_lo = mean + p * beta_lo
-        lam_hi = mean + p * beta_hi
-        lam_mid = np.clip(tr - lam_lo - lam_hi, lam_lo, lam_hi)
-        redo |= np.minimum(lam_mid - lam_lo, lam_hi - lam_mid) <= _EIG3_GUARD
-        for j, x in enumerate((lam_lo, lam_mid, lam_hi)):
-            np.multiply(x, scale, out=lam[rows, j])
-        if vectors:
-            ends = []
-            for beta in (beta_lo, beta_hi):
-                d0, d1, d2 = b0 - beta, b1 - beta, b2 - beta
-                # the adjugate J of B/p - beta I, from its diagonal and lower
-                # triangle; column k is (J00, J10, J20), (conj J10, J11, J21)
-                # or (conj J20, conj J21, J22)
-                j00, j11, j22 = d1 * d2 - n21, d0 * d2 - n20, d0 * d1 - n10
-                j10 = e20 * np.conj(e21) - d2 * e10
-                j20 = q - d1 * e20
-                j21 = np.conj(e10) * e20 - d0 * e21
-                w0, w1, w2 = np.abs(j00), np.abs(j11), np.abs(j22)
-                k0 = (w0 >= w1) & (w0 >= w2)
-                k1 = ~k0 & (w1 >= w2)
-                col = (np.where(k0, j00, np.where(k1, np.conj(j10), np.conj(j20))),
-                       np.where(k0, j10, np.where(k1, j11, np.conj(j21))),
-                       np.where(k0, j20, np.where(k1, j21, j22)))
-                norm2 = sum(np.square(c.real) + np.square(c.imag) for c in col)
-                redo |= norm2 < _EIG3_GUARD * _EIG3_GUARD
-                unit = 1.0 / np.sqrt(np.maximum(norm2, np.finfo(float).tiny))
-                ends.append([c * unit for c in col])
-        redo &= ~bad
-        idx = lo + np.flatnonzero(redo)
-        again = flat[idx]  # a copy, taken before vec (maybe flat) is written
-        if vectors:
-            (u0, u1, u2), (v0, v1, v2) = ends
-            dst = vec[rows]
-            dst[:, 0, 0], dst[:, 1, 0], dst[:, 2, 0] = u0, u1, u2
-            dst[:, 0, 2], dst[:, 1, 2], dst[:, 2, 2] = v0, v1, v2
-            np.conj(u1 * v2 - u2 * v1, out=dst[:, 0, 1])
-            np.conj(u2 * v0 - u0 * v2, out=dst[:, 1, 1])
-            np.conj(u0 * v1 - u1 * v0, out=dst[:, 2, 1])
-            dst[bad] = np.nan
-        lam[rows][bad] = np.nan
-        if idx.size:
-            if vectors:
-                lam[idx], vec[idx] = np.linalg.eigh(again)
-            else:
-                lam[idx] = np.linalg.eigvalsh(again)
-    lam = lam.reshape(batch + (3,))
-    if vectors:
-        return lam, vec.reshape(batch + (3, 3))
-    return lam
+    diag = [h[:, i, i].real for i in range(3)]
+    off = [h[:, 1, 0], h[:, 2, 0], h[:, 2, 1]]
+    scale = np.abs(diag[0])
+    for x in diag[1:] + off:
+        np.maximum(scale, np.abs(x), out=scale)
+    # a zero or subnormal node keeps entries below 1e-307 here, so
+    # p < _EIG3_GUARD below and the node is left to LAPACK
+    scale[scale < np.finfo(float).tiny] = 1.0
+    inv = 1.0 / scale
+    a0, a1, a2 = (x * inv for x in diag)
+    e10, e20, e21 = (x * inv for x in off)
+    tr = a0 + a1 + a2
+    mean = tr / 3.0
+    b0, b1, b2 = a0 - mean, a1 - mean, a2 - mean
+    n10, n20, n21 = (np.square(x.real) + np.square(x.imag) for x in (e10, e20, e21))
+    p = np.sqrt((b0 * b0 + b1 * b1 + b2 * b2) / 6.0 + (n10 + n20 + n21) / 3.0)
+    # B / p has eigenvalues 2 cos(phi + 2 pi j/3).  With p < _EIG3_GUARD
+    # they span at most 2 sqrt(3) p, so some gap is under the guard's
+    # reach and the node is redone; the floor only keeps quotients finite.
+    redo = p < _EIG3_GUARD
+    ip = 1.0 / np.maximum(p, _EIG3_GUARD)
+    for x in (b0, b1, b2, e10, e20, e21):
+        x *= ip
+    ip *= ip
+    for x in (n10, n20, n21):
+        x *= ip
+    q = e10 * e21
+    det = b0 * (b1 * b2 - n21) - b1 * n20 - b2 * n10
+    det += 2.0 * (q.real * e20.real + q.imag * e20.imag)
+    phi = np.arccos(np.clip(0.5 * det, -1.0, 1.0)) / 3.0
+    beta_lo = 2.0 * np.cos(phi + 2.0 * math.pi / 3.0)
+    beta_hi = 2.0 * np.cos(phi)
+    lam_lo = mean + p * beta_lo
+    lam_hi = mean + p * beta_hi
+    lam_mid = np.clip(tr - lam_lo - lam_hi, lam_lo, lam_hi)
+    redo |= np.minimum(lam_mid - lam_lo, lam_hi - lam_mid) <= _EIG3_GUARD
+    for j, x in enumerate((lam_lo, lam_mid, lam_hi)):
+        np.multiply(x, scale, out=lam[:, j])
+    if vec is None:
+        return redo
+    ends = []
+    for beta in (beta_lo, beta_hi):
+        d0, d1, d2 = b0 - beta, b1 - beta, b2 - beta
+        # the adjugate J of B/p - beta I, from its diagonal and lower
+        # triangle; column k is (J00, J10, J20), (conj J10, J11, J21)
+        # or (conj J20, conj J21, J22)
+        j00, j11, j22 = d1 * d2 - n21, d0 * d2 - n20, d0 * d1 - n10
+        j10 = e20 * np.conj(e21) - d2 * e10
+        j20 = q - d1 * e20
+        j21 = np.conj(e10) * e20 - d0 * e21
+        w0, w1, w2 = np.abs(j00), np.abs(j11), np.abs(j22)
+        k0 = (w0 >= w1) & (w0 >= w2)
+        k1 = ~k0 & (w1 >= w2)
+        col = (np.where(k0, j00, np.where(k1, np.conj(j10), np.conj(j20))),
+               np.where(k0, j10, np.where(k1, j11, np.conj(j21))),
+               np.where(k0, j20, np.where(k1, j21, j22)))
+        norm2 = sum(np.square(c.real) + np.square(c.imag) for c in col)
+        redo |= norm2 < _EIG3_GUARD * _EIG3_GUARD
+        unit = 1.0 / np.sqrt(np.maximum(norm2, np.finfo(float).tiny))
+        ends.append([c * unit for c in col])
+    (u0, u1, u2), (v0, v1, v2) = ends
+    vec[:, 0, 0], vec[:, 1, 0], vec[:, 2, 0] = u0, u1, u2
+    vec[:, 0, 2], vec[:, 1, 2], vec[:, 2, 2] = v0, v1, v2
+    np.conj(u1 * v2 - u2 * v1, out=vec[:, 0, 1])
+    np.conj(u2 * v0 - u0 * v2, out=vec[:, 1, 1])
+    np.conj(u0 * v1 - u1 * v0, out=vec[:, 2, 1])
+    return redo
 
 
 def _eigh(h, vectors, overwrite=False):
-    """Batched Hermitian eigensolve: closed forms at n = 2 and 3 (the latter
-    with LAPACK at near-degenerate nodes), LAPACK's ``eigh`` at other n.
+    """Batched Hermitian eigensolve: the one driver, for every n.
 
-    ``overwrite`` lets the closed forms write the eigenvectors over h, a
-    complex array the caller gives up; read them from the return value.
+    Solves the flattened stack ``_EIG_BLOCK`` nodes at a time, so the
+    temporaries stay flat.  The closed forms :func:`_eigh2` and
+    :func:`_eigh3` write into the output slices they are handed and return
+    the nodes they leave to LAPACK's ``eigh``, which solves whole blocks at
+    every other n.  A node with a NaN or infinite entry in the lower
+    triangle or real diagonal, the entries all of them read, gets NaN
+    eigenpairs without a warning: its kernel sees zeros in its place, and
+    LAPACK never sees it.
+
+    ``overwrite`` writes the eigenvectors over h, a complex array the caller
+    gives up; each block is then copied first, so no kernel's input aliases
+    its output.
     """
-    if h.shape[-1] == 2:
-        return _eigh2(h, vectors, overwrite)
-    if h.shape[-1] == 3:
-        return _eigh3(h, vectors, overwrite)
-    return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+    n = h.shape[-1]
+    batch = h.shape[:-2]
+    flat = h.reshape(-1, n, n)
+    lam = np.empty(flat.shape[:-1])
+    vec = (flat if overwrite else np.empty(flat.shape, dtype=complex)) if vectors else None
+    kernel = {2: _eigh2, 3: _eigh3}.get(n)
+    for lo in range(0, flat.shape[0], _EIG_BLOCK):
+        rows = slice(lo, lo + _EIG_BLOCK)
+        blk, lam_b = flat[rows], lam[rows]
+        vec_b = None if vec is None else vec[rows]
+        bad = _non_finite(blk)
+        skip = bad.any()
+        if skip or vec is flat:
+            blk = blk.copy()
+            blk[bad] = 0.0
+        lapack = ~bad if kernel is None else kernel(blk, lam_b, vec_b)
+        if lapack is not None:
+            lapack &= ~bad
+            if lapack.any():
+                if vectors:
+                    lam_b[lapack], vec_b[lapack] = np.linalg.eigh(blk[lapack])
+                else:
+                    lam_b[lapack] = np.linalg.eigvalsh(blk[lapack])
+        if skip:
+            lam_b[bad] = np.nan
+            if vectors:
+                vec_b[bad] = np.nan
+    lam = lam.reshape(batch + (n,))
+    return (lam, vec.reshape(batch + (n, n))) if vectors else lam
 
 
 def eig_wrt_metric(h, metric, vectors=False):
@@ -805,24 +800,31 @@ def eig_wrt_metric(h, metric, vectors=False):
     1/sqrt(g_ii), and both steps are elementwise: h_ij d_i d_j and d_i v_i.
     The real weight keeps h Hermitian, so no symmetrization follows.
 
-    The per-node eigenpairs come from closed forms at n = 2 and n = 3 (see
-    :func:`_eigh2` and :func:`_eigh3`), flat metric or not; at n = 3, nodes
-    whose eigenvalues nearly coincide are handed to LAPACK's ``eigh``, as
-    is every node at other n.  All read only the lower triangle of the
-    reduced matrix, and a closed form writes the eigenvectors into the
-    reduced matrix, which no one else holds, instead of a new array.
+    Every eigenpair comes from :func:`_eigh`, the one driver, flat metric
+    or not: closed forms at n = 2 and n = 3, and LAPACK's ``eigh`` at
+    near-degenerate n = 3 nodes and at every other n.  All read only the
+    lower triangle and real diagonal of the reduced matrix, a private copy
+    that the eigenvectors overwrite.
+
+    Non-finite policy: a node with a NaN or infinite entry among those read
+    gets NaN eigenvalues and eigenvectors, the others are solved as if it
+    were absent, and no warning or ``LinAlgError`` escapes.  The reduction
+    turns an infinite entry into NaN (inf times 0), so it runs with
+    invalid-value warnings off.  :meth:`cones.ConeFunction.value_grad`
+    names the node.
     """
     h = np.asarray(h)
     if metric.is_flat:
         return _eigh(h, vectors)
     metric.validate_positive()
     linv = metric.inv_cholesky()
-    if metric.is_diagonal:
-        d = np.diagonal(linv, axis1=-2, axis2=-1).real[..., :, None]
-        reduced = np.multiply(h, d * np.swapaxes(d, -1, -2), dtype=complex)
-    else:
-        reduced = linv @ h @ np.conj(np.swapaxes(linv, -1, -2))
-        reduced = 0.5 * (reduced + np.conj(np.swapaxes(reduced, -1, -2)))
+    with np.errstate(invalid="ignore"):
+        if metric.is_diagonal:
+            d = np.diagonal(linv, axis1=-2, axis2=-1).real[..., :, None]
+            reduced = np.multiply(h, d * np.swapaxes(d, -1, -2), dtype=complex)
+        else:
+            reduced = linv @ h @ np.conj(np.swapaxes(linv, -1, -2))
+            reduced = 0.5 * (reduced + np.conj(np.swapaxes(reduced, -1, -2)))
     if not vectors:
         return _eigh(reduced, False)
     lam, v = _eigh(reduced, True, overwrite=True)

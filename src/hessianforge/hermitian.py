@@ -23,7 +23,6 @@ __all__ = [
     "ValidationError",
     "BorderedSpec",
     "ConcentrationReport",
-    "eigh",
     "bordered",
     "growth_threshold_main",
     "growth_threshold_refined",
@@ -33,46 +32,7 @@ __all__ = [
     "lemma_trial_batch",
 ]
 
-HERMITICITY_RTOL = 1e-12
 _TRIAL_AMPLITUDE = 2.0
-
-
-def _as_matrix(a):
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def eigh(a, check=True):
-    """Eigenvalues of a Hermitian matrix, sorted ascending.
-
-    The input is validated (relative asymmetry above ``1e-12`` is rejected)
-    and symmetrized to ``(A + A*)/2`` before the eigensolve, so roundoff in
-    the caller's assembly cannot leak into the spectrum.
-
-    Parameters
-    ----------
-    a : (n, n) array_like
-        Hermitian matrix.
-    check : bool
-        Validate Hermiticity first.  Disable only for matrices that are
-        Hermitian by construction.
-
-    Returns
-    -------
-    (n,) ndarray of float, ascending.
-    """
-    a = _as_matrix(a)
-    if check:
-        scale = np.linalg.norm(a)
-        asym = np.linalg.norm(a - a.conj().T)
-        if asym > HERMITICITY_RTOL * max(scale, 1e-300):
-            raise ValidationError(
-                f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "
-                f"{HERMITICITY_RTOL:.0e} * norm ({scale:.3e})"
-            )
-    return np.linalg.eigvalsh(0.5 * (a + a.conj().T))
 
 
 @dataclass
@@ -251,6 +211,11 @@ def interval_components(d, radius):
     return comps
 
 
+def _components(spec):
+    """Components of the intervals ``(d_i +- eps/(2n-3))`` of a spec."""
+    return interval_components(spec.d, spec.eps / (2 * spec.n - 3))
+
+
 def _component_counts(eigs, comps):
     """Eigenvalues inside each component, counted along the last axis."""
     lo, hi = np.array(comps).T
@@ -264,12 +229,12 @@ def concentration_report(spec):
     Both conclusions are evaluated unconditionally; whether ``spec.aa``
     actually meets a growth threshold is the caller's concern.
     """
-    eigs = eigh(bordered(spec), check=False)
+    eigs = np.linalg.eigvalsh(bordered(spec))
     ds = np.sort(spec.d)
     small, corner = eigs[:-1], eigs[-1] - spec.aa
     deviations, passed_main = _main_conclusion(spec.eps, ds, small, corner)
     _, matched, passed_refined = _refined_conclusion(spec.eps, ds, small, corner)
-    comps = interval_components(ds, spec.eps / (2 * spec.n - 3))
+    comps = _components(spec)
     return ConcentrationReport(
         deviations=deviations,
         corner_excess=float(corner),
@@ -297,7 +262,7 @@ def count_stability_scan(spec, aa_grid):
             f"corner values {bad.tolist()} lie below the growth threshold "
             f"{thr:.6g}; counts are only stable above it"
         )
-    comps = interval_components(np.sort(spec.d), spec.eps / (2 * spec.n - 3))
+    comps = _components(spec)
     shape = (aa_grid.size, spec.d.size)
     mats = bordered_batch(np.broadcast_to(spec.d, shape), np.broadcast_to(spec.a, shape), aa_grid)
     return _component_counts(np.linalg.eigvalsh(mats), comps)

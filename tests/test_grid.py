@@ -151,13 +151,13 @@ class TestComplexHessian:
         rng = np.random.default_rng(0)
         u = rng.normal(size=g.shape)
         h = gr.complex_hessian(g, u)
-        assert gr.check_hermitian_field(h, tol=1e-12) < 1e-12
+        assert gr.check_hermitian_field(h) < 1e-12
 
     def test_non_hermitian_field_is_a_validation_error(self):
-        h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(ValidationError, match="not Hermitian") as caught:
-            gr.check_hermitian_field(h)
-        assert caught.type is ValidationError
+        for h in ([[0.0, 1.0], [0.0, 0.0]], [[np.nan, 1.0], [1.0, 1.0]]):
+            with pytest.raises(ValidationError, match="not Hermitian") as caught:
+                gr.check_hermitian_field(np.array(h, dtype=complex))
+            assert caught.type is ValidationError
 
 
 class TestGField:
@@ -176,7 +176,7 @@ class TestGField:
         out = gr.gfield(g, u, chi, eta)
         np.testing.assert_allclose(out[..., 1, 1].real, 2.0, atol=1e-11)
         np.testing.assert_allclose(out[..., 0, 0].real, 1.0, atol=1e-13)
-        assert gr.check_hermitian_field(out, 1e-12) < 1e-12
+        assert gr.check_hermitian_field(out) < 1e-12
 
     def test_eta_reduction(self):
         g = make_grid()
@@ -304,7 +304,7 @@ class TestZTensor:
         g, metric, _ = conformal_setup(16)
         rng = np.random.default_rng(4)
         z = gr.z_tensor(g, metric, rng.normal(size=g.shape))
-        assert gr.check_hermitian_field(z, 1e-12) < 1e-12
+        assert gr.check_hermitian_field(z) < 1e-12
 
 
 class TestEigWrtMetric:
@@ -369,26 +369,33 @@ class TestEigWrtMetric:
                 gr.eig_wrt_metric(np.broadcast_to(np.eye(2, dtype=complex), gm.shape), metric)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_non_finite_node_is_nan_and_named_by_the_cone_check(self, n, monkeypatch):
-        g = make_grid(n=n, res=(8, 1, 8, 1) if n == 2 else (8, 1, 1, 1, 8, 1))
-        metric = gr.metric_conformal(g, 0.3)
+    @pytest.mark.parametrize("vectors", [True, False], ids=["vectors", "values"])
+    @pytest.mark.parametrize("metric_name", ["flat", "conformal"])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_non_finite_node_is_nan_and_named_by_the_cone_check(self, n, entry, metric_name, vectors,
+                                                                 monkeypatch):
+        g = make_grid(n=n, res=(8, 1) + (1, 1) * (n - 2) + (8, 1))
+        metric = gr.metric_flat(g) if metric_name == "flat" else gr.metric_conformal(g, 0.3)
         # reduced to diag(1, ..., n) at every node: no eigenvalue gap is small
         h = np.array(metric.matrix() * np.arange(1.0, n + 1.0))
         node = (5,) + (0,) * (2 * n - 3) + (3, 0)
-        h[node][n - 1, 0] = np.nan
-
-        def lapack(*args, **kwargs):
-            raise AssertionError("LAPACK called")
-
-        monkeypatch.setattr(np.linalg, "eigh", lapack)
-        monkeypatch.setattr(np.linalg, "eigvalsh", lapack)
-        lam, v = gr.eig_wrt_metric(h, metric, vectors=True)
-        assert np.isnan(lam[node]).all() and np.isnan(v[node]).all()
-        others = np.delete(lam.reshape(-1, n), np.ravel_multi_index(node, g.shape), axis=0)
+        index = np.ravel_multi_index(node, g.shape)
+        clean = gr.eig_wrt_metric(h, metric, vectors=vectors)
+        h[node][n - 1, 0] = entry
+        lapack = LapackRows(monkeypatch)
+        out = gr.eig_wrt_metric(h, metric, vectors=vectors)
+        # LAPACK solves every other node at n = 4, none at n = 2 and 3
+        seen = lapack.rows()
+        assert len(seen) == (g.num_nodes - 1 if n == 4 else 0) and np.isfinite(seen).all()
+        for got, ref in zip(out, clean) if vectors else [(out, clean)]:
+            assert np.isnan(got[node]).all()
+            others = [np.delete(x.reshape(g.num_nodes, -1), index, axis=0) for x in (got, ref)]
+            np.testing.assert_array_equal(*others)
+        lam = out[0] if vectors else out
+        others = np.delete(lam.reshape(-1, n), index, axis=0)
         np.testing.assert_allclose(others, np.broadcast_to(np.arange(1.0, n + 1.0), others.shape), rtol=1e-12)
-        np.testing.assert_array_equal(gr.eig_wrt_metric(h, metric), lam)
-        with pytest.raises(cn.ConeDomainError, match=f"at flat index {np.ravel_multi_index(node, g.shape)}:"):
+        with pytest.raises(cn.ConeDomainError, match=f"at flat index {index}:"):
             cn.cone_function("log-ma", n).value_grad(lam)
 
 
@@ -610,6 +617,22 @@ class LapackRows:
 
     def rows(self):
         return np.concatenate(self.seen) if self.seen else np.zeros((0, 3, 3), dtype=complex)
+
+
+FLAT4 = gr.metric_flat(make_grid(n=4, res=(8, 1, 1, 1, 1, 1, 8, 1)))
+
+
+@pytest.mark.filterwarnings("error")
+class TestLapackEigh:
+    """n = 4, where LAPACK solves every block the driver hands it."""
+
+    def test_node_count_not_a_multiple_of_the_block(self):
+        h = random_hermitian(np.random.default_rng(41), (2 * gr._EIG_BLOCK + 17,), 4)
+        lam, v = gr.eig_wrt_metric(h, FLAT4, vectors=True)
+        ref_lam, ref_v = np.linalg.eigh(h)
+        np.testing.assert_array_equal(lam, ref_lam)
+        np.testing.assert_array_equal(v, ref_v)
+        np.testing.assert_array_equal(gr.eig_wrt_metric(h, FLAT4), np.linalg.eigvalsh(h))
 
 
 @pytest.mark.filterwarnings("error")
