@@ -20,6 +20,17 @@ computed from the metric alone inherit it.
 Derivative stencils are second-order centered, with one-sided second-order
 closures on the two boundary slices of the Re w axis.
 
+The tensor fields (:func:`complex_hessian`, :func:`z_tensor`,
+:func:`gfield` and :func:`gauduchon_fields`) come from one assembler,
+:func:`_assemble`.  It forms each real first derivative of u once and shares
+it between the mixed Hessian stencils and the first-order terms, and writes
+each real and imaginary plane of the (..., n, n) result once.  A first-order
+term, such as the torsion term Z(du) or the eta coupling of :func:`gfield`,
+enters as real coefficient fields on those derivatives, one list per plane,
+with identically zero fields dropped.  The torsion term's planes depend on
+the metric alone, and :class:`Metric` builds them once.  On a diagonal metric
+the traces and the multiples of omega are elementwise.
+
 The per-node eigenproblems of :func:`eig_wrt_metric` all go through one
 blocked driver, :func:`_eigh`: closed forms at n = 2 and n = 3, and LAPACK's
 ``eigh`` at every other n and at the n = 3 nodes whose eigenvalues nearly
@@ -42,7 +53,6 @@ __all__ = [
     "ProductGrid",
     "d1",
     "d2",
-    "d1d1",
     "d_dz",
     "d_dzbar",
     "complex_hessian",
@@ -276,11 +286,6 @@ def d2(grid, u, axis):
     return _d2_strip(u, axis, h)
 
 
-def d1d1(grid, u, axis_a, axis_b):
-    """Mixed second derivative along two distinct axes (operators commute)."""
-    return d1(grid, d1(grid, u, axis_b), axis_a)
-
-
 # ---------------------------------------------------------------------------
 # complex derivatives and the complex Hessian
 
@@ -294,34 +299,120 @@ def d_dzbar(grid, u, i):
     return 0.5 * (d1(grid, u, 2 * i) + 1j * d1(grid, u, 2 * i + 1))
 
 
-def grad_z(grid, u):
-    """All holomorphic derivatives, stacked on a trailing axis."""
-    return np.stack([d_dz(grid, u, i) for i in range(grid.n)], axis=-1)
+def _planes(a):
+    """Real coefficient planes of a first-order term sum_p A_p u_p + h.c.
+
+    ``a`` holds A[..., p, i, j], the coefficients of the holomorphic
+    derivatives u_p = (d_a u - i d_b u)/2, where d_a and d_b are the real
+    first derivatives along x_p (a = 2p) and y_p (b = 2p + 1).  The term is
+    the Hermitian field sum_a C_a d_a u, with C_2p = (A_p + A_p^H)/2 and
+    C_2p+1 = -i (A_p - A_p^H)/2.  Returned as ((i, j, part), fields) pairs
+    for the real (part 0) and, off the diagonal, imaginary (part 1) plane of
+    each upper-triangle entry; ``fields`` holds the (axis, coefficient)
+    pairs, real and read-only, at the broadcast shape of ``a``.  Fields that
+    vanish identically are left out, and so are planes without a field.
+    """
+    n = a.shape[-1]
+    ah = np.conj(np.swapaxes(a, -1, -2))
+    c = np.empty(a.shape[:-3] + (2 * n, n, n), dtype=complex)
+    c[..., 0::2, :, :] = 0.5 * (a + ah)
+    c[..., 1::2, :, :] = -0.5j * (a - ah)
+    planes = []
+    for i in range(n):
+        for j in range(i, n):
+            for part, values in enumerate((c.real, c.imag)[: 1 + (i < j)]):
+                fields = []
+                for axis in range(2 * n):
+                    coef = values[..., axis, i, j]
+                    if np.any(coef):
+                        coef = coef.copy()
+                        coef.flags.writeable = False
+                        fields.append((axis, coef))
+                if fields:
+                    planes.append(((i, j, part), tuple(fields)))
+    return tuple(planes)
+
+
+def _torsion_planes(metric, za):
+    """The torsion term of a metric as real coefficient planes (see
+    :func:`_planes`): the pair (Z planes, W planes).
+
+    ``za`` holds the Z coefficients ZA_p of :func:`z_coefficients`.  The Z
+    planes are those of Z(du), and the W planes those of the g-form's term
+    W/(n-1) = (tr Z) omega/(n-1) - Z, whose coefficients are
+    (tr_omega ZA_p) g/(n-1) - ZA_p, since tr_omega of a matrix and of its
+    adjoint are conjugate.  A torsion-free metric has no planes, and the
+    conformal metric at n = 3 has 7 fields in each set.
+    """
+    tr = np.einsum("...ji,...pij->...p", metric.inverse(), za)
+    wa = tr[..., :, None, None] * metric.g[..., None, :, :] / (metric.grid.n - 1) - za
+    return _planes(za), _planes(wa)
+
+
+def _assemble(grid, u, planes=(), weight=None, hessian=True):
+    """The complex Hessian of u (unless ``hessian`` is False) plus the
+    first-order term given by ``planes`` (see :func:`_planes`), times
+    ``weight`` when one is given: the one assembler of the tensor fields.
+
+    Each first derivative d_a u is formed once, on first use, and shared by
+    the mixed Hessian stencils and the coefficient planes.  Each real and
+    imaginary plane of the upper triangle is summed in its own buffer and
+    written once; the lower triangle mirrors it, which is exact because
+    stencils along distinct axes commute.  Diagonal entries are
+    quarter-Laplacians in each complex coordinate, with zero imaginary part.
+    """
+    u = np.asarray(u)
+    n = grid.n
+    terms = dict(planes)
+    derivs = {}
+
+    def first(axis):
+        if axis not in derivs:
+            derivs[axis] = d1(grid, u, axis)
+        return derivs[axis]
+
+    shapes = [np.shape(c) for fields in terms.values() for _, c in fields]
+    if terms and weight is not None:
+        shapes.append(np.shape(weight))
+    out = np.empty(np.broadcast_shapes(u.shape, *shapes) + (n, n), dtype=complex)
+    # the diagonal first, before the first derivatives the mixed terms share
+    entries = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for i, j in entries:
+        xi, yi, xj, yj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
+        if i == j:
+            out.imag[..., i, i] = 0.0
+        for part, dst in enumerate((out.real, out.imag)[: 1 + (i < j)]):
+            val = 0.0
+            if hessian and i == j:
+                val = 0.25 * (d2(grid, u, xi) + d2(grid, u, yi))
+            elif hessian and part == 0:
+                val = 0.25 * (d1(grid, first(xj), xi) + d1(grid, first(yj), yi))
+            elif hessian:
+                val = 0.25 * (d1(grid, first(yj), xi) - d1(grid, first(xj), yi))
+            fields = terms.get((i, j, part))
+            if fields:
+                (axis, c), *rest = fields
+                term = c * first(axis)
+                for axis, c in rest:
+                    term += c * first(axis)
+                val = val + (term if weight is None else weight * term)
+            dst[..., i, j] = val
+            if i < j and part:
+                np.negative(val, out=dst[..., j, i])
+            elif i < j:
+                dst[..., j, i] = val
+    return out
 
 
 def complex_hessian(grid, u):
     """Mixed complex Hessian u_{i jbar}, Hermitian by construction.
 
     Diagonal entries are quarter-Laplacians in each complex coordinate; the
-    off-diagonal entries combine the four real cross stencils and the lower
-    triangle mirrors the upper conjugate, which is exact because stencils
-    along distinct axes commute.
+    off-diagonal entries combine the four real cross stencils, built on the
+    shared first derivatives, and the lower triangle mirrors the upper
+    conjugate, which is exact because stencils along distinct axes commute.
     """
-    u = np.asarray(u)
-    n = grid.n
-    h = np.zeros(u.shape + (n, n), dtype=complex)
-    for i in range(n):
-        h[..., i, i] = 0.25 * (d2(grid, u, 2 * i) + d2(grid, u, 2 * i + 1))
-        for j in range(i + 1, n):
-            val = 0.25 * (
-                d1d1(grid, u, 2 * i, 2 * j)
-                + d1d1(grid, u, 2 * i + 1, 2 * j + 1)
-                + 1j * d1d1(grid, u, 2 * i, 2 * j + 1)
-                - 1j * d1d1(grid, u, 2 * i + 1, 2 * j)
-            )
-            h[..., i, j] = val
-            h[..., j, i] = np.conj(val)
-    return h
+    return _assemble(grid, u)
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +438,21 @@ class Metric:
     - the inverse (:meth:`inverse`),
     - the inverse Cholesky factor that reduces the generalized eigenproblem
       (:meth:`inv_cholesky`),
-    - the Z coefficient tensor (:meth:`z_coefficients`); the torsion it is
-      built from is not kept,
+    - the torsion term as real coefficient planes on the first derivatives
+      of u (:meth:`torsion_planes`): those of Z, read by :func:`z_tensor`,
+      and those of the g-form's term W/(n-1), read by
+      :func:`gauduchon_fields`; neither the torsion nor the Z coefficient
+      tensor they are built from is kept,
     - a passed positivity check (:meth:`validate_positive`).
 
     ``g`` must be finite, or construction raises :class:`PositivityError`
     naming the first node with a NaN or infinite entry, and Hermitian to
     the tolerance of :func:`check_hermitian_field`, or it raises
-    :class:`ValidationError`.  Two properties are found once, from the data,
-    and read by :func:`eig_wrt_metric`: ``is_flat`` (g is exactly the
-    identity) skips the reduction, and ``is_diagonal`` (every off-diagonal
-    entry is exactly 0) reduces elementwise instead of by matrix products.
+    :class:`ValidationError`.  Two properties are found once, from the data:
+    ``is_flat`` (g is exactly the identity) lets :func:`eig_wrt_metric` skip
+    the reduction, and ``is_diagonal`` (every off-diagonal entry is exactly
+    0) makes it reduce elementwise instead of by matrix products, and makes
+    :func:`trace_wrt_metric` and :func:`hat_transform` elementwise.
 
     Two metrics are equal only when they are the same object, which also
     makes a metric hashable.  ``name`` records the preset for run ledgers.
@@ -370,7 +465,7 @@ class Metric:
     is_diagonal: bool = field(default=False, init=False)
     _inv: np.ndarray = field(default=None, init=False, repr=False)
     _linv: np.ndarray = field(default=None, init=False, repr=False)
-    _za: np.ndarray = field(default=None, init=False, repr=False)
+    _planes: tuple = field(default=None, init=False, repr=False)
     _positive: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
@@ -412,10 +507,21 @@ class Metric:
         return self._linv
 
     def z_coefficients(self):
-        """The :func:`z_coefficients` tensor of this metric, computed once."""
-        if self._za is None:
-            self._keep("_za", z_coefficients(self.grid, self))
-        return self._za
+        """The :func:`z_coefficients` tensor of this metric, read-only.
+
+        Computed afresh on every call: the metric keeps only the planes of
+        :meth:`torsion_planes`, which are built from it.
+        """
+        za = z_coefficients(self.grid, self)
+        za.flags.writeable = False
+        return za
+
+    def torsion_planes(self):
+        """The :func:`_torsion_planes` pair (Z planes, W planes) of this
+        metric, computed once."""
+        if self._planes is None:
+            object.__setattr__(self, "_planes", _torsion_planes(self, self.z_coefficients()))
+        return self._planes
 
     def validate_positive(self):
         """Raise :class:`PositivityError` at the first node where g is not
@@ -463,11 +569,14 @@ def metric_product(grid, profile):
 def check_hermitian_field(h):
     """Largest deviation from Hermiticity over all nodes.
 
-    Raises :class:`ValidationError` unless it is at most ``HERMITIAN_RTOL``
-    times max(1, max |h|), so a NaN entry raises too.  The bound scales
-    because rounding in a field with large entries leaves a deviation in
-    proportion to them.
+    Raises :class:`ValidationError` unless every entry is finite and the
+    deviation is at most ``HERMITIAN_RTOL`` times max(1, max |h|).  The
+    bound scales because rounding in a field with large entries leaves a
+    deviation in proportion to them.
     """
+    h = np.asarray(h)
+    if not np.all(np.isfinite(h)):
+        raise ValidationError("field is not Hermitian: it has a NaN or infinite entry")
     dev = np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2))))
     bound = HERMITIAN_RTOL * max(1.0, float(np.max(np.abs(h))))
     if not dev <= bound:
@@ -479,15 +588,16 @@ def gfield(grid, u, chi, eta=None):
     """The deformed form chi + complex Hessian + gradient coupling.
 
     ``eta`` is a constant or per-node complex vector of length n; the
-    coupling adds u_i conj(eta_j) + eta_i conj(u_j) to each node matrix.
+    coupling adds u_i conj(eta_j) + eta_i conj(u_j) to each node matrix.  It
+    is the first-order term with coefficients A_p[i, j] = delta_pi
+    conj(eta_j), assembled as coefficient planes on the Hessian's first
+    derivatives.
     """
-    g = complex_hessian(grid, u) + chi
+    planes = ()
     if eta is not None:
         eta = np.asarray(eta, dtype=complex)
-        uz = grad_z(grid, u)
-        g = g + uz[..., :, None] * np.conj(eta)[..., None, :]
-        g = g + eta[..., :, None] * np.conj(uz)[..., None, :]
-    return g
+        planes = _planes(np.eye(grid.n)[:, :, None] * np.conj(eta)[..., None, None, :])
+    return _assemble(grid, u, planes) + chi
 
 
 def torsion(grid, metric):
@@ -513,7 +623,8 @@ def z_coefficients(grid, metric, t=None):
     Encodes the six-term torsion contraction of the gradient tensor in the
     deformed-form equation; Z vanishes identically for torsion-free metrics
     and is linear in the holomorphic gradient of u.  Computed afresh on
-    every call; :meth:`Metric.z_coefficients` keeps one copy per metric.
+    every call; :meth:`Metric.torsion_planes` keeps, once per metric, the
+    real coefficient planes built from it.
     The result has the broadcast shape of the metric's ``g``.
     """
     n = grid.n
@@ -538,23 +649,36 @@ def z_coefficients(grid, metric, t=None):
 def z_tensor(grid, metric, u, za=None):
     """Gradient tensor Z(partial u) as a Hermitian field.
 
-    ``za`` defaults to the coefficients cached on the metric.  When ZA has
-    no nonzero entry (a torsion-free metric) the zero field is returned
-    without differentiating u.
+    Assembled from real coefficient planes on the first derivatives of u:
+    the metric's cached Z planes (:meth:`Metric.torsion_planes`), or planes
+    built from ``za`` when it is given.  A torsion-free metric has no
+    planes, and the zero field is returned without differentiating u.
     """
-    if za is None:
-        za = metric.z_coefficients()
-    if not np.any(za):
-        shape = np.broadcast_shapes(za.shape[:-3], np.shape(u))
-        return np.zeros(shape + za.shape[-2:], dtype=complex)
-    uz = grad_z(grid, u)
-    z = np.einsum("...pij,...p->...ij", za, uz)
-    return z + np.conj(np.swapaxes(z, -1, -2))
+    planes = metric.torsion_planes()[0] if za is None else _planes(za)
+    return _assemble(grid, u, planes, hessian=False)
+
+
+def _add_metric_multiple(h, s, metric):
+    """h += s g in place; on a diagonal metric only the real diagonal."""
+    if metric.is_diagonal:
+        for i in range(metric.grid.n):
+            h.real[..., i, i] += s * metric.g[..., i, i].real
+    else:
+        h += s[..., None, None] * metric.g
 
 
 def trace_wrt_metric(metric, h):
-    """tr_omega H = sum g^{i jbar} H_{i jbar} (real for Hermitian H)."""
-    return np.einsum("...ji,...ij->...", metric.inverse(), h).real
+    """tr_omega H = sum g^{i jbar} H_{i jbar} (real for Hermitian H).
+
+    On a diagonal metric it is the elementwise sum of g^{i ibar} Re H_{i ibar}.
+    """
+    ginv = metric.inverse()
+    if not metric.is_diagonal:
+        return np.einsum("...ji,...ij->...", ginv, h).real
+    tr = ginv[..., 0, 0].real * h[..., 0, 0].real
+    for i in range(1, metric.grid.n):
+        tr += ginv[..., i, i].real * h[..., i, i].real
+    return tr
 
 
 def laplacian(grid, u, metric):
@@ -563,9 +687,16 @@ def laplacian(grid, u, metric):
 
 
 def hat_transform(metric, h):
-    """(tr_omega H) g - H; exchanges the two forms of the deleted-sum equation."""
+    """(tr_omega H) g - H; exchanges the two forms of the deleted-sum equation.
+
+    On a diagonal metric it is -H with (tr_omega H) g_ii added to the
+    diagonal.
+    """
     tr = trace_wrt_metric(metric, h)
-    return tr[..., None, None] * metric.g - h
+    out = np.empty(np.broadcast_shapes(np.shape(h), metric.g.shape), dtype=complex)
+    np.negative(h, out=out)
+    _add_metric_multiple(out, tr, metric)
+    return out
 
 
 def gauduchon_fields(grid, u, chi, rho, metric):
@@ -577,17 +708,17 @@ def gauduchon_fields(grid, u, chi, rho, metric):
     metric.  The two satisfy U = (tr g) omega - g, so their eigenvalue
     vectors are deleted-sum transforms of one another.
 
-    Both are assembled in one pass: the g-form is written out as
-    dd u - chi - rho Z + ((tr chi + rho tr Z)/(n-1)) omega, and U is its
-    :func:`hat_transform`.
+    Both are assembled in one pass.  The g-form's Hessian and torsion term
+    rho W/(n-1) come from one :func:`_assemble` call: the first derivatives
+    of u are formed once and shared, and W/(n-1) enters through the metric's
+    cached real coefficient planes (:meth:`Metric.torsion_planes`), weighted
+    by rho.  chihat is added after, and U is the :func:`hat_transform` of
+    the g-form.  On a diagonal metric the traces and the multiples of omega
+    are elementwise.
     """
-    rz = z_tensor(grid, metric, u)
-    rz *= rho[..., None, None]
-    g_form = complex_hessian(grid, u)
+    g_form = _assemble(grid, u, metric.torsion_planes()[1], weight=rho)
     g_form -= chi
-    g_form -= rz
-    shift = (trace_wrt_metric(metric, chi) + trace_wrt_metric(metric, rz)) / (grid.n - 1)
-    g_form += shift[..., None, None] * metric.g
+    _add_metric_multiple(g_form, trace_wrt_metric(metric, chi) / (grid.n - 1), metric)
     return hat_transform(metric, g_form), g_form
 
 

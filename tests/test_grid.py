@@ -153,8 +153,10 @@ class TestComplexHessian:
         h = gr.complex_hessian(g, u)
         assert gr.check_hermitian_field(h) < 1e-12
 
+    @pytest.mark.filterwarnings("error")
     def test_non_hermitian_field_is_a_validation_error(self):
-        for h in ([[0.0, 1.0], [0.0, 0.0]], [[np.nan, 1.0], [1.0, 1.0]]):
+        for h in ([[0.0, 1.0], [0.0, 0.0]], [[np.nan, 1.0], [1.0, 1.0]],
+                  [[0.0, np.inf], [0.0, 0.0]], [[np.inf, 0.0], [0.0, 0.0]]):
             with pytest.raises(ValidationError, match="not Hermitian") as caught:
                 gr.check_hermitian_field(np.array(h, dtype=complex))
             assert caught.type is ValidationError
@@ -187,6 +189,20 @@ class TestGField:
             gr.gfield(g, u, chi, None),
             chi + gr.complex_hessian(g, u),
         )
+
+    @pytest.mark.parametrize("per_node", [False, True], ids=["constant", "per-node"])
+    def test_complex_eta_coupling_matches_the_formula(self, per_node):
+        # u_i conj(eta_j) + eta_i conj(u_j), with u_i the holomorphic derivatives
+        g = make_grid(n=3, res=(8, 1, 8, 8, 8, 1))
+        rng = np.random.default_rng(9)
+        u = rng.normal(size=g.shape)
+        shape = g.shape + (3,) if per_node else (3,)
+        eta = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        chi = 2.0 * np.eye(3)
+        uz = np.stack([gr.d_dz(g, u, p) for p in range(3)], axis=-1)
+        ref = (chi + gr.complex_hessian(g, u) + uz[..., :, None] * np.conj(eta)[..., None, :]
+               + eta[..., :, None] * np.conj(uz)[..., None, :])
+        TestNaturalShape.assert_close(gr.gfield(g, u, chi, eta), ref)
 
 
 def conformal_setup(m=48, eps=0.3):
@@ -808,19 +824,34 @@ class TestMetricCaches:
 
     def test_cached_z_matches_fresh_coefficients_bit_for_bit(self):
         g, metric, u, chi, rho = self.inputs()
-        gr.gauduchon_fields(g, u, chi, rho, metric)
+        first = gr.gauduchon_fields(g, u, chi, rho, metric)
         uform, gform = gr.gauduchon_fields(g, u, chi, rho, metric)
+        np.testing.assert_array_equal(uform, first[0])
+        np.testing.assert_array_equal(gform, first[1])
+        # the cache holds exactly the planes built from fresh coefficients
+        fresh = gr._torsion_planes(metric, gr.z_coefficients(g, metric))
+        cached = metric.torsion_planes()
+        assert len(cached) == len(fresh) == 2
+        for planes, fresh_planes in zip(cached, fresh):
+            assert [key for key, _ in planes] == [key for key, _ in fresh_planes]
+            for (_, fields), (_, fresh_fields) in zip(planes, fresh_planes):
+                assert [a for a, _ in fields] == [a for a, _ in fresh_fields]
+                for (_, c), (_, fresh_c) in zip(fields, fresh_fields):
+                    np.testing.assert_array_equal(c, fresh_c)
         z = gr.z_tensor(g, metric, u, za=gr.z_coefficients(g, metric))
         assert np.abs(z).max() > 1e-4  # the comparison is not vacuous
         gm = metric.matrix()
         rz = rho[..., None, None] * z
         # g-form = dd u + chihat + rho W/(n-1) with W = (tr Z) g - (n-1) Z,
-        # summed as dd u - chi - rho Z + ((tr chi + rho tr Z)/(n-1)) g
+        # summed as dd u - chi - rho Z + ((tr chi + rho tr Z)/(n-1)) g; the
+        # forms sum the same terms in another order, so they agree to
+        # rounding: 4 eps relative to the largest entry
         shift = (gr.trace_wrt_metric(metric, chi) + gr.trace_wrt_metric(metric, rz)) / 2
         ref_g = gr.complex_hessian(g, u) - chi - rz + shift[..., None, None] * gm
-        np.testing.assert_array_equal(gform, ref_g)
-        np.testing.assert_array_equal(
-            uform, gr.trace_wrt_metric(metric, ref_g)[..., None, None] * gm - ref_g)
+        ref_u = gr.trace_wrt_metric(metric, ref_g)[..., None, None] * gm - ref_g
+        for form, ref in ((gform, ref_g), (uform, ref_u)):
+            atol = 4 * np.finfo(float).eps * max(1.0, float(np.abs(ref).max()))
+            np.testing.assert_allclose(form, ref, rtol=0, atol=atol)
 
     def test_torsion_computed_once_per_metric(self, monkeypatch):
         g, metric, u, chi, rho = self.inputs()
@@ -1075,20 +1106,80 @@ class TestDiagonalMetric:
         rho = np.broadcast_to(0.5 * g.sigma_hat(), g.shape)
         za = metric.z_coefficients()
         assert not np.any(za)
-        full = np.einsum("...pij,...p->...ij", za, gr.grad_z(g, u))
+        uz = np.stack([gr.d_dz(g, u, p) for p in range(3)], axis=-1)
+        full = np.einsum("...pij,...p->...ij", za, uz)
         full = full + np.conj(np.swapaxes(full, -1, -2))
         rz = rho[..., None, None] * full
         shift = (gr.trace_wrt_metric(metric, chi) + gr.trace_wrt_metric(metric, rz)) / 2
         ref_g = gr.complex_hessian(g, u) - chi - rz + shift[..., None, None] * metric.g
         ref_u = gr.hat_transform(metric, ref_g)
+        assert metric.torsion_planes() == ((), ())
 
-        def grad_z(grid, field):
-            raise AssertionError("grad_z called for a zero Z tensor")
+        def d1(grid, field, axis):
+            raise AssertionError("u differentiated for a zero Z tensor")
 
-        monkeypatch.setattr(gr, "grad_z", grad_z)
-        z = gr.z_tensor(g, metric, u)
+        with monkeypatch.context() as patch:
+            patch.setattr(gr, "d1", d1)
+            z = gr.z_tensor(g, metric, u)
         assert z.shape == full.shape and z.dtype == full.dtype
         np.testing.assert_array_equal(z, full)
         uform, gform = gr.gauduchon_fields(g, u, chi, rho, metric)
         np.testing.assert_array_equal(uform, ref_u)
         np.testing.assert_array_equal(gform, ref_g)
+
+
+class TestGeneralMetric:
+    """A metric that is neither diagonal nor constant: e^phi I plus a constant
+    Hermitian off-diagonal part.  It has torsion and dense Z planes, and it
+    takes the einsum trace and the matrix multiples of omega, which no
+    diagonal metric reaches."""
+
+    OFF = np.array([[0.0, 0.2 + 0.1j, -0.1j], [0.2 - 0.1j, 0.0, 0.15], [0.1j, 0.15, 0.0]])
+
+    @classmethod
+    def metric(cls, g):
+        phi = 0.3 * np.cos(g.coord_field(0)) + 0.2 * g.sigma_hat()
+        if g.n > 2:
+            phi = phi + 0.2 * np.sin(g.coord_field(2))
+        return gr.Metric(g, np.exp(phi)[..., None, None] * np.eye(g.n) + cls.OFF[: g.n, : g.n])
+
+    @staticmethod
+    def trace(metric, h):
+        """Index-loop tr_omega h = sum_{i,j} g^{i jbar} h_{i jbar}."""
+        ginv = metric.inverse()
+        n = h.shape[-1]
+        return sum(ginv[..., j, i] * h[..., i, j] for i in range(n) for j in range(n)).real
+
+    @pytest.mark.parametrize("n, res", [
+        (2, (8, 8, 8, 8)), (3, (8, 8, 8, 1, 8, 1)), (3, (8, 1, 1, 1, 8, 8)),
+    ], ids=["n2-resolved", "n3-two-frozen", "n3-four-frozen"])
+    def test_against_the_index_loops(self, n, res):
+        g = make_grid(n=n, res=res)
+        metric = self.metric(g)
+        metric.validate_positive()
+        assert not metric.is_diagonal
+        rng = np.random.default_rng(50)
+        u = rng.normal(size=g.shape)
+        chi = 3.0 * metric.matrix() + 0.3 * random_hermitian(rng, g.shape, n)
+        rho = np.broadcast_to(0.5 + g.sigma_hat(), g.shape)
+        z_ref = z_tensor_loops(g, metric, u)
+        if n > 2:  # at n = 2 the gradient tensor vanishes identically
+            assert np.abs(z_ref).max() > 1e-2
+            # the Z planes are dense: every real and imaginary plane has a field
+            assert len(metric.torsion_planes()[0]) == n * n
+        TestNaturalShape.assert_close(gr.z_tensor(g, metric, u), z_ref)
+        # U = chi + (lap u) g - dd u + rho Z and g = dd u + chihat + rho W/(n-1),
+        # with chihat = (tr chi/(n-1)) g - chi and W = (tr Z) g - (n-1) Z
+        hess = gr.complex_hessian(g, u)
+        gm = metric.matrix()
+        rz = rho[..., None, None] * z_ref
+        ref_u = chi + self.trace(metric, hess)[..., None, None] * gm - hess + rz
+        chihat = self.trace(metric, chi)[..., None, None] * gm / (n - 1) - chi
+        w = self.trace(metric, z_ref)[..., None, None] * gm - (n - 1) * z_ref
+        ref_g = hess + chihat + rho[..., None, None] * w / (n - 1)
+        forms = gr.gauduchon_fields(g, u, chi, rho, metric)
+        TestNaturalShape.assert_close(forms[0], ref_u)
+        TestNaturalShape.assert_close(forms[1], ref_g)
+        again = gr.gauduchon_fields(g, u, chi, rho, metric)
+        for form, repeat in zip(forms, again):
+            np.testing.assert_array_equal(repeat, form)
