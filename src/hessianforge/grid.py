@@ -18,7 +18,10 @@ vanish.  :class:`Metric` keeps g at such a natural shape, and the quantities
 computed from the metric alone inherit it.
 
 Derivative stencils are second-order centered, with one-sided second-order
-closures on the two boundary slices of the Re w axis.
+closures on the two boundary slices of the Re w axis.  Each is formed from
+shifted slices of the field, written into one output of float or complex
+dtype; a field whose length along the axis is neither 1 nor the grid's
+resolution is refused with :class:`GridError`.
 
 The tensor fields (:func:`complex_hessian`, :func:`z_tensor`,
 :func:`gfield` and :func:`gauduchon_fields`) come from one assembler,
@@ -54,7 +57,6 @@ __all__ = [
     "d1",
     "d2",
     "d_dz",
-    "d_dzbar",
     "complex_hessian",
     "Metric",
     "metric_flat",
@@ -68,7 +70,6 @@ __all__ = [
     "gauduchon_fields",
     "hat_transform",
     "eig_wrt_metric",
-    "laplacian",
     "trace_wrt_metric",
 ]
 
@@ -201,89 +202,61 @@ class ProductGrid:
         idx[self.strip_axis] = slice(1, self.resolutions[self.strip_axis] - 1)
         return tuple(idx)
 
-    def zeros(self, dtype=float):
-        return np.zeros(self.shape, dtype=dtype)
-
 
 # ---------------------------------------------------------------------------
 # real-coordinate derivative stencils
 
-def _d1_periodic(u, axis, h):
-    return (np.roll(u, -1, axis) - np.roll(u, 1, axis)) / (2 * h)
-
-
-def _d2_periodic(u, axis, h):
-    return (np.roll(u, -1, axis) - 2 * u + np.roll(u, 1, axis)) / (h * h)
-
-
-def _take(u, axis, i):
-    return np.take(u, i, axis=axis)
-
-
-def _d1_strip(u, axis, h):
-    out = np.empty_like(u)
-    sl = [slice(None)] * u.ndim
-    sl[axis] = slice(1, -1)
-    out[tuple(sl)] = (
-        np.take(u, range(2, u.shape[axis]), axis) - np.take(u, range(u.shape[axis] - 2), axis)
-    ) / (2 * h)
-    lo = [slice(None)] * u.ndim
-    lo[axis] = 0
-    out[tuple(lo)] = (
-        -3 * _take(u, axis, 0) + 4 * _take(u, axis, 1) - _take(u, axis, 2)
-    ) / (2 * h)
-    hi = [slice(None)] * u.ndim
-    hi[axis] = u.shape[axis] - 1
-    out[tuple(hi)] = (
-        3 * _take(u, axis, -1) - 4 * _take(u, axis, -2) + _take(u, axis, -3)
-    ) / (2 * h)
-    return out
-
-
-def _d2_strip(u, axis, h):
-    out = np.empty_like(u)
-    sl = [slice(None)] * u.ndim
-    sl[axis] = slice(1, -1)
-    out[tuple(sl)] = (
-        np.take(u, range(2, u.shape[axis]), axis)
-        - 2 * np.take(u, range(1, u.shape[axis] - 1), axis)
-        + np.take(u, range(u.shape[axis] - 2), axis)
-    ) / (h * h)
-    lo = [slice(None)] * u.ndim
-    lo[axis] = 0
-    out[tuple(lo)] = (
-        2 * _take(u, axis, 0) - 5 * _take(u, axis, 1)
-        + 4 * _take(u, axis, 2) - _take(u, axis, 3)
-    ) / (h * h)
-    hi = [slice(None)] * u.ndim
-    hi[axis] = u.shape[axis] - 1
-    out[tuple(hi)] = (
-        2 * _take(u, axis, -1) - 5 * _take(u, axis, -2)
-        + 4 * _take(u, axis, -3) - _take(u, axis, -4)
-    ) / (h * h)
-    return out
+def _axis_first(grid, u, axis):
+    """A fresh output of float or complex dtype, and u and that output viewed
+    with ``axis`` first; on a length-1 axis the output is 0 and no view is
+    taken.  Only ``axis`` is checked, so u may carry trailing (n, n) axes."""
+    u = np.asarray(u)
+    length, res = u.shape[axis], grid.resolutions[axis]
+    if length not in (1, res):
+        raise GridError(f"axis {axis}: field has length {length} where the grid has {res}")
+    out = np.zeros(u.shape, np.result_type(u.dtype, 1.0))
+    if length == 1:
+        return out, None, None
+    return out, np.moveaxis(u, axis, 0), np.moveaxis(out, axis, 0)
 
 
 def d1(grid, u, axis):
-    """First derivative along a real coordinate axis (zero on length 1)."""
-    u = np.asarray(u)
-    if u.shape[axis] == 1:
-        return np.zeros_like(u)
-    h = grid.spacing(axis)
-    if grid.is_periodic(axis):
-        return _d1_periodic(u, axis, h)
-    return _d1_strip(u, axis, h)
+    """First derivative along a real coordinate axis (zero on length 1).
+
+    Formed from shifted slices of u into one output of float or complex
+    dtype: centered inside, wrapped around at the ends of a periodic axis,
+    and closed one-sided, to second order, on Re w.  A length along ``axis``
+    other than 1 or the grid's resolution raises :class:`GridError`.
+    """
+    out, v, w = _axis_first(grid, u, axis)
+    if v is not None:
+        np.subtract(v[2:], v[:-2], out=w[1:-1])
+        if grid.is_periodic(axis):
+            np.subtract(v[1], v[-1], out=w[0])
+            np.subtract(v[0], v[-2], out=w[-1])
+        else:
+            w[0] = -3 * v[0] + 4 * v[1] - v[2]
+            w[-1] = 3 * v[-1] - 4 * v[-2] + v[-3]
+        w /= 2 * grid.spacing(axis)
+    return out
 
 
 def d2(grid, u, axis):
-    """Second derivative along a real coordinate axis (zero on length 1)."""
-    u = np.asarray(u)
-    if u.shape[axis] == 1:
-        return np.zeros_like(u)
-    h = grid.spacing(axis)
-    if grid.is_periodic(axis):
-        return _d2_periodic(u, axis, h)
-    return _d2_strip(u, axis, h)
+    """Second derivative along a real coordinate axis (zero on length 1),
+    formed, closed and checked as in :func:`d1`."""
+    out, v, w = _axis_first(grid, u, axis)
+    if v is not None:
+        np.subtract(v[2:], 2 * v[1:-1], out=w[1:-1])
+        w[1:-1] += v[:-2]
+        if grid.is_periodic(axis):
+            w[0] = v[1] - 2 * v[0] + v[-1]
+            w[-1] = v[0] - 2 * v[-1] + v[-2]
+        else:
+            w[0] = 2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]
+            w[-1] = 2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]
+        h = grid.spacing(axis)
+        w /= h * h
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +265,6 @@ def d2(grid, u, axis):
 def d_dz(grid, u, i):
     """Holomorphic derivative along z_i: (d/dx_i - i d/dy_i)/2."""
     return 0.5 * (d1(grid, u, 2 * i) - 1j * d1(grid, u, 2 * i + 1))
-
-
-def d_dzbar(grid, u, i):
-    """Antiholomorphic derivative along z_i: (d/dx_i + i d/dy_i)/2."""
-    return 0.5 * (d1(grid, u, 2 * i) + 1j * d1(grid, u, 2 * i + 1))
 
 
 def _planes(a):
@@ -341,8 +309,9 @@ def _torsion_planes(metric, za):
     planes are those of Z(du), and the W planes those of the g-form's term
     W/(n-1) = (tr Z) omega/(n-1) - Z, whose coefficients are
     (tr_omega ZA_p) g/(n-1) - ZA_p, since tr_omega of a matrix and of its
-    adjoint are conjugate.  A torsion-free metric has no planes, and the
-    conformal metric at n = 3 has 7 fields in each set.
+    adjoint are conjugate.  A torsion-free metric and every metric at n = 2
+    have no planes, and the conformal metric at n = 3 has 7 fields in each
+    set.
     """
     tr = np.einsum("...ji,...pij->...p", metric.inverse(), za)
     wa = tr[..., :, None, None] * metric.g[..., None, :, :] / (metric.grid.n - 1) - za
@@ -506,21 +475,12 @@ class Metric:
             self._keep("_linv", np.linalg.inv(lo))
         return self._linv
 
-    def z_coefficients(self):
-        """The :func:`z_coefficients` tensor of this metric, read-only.
-
-        Computed afresh on every call: the metric keeps only the planes of
-        :meth:`torsion_planes`, which are built from it.
-        """
-        za = z_coefficients(self.grid, self)
-        za.flags.writeable = False
-        return za
-
     def torsion_planes(self):
         """The :func:`_torsion_planes` pair (Z planes, W planes) of this
         metric, computed once."""
         if self._planes is None:
-            object.__setattr__(self, "_planes", _torsion_planes(self, self.z_coefficients()))
+            planes = _torsion_planes(self, z_coefficients(self.grid, self))
+            object.__setattr__(self, "_planes", planes)
         return self._planes
 
     def validate_positive(self):
@@ -625,9 +585,14 @@ def z_coefficients(grid, metric, t=None):
     and is linear in the holomorphic gradient of u.  Computed afresh on
     every call; :meth:`Metric.torsion_planes` keeps, once per metric, the
     real coefficient planes built from it.
-    The result has the broadcast shape of the metric's ``g``.
+    The result has the broadcast shape of the metric's ``g``.  At n = 2,
+    where T^k_ij has only the components T^k_01 = -T^k_10, the terms cancel
+    identically, and the result is exactly zero rather than rounding residue.
     """
     n = grid.n
+    if n == 2:
+        lead = np.broadcast_shapes(metric.g.shape[:-2], () if t is None else t.shape[:-3])
+        return np.zeros(lead + (2, 2, 2), dtype=complex)
     if t is None:
         t = torsion(grid, metric)
     tau = np.einsum("...kik->...i", t)  # tau_i = sum_k T^k_{ik}
@@ -679,11 +644,6 @@ def trace_wrt_metric(metric, h):
     for i in range(1, metric.grid.n):
         tr += ginv[..., i, i].real * h[..., i, i].real
     return tr
-
-
-def laplacian(grid, u, metric):
-    """Complex Laplacian of a scalar with respect to the metric."""
-    return trace_wrt_metric(metric, complex_hessian(grid, u))
 
 
 def hat_transform(metric, h):

@@ -55,12 +55,80 @@ class TestGridLayout:
         assert not m[g.interior_slicer()].any()
 
 
+def roll_stencil(grid, u, axis, order):
+    """Reference first (order 1) and second (order 2) derivative stencils,
+    built from whole-field ``np.roll`` copies on periodic axes and
+    ``np.take`` planes on Re w, in the order of operations that
+    :func:`gr.d1` and :func:`gr.d2` must reproduce bit for bit."""
+    u = np.asarray(u)
+    if u.shape[axis] == 1:
+        return np.zeros_like(u)
+    h = grid.spacing(axis)
+    if grid.is_periodic(axis):
+        up, um = np.roll(u, -1, axis), np.roll(u, 1, axis)
+        return (up - um) / (2 * h) if order == 1 else (up - 2 * u + um) / (h * h)
+
+    def take(i):
+        return np.take(u, i, axis)
+
+    k = np.arange(1, u.shape[axis] - 1)
+    if order == 1:
+        parts = ((-3 * take([0]) + 4 * take([1]) - take([2])) / (2 * h),
+                 (take(k + 1) - take(k - 1)) / (2 * h),
+                 (3 * take([-1]) - 4 * take([-2]) + take([-3])) / (2 * h))
+    else:
+        parts = ((2 * take([0]) - 5 * take([1]) + 4 * take([2]) - take([3])) / (h * h),
+                 (take(k + 1) - 2 * take(k) + take(k - 1)) / (h * h),
+                 (2 * take([-1]) - 5 * take([-2]) + 4 * take([-3]) - take([-4])) / (h * h))
+    return np.concatenate(parts, axis)
+
+
 class TestDerivatives:
     def test_linear_strip_field_exact(self):
         g = make_grid()
         u = np.broadcast_to(g.coord_field(2), g.shape).copy()
         np.testing.assert_allclose(gr.d_dz(g, u, 1), 0.5, atol=1e-12)
-        np.testing.assert_allclose(gr.d_dzbar(g, u, 1), 0.5, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["float", "complex", "broadcast", "fortran", "matrix"])
+    def test_matches_the_roll_stencils_bit_for_bit(self, kind):
+        g = make_grid(res=(8, 1, 9, 8))  # periodic, frozen, Re w, periodic
+        rng = np.random.default_rng(60)
+        u = {
+            "float": lambda: rng.normal(size=g.shape),
+            "complex": lambda: rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape),
+            "broadcast": lambda: np.broadcast_to(rng.normal(size=(8, 1, 9, 1)), g.shape),
+            "fortran": lambda: np.asfortranarray(rng.normal(size=g.shape)),
+            "matrix": lambda: random_hermitian(rng, g.shape, 2),
+        }[kind]()
+        for axis in range(4):
+            for order, derivative in ((1, gr.d1), (2, gr.d2)):
+                got, ref = derivative(g, u, axis), roll_stencil(g, u, axis, order)
+                assert got.shape == ref.shape and got.dtype == ref.dtype
+                np.testing.assert_array_equal(got, ref)
+
+    def test_integer_field_is_differentiated_in_floating_point(self):
+        g = make_grid(res=(8, 1, 8, 1))
+        u = np.random.default_rng(61).integers(-3, 4, size=g.shape)
+        for axis in range(4):
+            for derivative in (gr.d1, gr.d2):
+                got = derivative(g, u, axis)
+                assert got.dtype == np.float64
+                np.testing.assert_array_equal(got, derivative(g, u.astype(float), axis))
+        # 1 at Re w index 1: the centered difference at index 2 is -1/(2h), h = 1/7
+        spike = np.zeros(g.shape, dtype=int)
+        spike[:, :, 1] = 1
+        np.testing.assert_array_equal(gr.d1(g, spike, 2)[0, 0, :3, 0], [14.0, 0.0, -3.5])
+
+    def test_mismatched_axis_length_is_refused(self):
+        g = make_grid(res=(8, 1, 8, 1))
+        with pytest.raises(gr.GridError, match="axis 0: field has length 16 where the grid has 8"):
+            gr.d1(g, np.ones((16, 1, 8, 1)), 0)
+        with pytest.raises(gr.GridError, match="axis 1: field has length 8 where the grid has 1"):
+            gr.d2(g, np.ones((8, 8, 8, 1)), 1)
+        with pytest.raises(gr.GridError, match="axis 2: field has length 9 where the grid has 8"):
+            gr.complex_hessian(g, np.ones((8, 1, 9, 1)))
+        # only the differentiated axis is checked, so (n, n) tails pass
+        assert gr.d1(g, np.ones((8, 1, 8, 1, 2, 2)), 0).shape == (8, 1, 8, 1, 2, 2)
 
     def test_constant_field(self):
         g = make_grid()
@@ -785,7 +853,7 @@ class TestGauduchonFields:
         metric = gr.metric_flat(g)
         uform, _ = gr.gauduchon_fields(g, u, chi, np.zeros(g.shape), metric)
         tr_u = np.einsum("...ii->...", uform).real
-        lap = gr.laplacian(g, u, metric)
+        lap = gr.trace_wrt_metric(metric, gr.complex_hessian(g, u))
         np.testing.assert_allclose(tr_u, (2 - 1) * lap + 2.2, atol=1e-10)
 
     def test_hat_transform_identity(self):
@@ -872,8 +940,9 @@ class TestMetricCaches:
         copied = gr.Metric(g, source, name="copy")
         source[...] = 0.0
         np.testing.assert_array_equal(copied.g, metric.g)
+        _, fields = metric.torsion_planes()[0][0]  # the first cached Z plane
         with pytest.raises(ValueError, match="read-only"):
-            metric.z_coefficients()[...] = 0.0
+            fields[0][1][...] = 0.0
 
 
     def test_flat_inv_cholesky_is_identity(self):
@@ -911,7 +980,7 @@ class TestNaturalShape:
             assert full.shape == g.shape + (3, 3) and not full.flags.writeable
             np.testing.assert_array_equal(full, np.broadcast_to(metric.g, full.shape))
         assert gr.metric_flat(g).inverse().shape == (1,) * 6 + (3, 3)
-        assert gr.metric_conformal(g, 0.3).z_coefficients().shape == (16,) + (1,) * 5 + (3, 3, 3)
+        assert gr.z_coefficients(g, gr.metric_conformal(g, 0.3)).shape == (16,) + (1,) * 5 + (3, 3, 3)
 
     @staticmethod
     def assert_close(a, b):
@@ -932,7 +1001,7 @@ class TestNaturalShape:
         chi = 3.0 * metric.matrix()
         rho = np.broadcast_to(0.5 * g.sigma_hat(), g.shape)
         self.assert_close(gr.torsion(g, metric), gr.torsion(g, dense))
-        self.assert_close(metric.z_coefficients(), gr.z_coefficients(g, dense))
+        self.assert_close(gr.z_coefficients(g, metric), gr.z_coefficients(g, dense))
         forms = gr.gauduchon_fields(g, u, chi, rho, metric)
         dense_forms = gr.gauduchon_fields(g, u, chi, rho, dense)
         for form, dense_form in zip(forms, dense_forms):
@@ -1095,22 +1164,27 @@ class TestDiagonalMetric:
         with pytest.raises(gr.PositivityError, match=re.escape("node (2, 0, 5, 0, 1, 0)")):
             gr.Metric(g, gm).validate_positive()
 
-    @pytest.mark.parametrize("make", [
-        gr.metric_flat, lambda g: gr.metric_product(g, product_profile),
-    ], ids=["flat", "product"])
-    def test_torsion_free_z_skips_the_gradient(self, make, monkeypatch):
-        g = self.grid3()
+    # torsion-free metrics, and at n = 2, where Z cancels identically, metrics
+    # with torsion: a diagonal one and the non-diagonal one of TestGeneralMetric
+    @pytest.mark.parametrize("n, make", [
+        (3, gr.metric_flat),
+        (3, lambda g: gr.metric_product(g, product_profile)),
+        (2, lambda g: gr.metric_conformal(g, 0.3)),
+        (2, lambda g: TestGeneralMetric.metric(g)),
+    ], ids=["flat", "product", "conformal-n2", "general-n2"])
+    def test_torsion_free_z_skips_the_gradient(self, n, make, monkeypatch):
+        g = self.grid3() if n == 3 else make_grid(res=(8, 1, 8, 8))
         metric = make(g)
         u = np.random.default_rng(46).normal(size=g.shape)
         chi = 3.0 * metric.matrix()
         rho = np.broadcast_to(0.5 * g.sigma_hat(), g.shape)
-        za = metric.z_coefficients()
+        za = gr.z_coefficients(g, metric)
         assert not np.any(za)
-        uz = np.stack([gr.d_dz(g, u, p) for p in range(3)], axis=-1)
+        uz = np.stack([gr.d_dz(g, u, p) for p in range(n)], axis=-1)
         full = np.einsum("...pij,...p->...ij", za, uz)
         full = full + np.conj(np.swapaxes(full, -1, -2))
         rz = rho[..., None, None] * full
-        shift = (gr.trace_wrt_metric(metric, chi) + gr.trace_wrt_metric(metric, rz)) / 2
+        shift = (gr.trace_wrt_metric(metric, chi) + gr.trace_wrt_metric(metric, rz)) / (n - 1)
         ref_g = gr.complex_hessian(g, u) - chi - rz + shift[..., None, None] * metric.g
         ref_u = gr.hat_transform(metric, ref_g)
         assert metric.torsion_planes() == ((), ())
