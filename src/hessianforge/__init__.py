@@ -3,7 +3,7 @@
 Modules
 -------
 hermitian    bordered Hermitian families and eigenvalue-concentration lemmas
-cones        symmetric cone functions, Garding cones, deleted-sum transforms
+cones        symmetric cone functions, Garding cones, deleted sums, diagonal levels
 grid         the discretized product manifold and complex tensor assembly
 errors       the shared error hierarchy, rooted at ValidationError
 """

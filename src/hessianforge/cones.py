@@ -5,20 +5,21 @@ log-determinant, elementary-symmetric-root, log-sigma, quotient-root and
 log-of-deleted-sums families, each paired with the open symmetric convex
 cone on which it is elliptic (positive partial derivatives) and concave.
 
-Also houses the deleted-sum linear algebra: the symmetric matrix Q with
-zero diagonal and unit off-diagonal entries maps eigenvalue vectors to
-their deleted sums, and the star-power map sends eigenvalues to deleted
-products.  Limits along coordinate rays lam + t e_i are closed forms:
+The deleted sums mu_i = sum_{j != i} lam_j, the image of lam under the
+symmetric matrix Q with zero diagonal and unit off-diagonal entries, are
+formed in one place, ``q_inverse``.  Limits along coordinate rays
+lam + t e_i are closed forms:
 sigma_j(lam + t e_i) = sigma_j(lam) + t sigma_{j-1}(lam without i), and on
 Gamma_k every slope sigma_{j-1}(lam without i), j <= k, is positive, so only
-the quotient family has a finite limit, the ratio of two slopes.
+the quotient family has a finite limit, the ratio of two slopes.  Along
+the diagonal ray every family is 1-homogeneous or logarithmic, so the
+level c with f(c, ..., c) = sigma is a closed form too.
 
 Everything here is pure and accepts batched input along leading axes.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,20 +35,14 @@ __all__ = [
     "sigma_k",
     "sigma_all",
     "sigma_deleted",
-    "q_matrix",
-    "q_inverse_matrix",
-    "q_transform",
     "q_inverse",
-    "star_power_eigs",
     "MarginReport",
     "c_subsolution_margin",
-    "addistruc_probe",
     "concavity_probe",
     "gamma_infinity_member",
     "gamma_r1_member",
     "c_sigma",
     "sample_cone",
-    "sample_pairs",
 ]
 
 
@@ -139,6 +134,8 @@ class Cone:
 
     @staticmethod
     def deleted_sum(n):
+        if n < 2:
+            raise ValidationError(f"deleted-sum cone needs n >= 2, got {n}")
         return Cone("deleted-sum", n)
 
     def _margin_table(self, lam):
@@ -196,6 +193,9 @@ class ConeFunction:
     """
 
     family = None
+    # m with f(c 1) = f(1) + m log c along the diagonal ray for a log family;
+    # None for a root family, where f(c 1) = c f(1).
+    _log_degree = None
 
     def __init__(self, n):
         if n < 2:
@@ -265,6 +265,7 @@ class LogMA(ConeFunction):
     """Sum of eigenvalue logarithms on the positive cone."""
 
     family = "log-ma"
+    _log_degree = property(lambda self: self.n)
 
     def _build_cone(self, n):
         return Cone.gamma(n, n)
@@ -309,6 +310,7 @@ class LogSigmaK(SigmaKRoot):
     """Logarithm of the k-th elementary symmetric polynomial on Gamma_k."""
 
     family = "log-sigma-k"
+    _log_degree = property(lambda self: self.k)
 
     def _value(self, lam, table):
         return np.log(table[..., self.k - 1])
@@ -369,6 +371,7 @@ class LogDeletedSums(ConeFunction):
     """
 
     family = "log-p"
+    _log_degree = property(lambda self: self.n)
 
     def _build_cone(self, n):
         return Cone.deleted_sum(n)
@@ -413,71 +416,15 @@ def cone_function(family, n, k=None, l=None):
 
 
 # ---------------------------------------------------------------------------
-# deleted-sum transforms
-
-def _q_size(n):
-    if n < 2:
-        raise ValidationError("Q is only defined for n >= 2")
-    return n
-
-
-def _q_operand(x):
-    """(x, n): an int/Fraction list or tuple as a list of Fractions, anything
-    else as a float array, with the length n of its last axis."""
-    if isinstance(x, (list, tuple)) and all(isinstance(v, (int, Fraction)) for v in x):
-        x = [Fraction(v) for v in x]
-        return x, _q_size(len(x))
-    x = np.asarray(x, dtype=float)
-    return x, _q_size(x.shape[-1])
-
-
-def q_matrix(n):
-    """The symmetric integer matrix with zero diagonal, ones elsewhere."""
-    n = _q_size(n)
-    return np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
-
-
-def q_inverse_matrix(n):
-    """Exact inverse of Q as a Fraction matrix: (1/(n-1)) J - I."""
-    r = Fraction(1, _q_size(n) - 1)
-    return [[r - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def q_transform(mu):
-    """Map deleted sums back to the underlying vector: lam = mu Q^{-1}.
-
-    Componentwise ``lam_i = sum(mu)/(n-1) - mu_i``.  Integer or Fraction
-    input is processed in exact rational arithmetic so the round trip with
-    :func:`q_inverse` is exact; float input stays float.
-    """
-    mu, n = _q_operand(mu)
-    if isinstance(mu, list):
-        s = sum(mu) / (n - 1)
-        return [s - x for x in mu]
-    return np.sum(mu, axis=-1, keepdims=True) / (n - 1) - mu
-
+# deleted sums
 
 def q_inverse(lam):
     """Map a vector to its deleted sums: mu = lam Q, mu_i = sum_{j != i} lam_j.
 
-    The one place the deleted sums are formed; exact for int or Fraction
-    lists, batched along leading axes for arrays.
-    """
-    lam, _ = _q_operand(lam)
-    if isinstance(lam, list):
-        s = sum(lam)
-        return [s - x for x in lam]
-    return np.sum(lam, axis=-1, keepdims=True) - lam
-
-
-def star_power_eigs(lam):
-    """Deleted products: mu_i = prod_{j != i} lam_j (batched, zeros allowed).
-
-    On strictly positive input this is the exponential of the deleted-sum
-    map applied to the logarithms.
+    The one place the deleted sums are formed; batched along leading axes.
     """
     lam = np.asarray(lam, dtype=float)
-    return sigma_deleted(lam, lam.shape[-1] - 1)
+    return np.sum(lam, axis=-1, keepdims=True) - lam
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +451,6 @@ class MarginReport:
             return -math.inf
         return self.limit - self.psi
 
-    @property
-    def is_subsolution_direction(self):
-        return self.valid and self.margin > 0
-
 
 def c_subsolution_margin(f, lam, psi, i):
     """Margin of the relaxed (asymptotic) subsolution condition in direction i.
@@ -522,15 +465,6 @@ def c_subsolution_margin(f, lam, psi, i):
         raise ValidationError(f"direction index {i} out of range 0..{f.n - 1}")
     valid, limit = f._ray_limit(lam, i)
     return MarginReport(direction=i, valid=valid, limit=limit, psi=float(psi))
-
-
-def addistruc_probe(f, lam, mu):
-    """Sampled certificate sum_i f_i(lam) mu_i > 0 for cone points lam, mu."""
-    lam = np.asarray(lam, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    f._check(mu)
-    g = f.grad(lam)
-    return bool(np.all(np.sum(g * mu, axis=-1) > 0.0))
 
 
 def concavity_probe(f, lam, mu):
@@ -574,42 +508,23 @@ def gamma_r1_member(c, cone):
     return bool(c > 0) if orthant else True
 
 
-def c_sigma(f, sigma, tol=1e-10):
-    """The scalar c with f(c, c, ..., c) = sigma, by monotone bisection.
+def c_sigma(f, sigma):
+    """The scalar c > 0 with f(c, c, ..., c) = sigma, in closed form.
 
-    The diagonal ray enters every built-in cone for c > 0 and f is strictly
-    increasing along it, so a bracket is found by doubling/halving and then
-    bisected until the residual drops below ``tol``.  Levels outside the
-    range attained on the ray raise :class:`ConeDomainError`.
+    The diagonal ray enters every built-in cone for c > 0.  Along it a root
+    family has f(c 1) = c f(1) and a log family of degree m has
+    f(c 1) = f(1) + m log c, so c is sigma / f(1) or exp((sigma - f(1)) / m).
+    Levels that no c > 0 reaches in floating point (NaN, infinite, or not
+    positive for a root family) raise :class:`ConeDomainError`.
     """
     sigma = float(sigma)
-
-    def val(c):
-        return float(f.value(np.full(f.n, c)))
-
-    lo = hi = 1.0
-    for _ in range(600):
-        if val(hi) >= sigma:
-            break
-        hi *= 2.0
-    else:
-        raise ConeDomainError(f"level {sigma} unattainable on the diagonal ray")
-    for _ in range(600):
-        if val(lo) <= sigma:
-            break
-        lo /= 2.0
-    else:
-        raise ConeDomainError(f"level {sigma} unattainable on the diagonal ray")
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        r = val(mid) - sigma
-        if abs(r) < tol:
-            return mid
-        if r < 0:
-            lo = mid
-        else:
-            hi = mid
-    raise ConeDomainError(f"bisection failed to reach residual {tol}")
+    base = f.value(np.ones(f.n))
+    m = f._log_degree
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        c = sigma / base if m is None else np.exp((sigma - base) / m)
+    if not 0.0 < c < math.inf:
+        raise ConeDomainError(f"level {sigma} unattainable on the diagonal ray of {f.describe()}")
+    return float(c)
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +546,3 @@ def sample_cone(cone, count, rng, box=3.0):
         keep.append(good)
         got += len(good)
     return np.concatenate(keep)[:count]
-
-
-def sample_pairs(cone, count, rng, box=3.0):
-    lam = sample_cone(cone, count, rng, box)
-    mu = sample_cone(cone, count, rng, box)
-    return lam, mu

@@ -209,8 +209,11 @@ class ProductGrid:
 def _axis_first(grid, u, axis):
     """A fresh output of float or complex dtype, and u and that output viewed
     with ``axis`` first; on a length-1 axis the output is 0 and no view is
-    taken.  Only ``axis`` is checked, so u may carry trailing (n, n) axes."""
+    taken.  u needs every grid axis; only the length along ``axis`` is
+    checked, so u may carry trailing (n, n) axes."""
     u = np.asarray(u)
+    if u.ndim < len(grid.shape):
+        raise GridError(f"field of shape {u.shape} has fewer axes than the grid {grid.shape}")
     length, res = u.shape[axis], grid.resolutions[axis]
     if length not in (1, res):
         raise GridError(f"axis {axis}: field has length {length} where the grid has {res}")

@@ -53,13 +53,11 @@ class BorderedSpec:
         self.d = np.atleast_1d(np.asarray(self.d, dtype=float))
         self.a = np.atleast_1d(np.asarray(self.a, dtype=complex))
         self.aa = float(self.aa)
-        self.eps = float(self.eps)
+        self.eps = _positive_eps(self.eps)
         if self.d.shape != self.a.shape or self.d.ndim != 1:
             raise ValidationError("d and a must be 1-d arrays of equal length")
         if self.n < 2:
             raise ValidationError("bordered matrices need dimension n >= 2")
-        if self.eps <= 0:
-            raise ValidationError("eps must be positive")
 
     @property
     def n(self):
@@ -87,19 +85,21 @@ class ConcentrationReport:
     eigenvalues: np.ndarray
 
 
+def _positive_eps(eps):
+    """eps as a float, refused unless it is finite and positive."""
+    eps = float(eps)
+    if not 0.0 < eps < np.inf:  # NaN fails both comparisons
+        raise ValidationError(f"eps must be finite and positive, got {eps}")
+    return eps
+
+
 def bordered(spec):
     """Assemble the n x n bordered Hermitian matrix of a :class:`BorderedSpec`."""
-    m = spec.d.size
-    out = np.zeros((m + 1, m + 1), dtype=complex)
-    out[np.arange(m), np.arange(m)] = spec.d
-    out[:m, m] = spec.a
-    out[m, :m] = np.conj(spec.a)
-    out[m, m] = spec.aa
-    return out
+    return bordered_batch(spec.d[None], spec.a[None], [spec.aa])[0]
 
 
 def bordered_batch(d, a, aa):
-    """Vectorized :func:`bordered` for stacks of (d, a, aa) rows."""
+    """Bordered matrices for stacks of (d, a, aa) rows; the only assembly."""
     d = np.asarray(d, dtype=float)
     a = np.asarray(a, dtype=complex)
     aa = np.asarray(aa, dtype=float)
@@ -114,9 +114,7 @@ def bordered_batch(d, a, aa):
 
 
 def _threshold_inputs(eps, d, a):
-    eps = float(eps)
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    eps = _positive_eps(eps)
     d = np.atleast_1d(np.asarray(d, dtype=float))
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     if d.shape != a.shape:
@@ -249,17 +247,17 @@ def concentration_report(spec):
 def count_stability_scan(spec, aa_grid):
     """Per-component eigenvalue counts for each corner value in ``aa_grid``.
 
-    Every grid entry must sit at or above the main growth threshold; the scan
-    refuses otherwise, naming the offending entries.  Rows of the returned
+    Every grid entry must be finite and at or above the main growth
+    threshold; the scan refuses the others, naming them.  Rows of the returned
     integer matrix are the component counts for successive corner values; the
     concentration property makes them identical.
     """
     aa_grid = np.atleast_1d(np.asarray(aa_grid, dtype=float))
     thr = growth_threshold_main(spec.eps, spec.d, spec.a)
-    bad = aa_grid[aa_grid < thr]
+    bad = aa_grid[~(np.isfinite(aa_grid) & (aa_grid >= thr))]
     if bad.size:
         raise ValidationError(
-            f"corner values {bad.tolist()} lie below the growth threshold "
+            f"corner values {bad.tolist()} are not finite or lie below the growth threshold "
             f"{thr:.6g}; counts are only stable above it"
         )
     comps = _components(spec)

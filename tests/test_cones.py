@@ -1,6 +1,6 @@
-"""Cone functions, Garding cones and deleted-sum transforms."""
+"""Cone functions, Garding cones, deleted sums and diagonal levels."""
 import math
-from fractions import Fraction
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +20,10 @@ ALL_FAMILIES = [
 
 def make(family, n, **kw):
     return cn.cone_function(family, n, **kw)
+
+
+def sample_pairs(cone, count, rng):
+    return cn.sample_cone(cone, count, rng), cn.sample_cone(cone, count, rng)
 
 
 def fd_grad(f, lam, h=1e-5):
@@ -78,6 +82,9 @@ class TestSigmaK:
         np.testing.assert_allclose(cn.sigma_deleted(lam, 1), [5, 4, 3])
         np.testing.assert_allclose(cn.sigma_deleted(lam, 2), [6, 3, 2])
         np.testing.assert_allclose(cn.sigma_deleted(lam, 0), [1, 1, 1])
+        # the deleted products, with zeros allowed
+        np.testing.assert_allclose(cn.sigma_deleted([1.0, 1.0, 1.0], 2), [1, 1, 1])
+        np.testing.assert_allclose(cn.sigma_deleted([0.0, 2.0, 3.0], 2), [6, 0, 0])
 
     def test_deleted_out_of_range(self):
         for k in (-1, 3):
@@ -200,7 +207,7 @@ class TestValuesAndGradients:
     def test_concavity_slack_nonnegative(self, family, kw):
         f = make(family, 4, **kw)
         rng = np.random.default_rng(6)
-        lam, mu = cn.sample_pairs(f.cone, 2000, rng)
+        lam, mu = sample_pairs(f.cone, 2000, rng)
         slack = cn.concavity_probe(f, lam, mu)
         assert np.min(slack) >= -1e-9
 
@@ -216,60 +223,33 @@ class TestValuesAndGradients:
     def test_linear_family_zero_slack(self):
         f = make("sigma-k-root", 3, k=1)
         rng = np.random.default_rng(7)
-        lam, mu = cn.sample_pairs(f.cone, 500, rng)
+        lam, mu = sample_pairs(f.cone, 500, rng)
         np.testing.assert_allclose(cn.concavity_probe(f, lam, mu), 0.0, atol=1e-12)
 
 
 class TestQTransform:
     def test_symmetric_point(self):
         np.testing.assert_allclose(cn.q_inverse([1.0, 1.0, 1.0]), [2, 2, 2])
-        np.testing.assert_allclose(cn.q_transform([2.0, 2.0, 2.0]), [1, 1, 1])
 
-    def test_row_sums_and_back(self):
-        mu = cn.q_inverse([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(mu, [5, 4, 3])
-        np.testing.assert_allclose(cn.q_transform(mu), [1, 2, 3])
-
-    def test_exact_round_trip(self):
-        lam = [1, -7, 22, 5]
+    def test_row_sums(self):
+        np.testing.assert_allclose(cn.q_inverse([1.0, 2.0, 3.0]), [5, 4, 3])
+        lam = np.random.default_rng(10).normal(size=(50, 5))
+        q = np.ones((5, 5)) - np.eye(5)
+        np.testing.assert_allclose(cn.q_inverse(lam), lam @ q, rtol=1e-13, atol=1e-14)
+        # Q^{-1} = J/(n-1) - I maps the deleted sums back
         mu = cn.q_inverse(lam)
-        back = cn.q_transform(mu)
-        assert back == [Fraction(x) for x in lam]
+        np.testing.assert_allclose(mu.sum(-1, keepdims=True) / 4 - mu, lam, atol=1e-13)
 
-    def test_qinv_matrix_identity(self):
-        for n in range(2, 8):
-            q = cn.q_matrix(n)
-            qinv = cn.q_inverse_matrix(n)
-            prod = [
-                [sum(Fraction(int(q[i][m])) * qinv[m][j] for m in range(n))
-                 for j in range(n)]
-                for i in range(n)
-            ]
-            for i in range(n):
-                for j in range(n):
-                    assert prod[i][j] == (1 if i == j else 0)
+    def test_deleted_products_are_exp_of_deleted_log_sums(self):
+        rng = np.random.default_rng(8)
+        y = rng.uniform(-1, 1, size=(200, 4))
+        lhs = cn.sigma_deleted(np.exp(y), 3)
+        rhs = np.exp(cn.q_inverse(y))
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_n1_rejected(self):
         with pytest.raises(cn.ValidationError):
-            cn.q_transform([1.0])
-        with pytest.raises(cn.ValidationError):
-            cn.q_matrix(1)
-
-
-class TestStarPower:
-    def test_deleted_products(self):
-        np.testing.assert_allclose(cn.star_power_eigs([1.0, 2.0, 3.0]), [6, 3, 2])
-        np.testing.assert_allclose(cn.star_power_eigs([1.0, 1.0, 1.0]), [1, 1, 1])
-
-    def test_zero_propagation(self):
-        np.testing.assert_allclose(cn.star_power_eigs([0.0, 2.0, 3.0]), [6, 0, 0])
-
-    def test_exp_log_consistency(self):
-        rng = np.random.default_rng(8)
-        y = rng.uniform(-1, 1, size=(200, 4))
-        lhs = cn.star_power_eigs(np.exp(y))
-        rhs = np.exp(cn.q_inverse(y))
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+            cn.Cone.deleted_sum(1)
 
 
 class TestSubsolutionMargin:
@@ -378,21 +358,24 @@ class TestCoordinateRayLimits:
 
 
 class TestAddistruc:
+    """sum_i f_i(lam) mu_i > 0 for lam and mu in the cone."""
+
     def test_log_ma_diagonal(self):
         f = make("log-ma", 3)
         lam = np.array([1.0, 2.0, 3.0])
         assert np.sum(f.grad(lam) * lam) == pytest.approx(3.0)
-        assert cn.addistruc_probe(f, lam, lam)
 
     def test_log_p_mixed_signs(self):
         f = make("log-p", 3)
-        assert cn.addistruc_probe(f, np.array([-1.0, 2.0, 2.0]), np.ones(3))
+        lam, mu = np.array([-1.0, 2.0, 2.0]), np.ones(3)
+        assert f.cone.contains(mu)
+        assert np.sum(f.grad(lam) * mu) > 0
 
     @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
     def test_all_sampled_pairs_positive(self, family, kw):
         f = make(family, 3, **kw)
         rng = np.random.default_rng(9)
-        lam, mu = cn.sample_pairs(f.cone, 2000, rng)
+        lam, mu = sample_pairs(f.cone, 2000, rng)
         g = f.grad(lam)
         assert np.all(np.sum(g * mu, axis=-1) > 0)
         assert np.all(np.sum(g * lam, axis=-1) > 0)
@@ -479,15 +462,31 @@ class TestCSigma:
         f = make("log-p", 3)
         assert cn.c_sigma(f, 3 * math.log(4)) == pytest.approx(2.0, abs=1e-9)
 
-    def test_residual(self):
-        f = make("sigma-k-root", 4, k=2)
-        c = cn.c_sigma(f, 1.7)
-        assert abs(f.value(np.full(4, c)) - 1.7) < 1e-10
+    @pytest.mark.parametrize("sigma", [1e-3, 0.3, 1.7, 12.0, 250.0])
+    @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
+    def test_residual(self, family, kw, sigma):
+        f = make(family, 4, **kw)
+        c = cn.c_sigma(f, sigma)
+        assert abs(f.value(np.full(4, c)) - sigma) <= 1e-13 * max(1.0, abs(sigma))
 
-    def test_unattainable(self):
-        f = make("sigma-k-root", 3, k=2)
-        with pytest.raises(cn.ConeDomainError):
-            cn.c_sigma(f, -1.0)
+    @pytest.mark.parametrize("sigma", [-40.0, -1.0, 0.0])
+    @pytest.mark.parametrize("family", ["log-ma", "log-sigma-k", "log-p"])
+    def test_log_families_reach_levels_below_zero(self, family, sigma):
+        f = make(family, 4, k=3) if family == "log-sigma-k" else make(family, 4)
+        c = cn.c_sigma(f, sigma)
+        assert c > 0
+        assert abs(f.value(np.full(4, c)) - sigma) <= 1e-13 * max(1.0, abs(sigma))
+
+    @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
+    def test_unattainable(self, family, kw):
+        f = make(family, 3, **kw)
+        levels = [math.nan, math.inf, -math.inf]
+        levels += [1e6] if f.family.startswith("log") else [0.0, -0.0, -1.0]
+        for sigma in levels:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(cn.ConeDomainError, match="unattainable on the diagonal ray"):
+                    cn.c_sigma(f, sigma)
 
 
 class TestFactory:

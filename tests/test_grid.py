@@ -127,6 +127,9 @@ class TestDerivatives:
             gr.d2(g, np.ones((8, 8, 8, 1)), 1)
         with pytest.raises(gr.GridError, match="axis 2: field has length 9 where the grid has 8"):
             gr.complex_hessian(g, np.ones((8, 1, 9, 1)))
+        for short in ((8, 1, 8), (8,)):
+            with pytest.raises(gr.GridError, match=r"fewer axes than the grid \(8, 1, 8, 1\)"):
+                gr.complex_hessian(g, np.ones(short))
         # only the differentiated axis is checked, so (n, n) tails pass
         assert gr.d1(g, np.ones((8, 1, 8, 1, 2, 2)), 0).shape == (8, 1, 8, 1, 2, 2)
 

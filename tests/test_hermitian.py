@@ -64,9 +64,10 @@ class TestBordered:
             single = hm.bordered(hm.BorderedSpec(d[t], a[t], aa[t], 1.0))
             np.testing.assert_array_equal(batch[t], single)
 
-    def test_validation(self):
-        with pytest.raises(hm.ValidationError):
-            hm.BorderedSpec([1.0], [1.0], 0.0, -0.1)
+    @pytest.mark.parametrize("eps", [-0.1, 0.0, math.nan, math.inf])
+    def test_validation(self, eps):
+        with pytest.raises(hm.ValidationError, match="eps must be finite and positive"):
+            hm.BorderedSpec([1.0], [1.0], 0.0, eps)
         with pytest.raises(hm.ValidationError):
             hm.BorderedSpec([], [], 0.0, 0.1)
 
@@ -114,11 +115,13 @@ class TestThresholds:
         assert stacked.shape == (40,)
         np.testing.assert_array_equal(stacked, [threshold(0.3, d[t], a[t]) for t in range(40)])
 
-    def test_rejects_bad_eps(self):
-        with pytest.raises(hm.ValidationError):
-            hm.growth_threshold_main(0.0, [1.0], [1.0])
-        with pytest.raises(hm.ValidationError):
-            hm.growth_threshold_refined(-1.0, [1.0], [1.0])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_eps(self, eps):
+        for threshold in (hm.growth_threshold_main, hm.growth_threshold_refined):
+            with pytest.raises(hm.ValidationError, match="eps must be finite and positive"):
+                threshold(eps, [1.0], [1.0])
+        with pytest.raises(hm.ValidationError, match="eps must be finite and positive"):
+            hm.lemma_trial_batch(3, eps, 10, 1)
 
 
 class TestConcentrationReport:
@@ -193,10 +196,12 @@ class TestCountStability:
         for row in rows:
             np.testing.assert_array_equal(row, [2])
 
-    def test_refuses_below_threshold(self):
+    @pytest.mark.parametrize("corner", [1.0, math.nan, math.inf, -math.inf])
+    def test_refuses_below_threshold(self, corner):
         spec = hm.BorderedSpec([0.0, 5.0], [1.0, 1.0], 0.0, 0.5)
-        with pytest.raises(hm.ValidationError, match="threshold"):
-            hm.count_stability_scan(spec, [1.0])
+        thr = hm.growth_threshold_main(0.5, spec.d, spec.a)
+        with pytest.raises(hm.ValidationError, match=rf"corner values \[{corner}\] .*threshold"):
+            hm.count_stability_scan(spec, [thr, corner])
 
     def test_counts_constant_along_rays(self):
         rng = np.random.default_rng(3)
