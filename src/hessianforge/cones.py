@@ -49,30 +49,32 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # elementary symmetric polynomials
 
-def sigma_all(lam):
-    """All elementary symmetric polynomials e_0..e_n of the last axis.
-
-    Uses the incremental product recurrence (multiply in one root at a
-    time, updating coefficients in place from the top), the numerically
-    stable way to evaluate these without forming the power sums.
-    """
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    e = np.zeros(lam.shape[:-1] + (n + 1,))
+def _sigma_table(lam, top):
+    """Elementary symmetric polynomials e_0..e_top of the last axis of a
+    float array, by the incremental product recurrence (multiply in one root
+    at a time, updating coefficients in place from the top), the stable way
+    that forms no power sums.  Each order reads only lower ones, so e_0..e_top
+    do not depend on ``top``, and no unread order above it can overflow."""
+    e = np.zeros(lam.shape[:-1] + (top + 1,))
     e[..., 0] = 1.0
-    for i in range(n):
+    for i in range(lam.shape[-1]):
         x = lam[..., i]
-        for j in range(min(i + 1, n), 0, -1):
+        for j in range(min(i + 1, top), 0, -1):
             e[..., j] += x * e[..., j - 1]
     return e
+
+
+def sigma_all(lam):
+    """All elementary symmetric polynomials e_0..e_n of the last axis."""
+    return _sigma_table(np.asarray(lam, dtype=float), np.shape(lam)[-1])
 
 
 def sigma_k(lam, k):
     """k-th elementary symmetric polynomial of the last axis.
 
-    ``k`` may also be a range of orders, read as a view along the last
-    axis of one recurrence's table.  The cone functions read every sigma
-    of lam through here (see ``Cone._margin_table``).
+    ``k`` may also be a range of orders, read as a view of one recurrence
+    run to the highest order read.  The cone functions read every sigma of
+    lam through here (see ``Cone._margin_table``).
     """
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[-1]
@@ -81,19 +83,19 @@ def sigma_k(lam, k):
         raise ValidationError(f"order k={k} out of range 1..{n}")
     if isinstance(k, range):
         k = slice(k.start, k.stop, k.step)
-    return sigma_all(lam)[..., k]
+    return _sigma_table(lam, max(orders))[..., k]
 
 
-def _deleted_table(lam):
-    """sigma_all of lam with one coordinate deleted, for every coordinate.
+def _deleted_table(lam, top):
+    """sigma_0..sigma_top of float lam with each coordinate deleted in turn.
 
-    Shape ``lam.shape + (n,)``: axis -2 indexes the deleted coordinate and
-    axis -1 the order 0..n-1.  One pass of the recurrence over the stacked
+    Shape ``lam.shape + (top + 1,)``: axis -2 indexes the deleted coordinate
+    and axis -1 the order.  One pass of the recurrence over the stacked
     deleted vectors, so no unstable downdate is needed.
     """
     n = lam.shape[-1]
     m = np.arange(n - 1)
-    return sigma_all(lam[..., m + (m >= np.arange(n)[:, None])])
+    return _sigma_table(lam[..., m + (m >= np.arange(n)[:, None])], top)
 
 
 def sigma_deleted(lam, k):
@@ -106,7 +108,7 @@ def sigma_deleted(lam, k):
     n = lam.shape[-1]
     if not 0 <= k < n:
         raise ValidationError(f"order k={k} out of range 0..{n - 1}")
-    return _deleted_table(lam)[..., k].copy()  # a view would keep the whole table alive
+    return _deleted_table(lam, k)[..., k].copy()  # a view would keep the whole table alive
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +191,9 @@ class ConeFunction:
     Subclasses fill in ``_value``/``_grad`` on points known to lie in the
     cone; each receives the table the cone check computed (see
     ``Cone._margin_table``).  Public entry points validate cone membership
-    and raise :class:`ConeDomainError` carrying the violated inequality.
+    and raise :class:`ConeDomainError` carrying the violated inequality and,
+    for batched input, the node (the index in lam's batch shape, a grid node
+    for an eigenvalue field) and flat index of the first point outside.
     """
 
     family = None
@@ -237,7 +241,8 @@ class ConeFunction:
             where, point = "", lam
             if lam.ndim > 1:
                 first = int(np.flatnonzero(~(margin.reshape(-1) > 0.0))[0])
-                where, point = f" at flat index {first}", lam.reshape(-1, self.n)[first]
+                node = tuple(int(v) for v in np.unravel_index(first, margin.shape))
+                where, point = f" at node {node}, flat index {first}", lam[node]
             raise ConeDomainError(
                 f"point outside {self.cone.ray_description()}{where}: "
                 + self.cone.violated_inequality(point)
@@ -345,7 +350,7 @@ class QuotientRoot(ConeFunction):
     def _grad(self, lam, table):
         ek = table[..., self.k - 1, None]
         el = table[..., self.l - 1, None]
-        d = _deleted_table(lam)
+        d = _deleted_table(lam, self.k - 1)
         dk = d[..., self.k - 1]
         dl = d[..., self.l - 1]
         val = (ek / el) ** (1.0 / (self.k - self.l))
@@ -353,7 +358,7 @@ class QuotientRoot(ConeFunction):
 
     def _ray_limit(self, lam, i):
         # The ratio of the slopes of sigma_k and sigma_l along the ray.
-        d = _deleted_table(lam)[i]
+        d = _deleted_table(lam, self.k - 1)[i]
         dk, dl = d[self.k - 1], d[self.l - 1]
         if not (dk > 0.0 and dl > 0.0):  # rounding at the cone's boundary
             return False, -math.inf
@@ -486,13 +491,15 @@ def gamma_infinity_member(lam_prime, cone):
 
     Exact, from closed forms: the projection of Gamma_k is Gamma_{k-1} in
     n-1 variables (Gamma_1 projects onto all of R^(n-1)), and the
-    deleted-sum cone projects onto {sum lam' > 0}.
+    deleted-sum cone projects onto {sum lam' > 0}.  lam' must be finite.
     """
     lam_prime = np.asarray(lam_prime, dtype=float)
     if lam_prime.shape != (cone.n - 1,):
         raise ValidationError(
             f"projection test expects length {cone.n - 1}, got {lam_prime.shape}"
         )
+    if not np.all(np.isfinite(lam_prime)):
+        raise ValidationError(f"projection test needs a finite point, got {lam_prime}")
     if cone.kind != "gamma":
         return bool(np.sum(lam_prime) > 0)
     return cone.k == 1 or bool(Cone.gamma(cone.k - 1, cone.n - 1).contains(lam_prime))
@@ -502,8 +509,10 @@ def gamma_r1_member(c, cone):
     """Membership of the scalar c in {c : (t,...,t,c) in cone for some t>0}.
 
     Exact: the set is (0, inf) when the cone is the positive orthant (Gamma_n,
-    or the deleted-sum cone at n = 2) and all of R otherwise.
+    or the deleted-sum cone at n = 2) and all of R otherwise.  c must be finite.
     """
+    if not math.isfinite(c):
+        raise ValidationError(f"ray test needs a finite c, got {c}")
     orthant = cone.k == cone.n if cone.kind == "gamma" else cone.n == 2
     return bool(c > 0) if orthant else True
 

@@ -316,7 +316,7 @@ def _torsion_planes(metric, za):
     have no planes, and the conformal metric at n = 3 has 7 fields in each
     set.
     """
-    tr = np.einsum("...ji,...pij->...p", metric.inverse(), za)
+    tr = np.einsum("...ji,...pij->...p", metric.inverse, za)
     wa = tr[..., :, None, None] * metric.g[..., None, :, :] / (metric.grid.n - 1) - za
     return _planes(za), _planes(wa)
 
@@ -400,45 +400,38 @@ class Metric:
     Missing leading axes are padded with 1s; any other shape raises
     :class:`GridError`.  :meth:`matrix` is a read-only full-shape view.
 
-    A metric cannot be changed after construction, so its caches never go
-    stale: the dataclass is frozen, and ``g`` is kept as a read-only complex
-    copy, so writing into it raises and writing into the array it was built
-    from does not reach it.  Everything that depends on the metric alone is
-    computed once, on first use, at the broadcast shape of ``g``, and
-    returned read-only:
+    Construction checks g, then computes all that depends on the metric
+    alone, so every metric is valid and complete.  g must be finite, or
+    :class:`PositivityError` names the first node with a NaN or infinite
+    entry; Hermitian to the tolerance of :func:`check_hermitian_field`, or
+    :class:`ValidationError`; and positive definite, or
+    :meth:`validate_positive` names the first node that is not.  Kept
+    read-only, at the broadcast shape of ``g``:
 
-    - the inverse (:meth:`inverse`),
-    - the inverse Cholesky factor that reduces the generalized eigenproblem
-      (:meth:`inv_cholesky`),
-    - the torsion term as real coefficient planes on the first derivatives
-      of u (:meth:`torsion_planes`): those of Z, read by :func:`z_tensor`,
-      and those of the g-form's term W/(n-1), read by
-      :func:`gauduchon_fields`; neither the torsion nor the Z coefficient
-      tensor they are built from is kept,
-    - a passed positivity check (:meth:`validate_positive`).
+    - ``inverse``, the per-node inverse of g;
+    - ``inv_cholesky``, the inverse lower Cholesky factor that reduces the
+      generalized eigenproblem of :func:`eig_wrt_metric`;
+    - ``torsion_planes``, the torsion term as real coefficient planes (see
+      :func:`_torsion_planes`): the Z planes, read by :func:`z_tensor`,
+      and the W/(n-1) planes, read by :func:`gauduchon_fields`;
+    - ``is_flat`` (g is exactly the identity), which lets
+      :func:`eig_wrt_metric` skip the reduction, and ``is_diagonal`` (every
+      off-diagonal entry is exactly 0), which makes that reduction,
+      :func:`trace_wrt_metric` and :func:`hat_transform` elementwise.
 
-    ``g`` must be finite, or construction raises :class:`PositivityError`
-    naming the first node with a NaN or infinite entry, and Hermitian to
-    the tolerance of :func:`check_hermitian_field`, or it raises
-    :class:`ValidationError`.  Two properties are found once, from the data:
-    ``is_flat`` (g is exactly the identity) lets :func:`eig_wrt_metric` skip
-    the reduction, and ``is_diagonal`` (every off-diagonal entry is exactly
-    0) makes it reduce elementwise instead of by matrix products, and makes
-    :func:`trace_wrt_metric` and :func:`hat_transform` elementwise.
-
-    Two metrics are equal only when they are the same object, which also
-    makes a metric hashable.  ``name`` records the preset for run ledgers.
+    Nothing can change afterwards: the dataclass is frozen, and ``g`` is a
+    read-only complex copy, so writing into it raises and writing into the
+    array it was built from does not reach it.  Two metrics are equal only
+    when they are the same object, which also makes a metric hashable.
     """
 
     grid: ProductGrid
     g: np.ndarray
-    name: str = "custom"
-    is_flat: bool = field(default=False, init=False)
-    is_diagonal: bool = field(default=False, init=False)
-    _inv: np.ndarray = field(default=None, init=False, repr=False)
-    _linv: np.ndarray = field(default=None, init=False, repr=False)
-    _planes: tuple = field(default=None, init=False, repr=False)
-    _positive: bool = field(default=False, init=False, repr=False)
+    is_flat: bool = field(init=False)
+    is_diagonal: bool = field(init=False)
+    inverse: np.ndarray = field(init=False, repr=False)
+    inv_cholesky: np.ndarray = field(init=False, repr=False)
+    torsion_planes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.grid.n
@@ -454,8 +447,13 @@ class Metric:
             raise PositivityError(f"metric has a NaN or infinite entry at node {node}")
         check_hermitian_field(g)
         self._keep("g", g)
+        self.validate_positive()
         object.__setattr__(self, "is_flat", bool(np.all(g == np.eye(n))))
         object.__setattr__(self, "is_diagonal", bool(np.all((g == 0) | np.eye(n, dtype=bool))))
+        self._keep("inverse", np.linalg.inv(g))
+        self._keep("inv_cholesky", np.linalg.inv(np.linalg.cholesky(g)))
+        planes = _torsion_planes(self, z_coefficients(self.grid, self))
+        object.__setattr__(self, "torsion_planes", planes)
 
     def _keep(self, name, value):
         """Store a read-only array on the frozen metric."""
@@ -466,32 +464,10 @@ class Metric:
         """Read-only view of g at the full grid shape ``grid.shape + (n, n)``."""
         return np.broadcast_to(self.g, self.grid.shape + self.g.shape[-2:])
 
-    def inverse(self):
-        if self._inv is None:
-            self._keep("_inv", np.linalg.inv(self.g))
-        return self._inv
-
-    def inv_cholesky(self):
-        """Inverse of the per-node Cholesky factor of g (lower triangular)."""
-        if self._linv is None:
-            lo = np.linalg.cholesky(self.g)
-            self._keep("_linv", np.linalg.inv(lo))
-        return self._linv
-
-    def torsion_planes(self):
-        """The :func:`_torsion_planes` pair (Z planes, W planes) of this
-        metric, computed once."""
-        if self._planes is None:
-            planes = _torsion_planes(self, z_coefficients(self.grid, self))
-            object.__setattr__(self, "_planes", planes)
-        return self._planes
-
     def validate_positive(self):
         """Raise :class:`PositivityError` at the first node where g is not
-        positive definite; once the check has passed it returns at once.
-        The node is read in the shape of ``g``, where it is a grid node."""
-        if self._positive:
-            return
+        positive definite, read in the shape of ``g``, where it is a grid
+        node.  Construction runs this check; each call runs it again."""
         low = np.linalg.eigvalsh(self.g)[..., 0]
         bad = low <= 0
         if np.any(bad):
@@ -500,20 +476,17 @@ class Metric:
                 f"metric not positive definite at node {node}"
                 f" (min eigenvalue there {float(low[node]):.3e})"
             )
-        object.__setattr__(self, "_positive", True)
 
 
 def metric_flat(grid):
-    return Metric(grid, np.eye(grid.n), name="flat")
+    return Metric(grid, np.eye(grid.n))
 
 
 def metric_conformal(grid, eps):
     """Conformal metric exp(eps * cos(2 pi x_1 / L)) times the identity."""
     lx = grid.torus_periods[0][0]
     rho = eps * np.cos(2 * math.pi * grid.coord_field(0) / lx)
-    m = Metric(grid, np.exp(rho)[..., None, None] * np.eye(grid.n), name=f"conformal({eps})")
-    m.validate_positive()
-    return m
+    return Metric(grid, np.exp(rho)[..., None, None] * np.eye(grid.n))
 
 
 def metric_product(grid, profile):
@@ -521,9 +494,7 @@ def metric_product(grid, profile):
     sigma = grid.sigma_hat()
     diag = np.ones(sigma.shape + (grid.n,), dtype=complex)
     diag[..., -1] = profile(sigma)
-    m = Metric(grid, diag[..., None] * np.eye(grid.n), name="product")
-    m.validate_positive()
-    return m
+    return Metric(grid, diag[..., None] * np.eye(grid.n))
 
 
 # ---------------------------------------------------------------------------
@@ -563,18 +534,27 @@ def gfield(grid, u, chi, eta=None):
     return _assemble(grid, u, planes) + chi
 
 
+def _check_grid(grid, metric):
+    """Refuse a grid other than the metric's with :class:`GridError`."""
+    if grid != metric.grid:
+        raise GridError(f"grid {grid} is not the metric's grid {metric.grid}")
+
+
 def torsion(grid, metric):
     """Chern torsion T^k_{ij} of the metric, antisymmetric in (i, j).
 
     Indices are stored as T[..., k, i, j], at the broadcast shape of the
-    metric's ``g``: zero along every axis the metric does not vary on.
+    metric's ``g``: zero along every axis the metric does not vary on.  This
+    function, :func:`z_coefficients`, :func:`z_tensor` and
+    :func:`gauduchon_fields` refuse a grid other than ``metric.grid``.
     """
+    _check_grid(grid, metric)
     n = grid.n
     g = metric.g
     dg = np.stack(
         [d_dz(grid, g, i) for i in range(n)], axis=-3
     )  # dg[..., i, j, l] = partial_i g_{j lbar}
-    ginv = metric.inverse()
+    ginv = metric.inverse
     # g^{k lbar} = inverse matrix entry [l, k]
     anti = dg - np.swapaxes(dg, -3, -2)  # partial_i g_{j l} - partial_j g_{i l}
     return np.einsum("...lk,...ijl->...kij", ginv, anti)
@@ -586,12 +566,13 @@ def z_coefficients(grid, metric, t=None):
     Encodes the six-term torsion contraction of the gradient tensor in the
     deformed-form equation; Z vanishes identically for torsion-free metrics
     and is linear in the holomorphic gradient of u.  Computed afresh on
-    every call; :meth:`Metric.torsion_planes` keeps, once per metric, the
-    real coefficient planes built from it.
-    The result has the broadcast shape of the metric's ``g``.  At n = 2,
-    where T^k_ij has only the components T^k_01 = -T^k_10, the terms cancel
-    identically, and the result is exactly zero rather than rounding residue.
+    every call; a :class:`Metric` keeps the real coefficient planes built
+    from it as ``torsion_planes``.  The result has the broadcast shape of
+    the metric's ``g``.  At n = 2, where T^k_ij has only the components
+    T^k_01 = -T^k_10, the terms cancel identically, and the result is
+    exactly zero rather than rounding residue.
     """
+    _check_grid(grid, metric)
     n = grid.n
     if n == 2:
         lead = np.broadcast_shapes(metric.g.shape[:-2], () if t is None else t.shape[:-3])
@@ -600,7 +581,7 @@ def z_coefficients(grid, metric, t=None):
         t = torsion(grid, metric)
     tau = np.einsum("...kik->...i", t)  # tau_i = sum_k T^k_{ik}
     g = metric.g
-    ginv = metric.inverse()
+    ginv = metric.inverse
     # w_p = sum_q g^{p qbar} conj(tau_q)
     w = np.einsum("...qp,...q->...p", ginv, np.conj(tau))
     # b[p, i, j] = sum_{l, q} g^{k=p, lbar} g_{i qbar} conj(T^q_{l j})
@@ -618,11 +599,12 @@ def z_tensor(grid, metric, u, za=None):
     """Gradient tensor Z(partial u) as a Hermitian field.
 
     Assembled from real coefficient planes on the first derivatives of u:
-    the metric's cached Z planes (:meth:`Metric.torsion_planes`), or planes
-    built from ``za`` when it is given.  A torsion-free metric has no
-    planes, and the zero field is returned without differentiating u.
+    the Z planes of ``metric.torsion_planes``, or planes built from ``za``
+    when it is given.  A torsion-free metric has no planes, and the zero
+    field is returned without differentiating u.
     """
-    planes = metric.torsion_planes()[0] if za is None else _planes(za)
+    _check_grid(grid, metric)
+    planes = metric.torsion_planes[0] if za is None else _planes(za)
     return _assemble(grid, u, planes, hessian=False)
 
 
@@ -640,7 +622,7 @@ def trace_wrt_metric(metric, h):
 
     On a diagonal metric it is the elementwise sum of g^{i ibar} Re H_{i ibar}.
     """
-    ginv = metric.inverse()
+    ginv = metric.inverse
     if not metric.is_diagonal:
         return np.einsum("...ji,...ij->...", ginv, h).real
     tr = ginv[..., 0, 0].real * h[..., 0, 0].real
@@ -673,13 +655,13 @@ def gauduchon_fields(grid, u, chi, rho, metric):
 
     Both are assembled in one pass.  The g-form's Hessian and torsion term
     rho W/(n-1) come from one :func:`_assemble` call: the first derivatives
-    of u are formed once and shared, and W/(n-1) enters through the metric's
-    cached real coefficient planes (:meth:`Metric.torsion_planes`), weighted
-    by rho.  chihat is added after, and U is the :func:`hat_transform` of
-    the g-form.  On a diagonal metric the traces and the multiples of omega
-    are elementwise.
+    of u are formed once and shared, and W/(n-1) enters through the W
+    planes of ``metric.torsion_planes``, weighted by rho.  chihat is added
+    after, and U is the :func:`hat_transform` of the g-form.  On a diagonal
+    metric the traces and the multiples of omega are elementwise.
     """
-    g_form = _assemble(grid, u, metric.torsion_planes()[1], weight=rho)
+    _check_grid(grid, metric)
+    g_form = _assemble(grid, u, metric.torsion_planes[1], weight=rho)
     g_form -= chi
     _add_metric_multiple(g_form, trace_wrt_metric(metric, chi) / (grid.n - 1), metric)
     return hat_transform(metric, g_form), g_form
@@ -886,13 +868,15 @@ def _eigh(h, vectors, overwrite=False):
 def eig_wrt_metric(h, metric, vectors=False):
     """Eigenvalues (ascending) of a Hermitian field relative to the metric.
 
-    Unless the metric is exactly the identity, the generalized problem is
-    reduced through the per-node inverse Cholesky factor L^-1, which
-    broadcasts from the metric's shape: h becomes L^-1 h L^-H, and an
+    h must end in the metric's (n, n), or :class:`GridError` names both
+    shapes; with a flat metric its leading axes may be any stack.  Unless
+    the metric is exactly the identity, the generalized problem is reduced
+    through ``metric.inv_cholesky``, the per-node L^-1 the metric holds
+    from construction: h becomes L^-1 h L^-H, symmetrized, and an
     eigenvector v of that becomes L^-H v, so returned eigenvectors are
     metric-orthonormal.  For a diagonal metric L^-1 is the diagonal d of
-    1/sqrt(g_ii), and both steps are elementwise: h_ij d_i d_j and d_i v_i.
-    The real weight keeps h Hermitian, so no symmetrization follows.
+    1/sqrt(g_ii), and both steps are elementwise: h_ij d_i d_j and d_i v_i;
+    the real weight keeps h Hermitian, so no symmetrization follows.
 
     Every eigenpair comes from :func:`_eigh`, the one driver, flat metric
     or not: closed forms at n = 2 and n = 3, and LAPACK's ``eigh`` at
@@ -908,10 +892,12 @@ def eig_wrt_metric(h, metric, vectors=False):
     names the node.
     """
     h = np.asarray(h)
+    n = metric.grid.n
+    if h.shape[-2:] != (n, n):
+        raise GridError(f"field of shape {h.shape} does not end in the metric's ({n}, {n})")
     if metric.is_flat:
         return _eigh(h, vectors)
-    metric.validate_positive()
-    linv = metric.inv_cholesky()
+    linv = metric.inv_cholesky
     with np.errstate(invalid="ignore"):
         if metric.is_diagonal:
             d = np.diagonal(linv, axis1=-2, axis2=-1).real[..., :, None]

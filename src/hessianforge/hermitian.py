@@ -53,7 +53,7 @@ class BorderedSpec:
         self.d = np.atleast_1d(np.asarray(self.d, dtype=float))
         self.a = np.atleast_1d(np.asarray(self.a, dtype=complex))
         self.aa = float(self.aa)
-        self.eps = _positive_eps(self.eps)
+        self.eps = _finite_positive(self.eps, "eps")
         if self.d.shape != self.a.shape or self.d.ndim != 1:
             raise ValidationError("d and a must be 1-d arrays of equal length")
         if self.n < 2:
@@ -85,12 +85,12 @@ class ConcentrationReport:
     eigenvalues: np.ndarray
 
 
-def _positive_eps(eps):
-    """eps as a float, refused unless it is finite and positive."""
-    eps = float(eps)
-    if not 0.0 < eps < np.inf:  # NaN fails both comparisons
-        raise ValidationError(f"eps must be finite and positive, got {eps}")
-    return eps
+def _finite_positive(value, name):
+    """value as a float, refused, as ``name``, unless finite and positive."""
+    value = float(value)
+    if not 0.0 < value < np.inf:  # NaN fails both comparisons
+        raise ValidationError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 def bordered(spec):
@@ -114,7 +114,7 @@ def bordered_batch(d, a, aa):
 
 
 def _threshold_inputs(eps, d, a):
-    eps = _positive_eps(eps)
+    eps = _finite_positive(eps, "eps")
     d = np.atleast_1d(np.asarray(d, dtype=float))
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     if d.shape != a.shape:
@@ -194,9 +194,13 @@ def interval_components(d, radius):
 
     Returns a list of ``(lo, hi)`` tuples in increasing order.  Intervals
     that merely touch at an endpoint stay separate (the union of two open
-    intervals sharing only an endpoint is disconnected).
+    intervals sharing only an endpoint is disconnected).  ``d`` must be
+    finite and not empty, and ``radius`` finite and positive.
     """
+    radius = _finite_positive(radius, "radius")
     ds = np.sort(np.asarray(d, dtype=float))
+    if ds.size == 0 or not np.all(np.isfinite(ds)):
+        raise ValidationError(f"interval centres must be finite and not empty, got {ds}")
     comps = []
     lo, hi = ds[0] - radius, ds[0] + radius
     for x in ds[1:]:

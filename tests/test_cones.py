@@ -1,5 +1,6 @@
 """Cone functions, Garding cones, deleted sums and diagonal levels."""
 import math
+import re
 import warnings
 
 import numpy as np
@@ -94,16 +95,29 @@ class TestSigmaK:
     def test_value_grad_runs_the_recurrence_at_most_twice(self, monkeypatch):
         calls = []
 
-        def counting(lam):
-            calls.append(np.shape(lam))
-            return sigma_all(lam)
+        def counting(lam, top):
+            calls.append((np.shape(lam), top))
+            return table(lam, top)
 
         f = make("quotient-root", 6, k=3, l=1)
         lam = cn.sample_cone(f.cone, 50, np.random.default_rng(5))
-        sigma_all = cn.sigma_all
-        monkeypatch.setattr(cn, "sigma_all", counting)
+        table = cn._sigma_table
+        monkeypatch.setattr(cn, "_sigma_table", counting)
         f.value_grad(lam)
         assert 1 <= len(calls) <= 2
+        # each run stops at the highest order its reader needs: sigma_1..sigma_3
+        # for the cone, and the deleted sigma_0..sigma_2 for the gradient
+        assert calls == [((50, 6), 3), ((50, 6, 5), 2)]
+
+    @pytest.mark.filterwarnings("error")
+    def test_orders_above_the_read_ones_are_not_formed(self):
+        # sigma_8 of (1e50, ..., 1e50) overflows; sigma_1 = 8e50 does not
+        lam = np.full(8, 1e50)
+        f = make("sigma-k-root", 8, k=1)
+        assert f.value(lam) == cn.Cone.gamma(1, 8).margin(lam) == pytest.approx(8e50, rel=1e-15)
+        np.testing.assert_array_equal(f.grad(lam), np.ones(8))
+        np.testing.assert_allclose(cn.sigma_deleted(lam, 1), np.full(8, 7e50), rtol=1e-15)
+        np.testing.assert_allclose(cn.sigma_k(lam, range(1, 3)), [8e50, 28e100], rtol=1e-15)
 
 
 class TestConeMembership:
@@ -163,8 +177,12 @@ class TestValuesAndGradients:
     def test_batched_point_outside_names_flat_index(self):
         lam = np.ones((2, 3, 3))
         lam[1, 2] = [1.0, 1.0, -1.0]
-        with pytest.raises(cn.ConeDomainError, match="at flat index 5: sigma_2 = -1"):
+        with pytest.raises(cn.ConeDomainError, match=re.escape("at node (1, 2), flat index 5: sigma_2 = -1")):
             make("log-ma", 3).value_grad(lam)
+        lam = np.ones((3, 4, 2))
+        lam[1, 2] = [1.0, -2.0]  # flat index 6 in the batch shape (3, 4)
+        with pytest.raises(cn.ConeDomainError, match=re.escape("at node (1, 2), flat index 6:")):
+            make("log-ma", 2).value_grad(lam)
 
     def test_nan_point_rejected(self):
         with pytest.raises(cn.ConeDomainError, match="sigma_1 = nan"):
@@ -174,7 +192,7 @@ class TestValuesAndGradients:
     def test_batched_nan_names_flat_index(self, family, kw):
         lam = np.full((2, 3, 3), 2.0)
         lam[1, 0, 1] = np.nan
-        with pytest.raises(cn.ConeDomainError, match="at flat index 3:"):
+        with pytest.raises(cn.ConeDomainError, match=re.escape("at node (1, 0), flat index 3:")):
             make(family, 3, **kw).value_grad(lam)
 
     @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
@@ -425,6 +443,15 @@ class TestProjectionMembership:
         assert cn.gamma_r1_member(-5.0, cn.Cone.deleted_sum(2)) is False
         assert cn.gamma_r1_member(0.5, cn.Cone.deleted_sum(2)) is True
 
+    @pytest.mark.parametrize("cone", [cn.Cone.gamma(1, 3), cn.Cone.gamma(3, 3), cn.Cone.deleted_sum(3)],
+                             ids=["gamma1", "gamma3", "deleted-sum"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_refused(self, cone, bad):
+        with pytest.raises(cn.ValidationError, match="finite"):
+            cn.gamma_r1_member(bad, cone)
+        with pytest.raises(cn.ValidationError, match="finite"):
+            cn.gamma_infinity_member(np.array([bad, 1.0]), cone)
+
     def test_closed_forms_agree_with_ladder(self):
         rng = np.random.default_rng(2024)
         certified = 0
@@ -509,12 +536,12 @@ class TestFactory:
     def test_one_validation_error_across_modules(self):
         assert hm.ValidationError is cn.ValidationError
         grid = gr.ProductGrid(2, ((1.0, 1.0),), (0.0, 1.0), (8, 1, 8, 1))
-        negative = gr.Metric(grid, -np.broadcast_to(np.eye(2), grid.shape + (2, 2)))
+        negative = -np.broadcast_to(np.eye(2), grid.shape + (2, 2))
         raisers = [
             (cn.ValidationError, lambda: hm.BorderedSpec([1.0], [1.0], 0.0, -0.1)),
             (cn.ConeDomainError, lambda: make("log-ma", 2).value([1.0, -1.0])),
             (gr.GridError, lambda: gr.ProductGrid(2, ((1.0, 1.0),), (1.0, 0.0), (8, 1, 8, 1))),
-            (gr.PositivityError, negative.validate_positive),
+            (gr.PositivityError, lambda: gr.Metric(grid, negative)),
         ]
         for kind, raiser in raisers:
             with pytest.raises(cn.ValidationError) as caught:

@@ -319,7 +319,7 @@ def z_tensor_loops(grid, metric, u):
     n = grid.n
     t = gr.torsion(grid, metric)
     g = metric.matrix()
-    ginv_mat = metric.inverse()
+    ginv_mat = metric.inverse
 
     def up(i, j):  # g^{i jbar}
         return ginv_mat[..., j, i]
@@ -407,7 +407,7 @@ class TestEigWrtMetric:
         g = make_grid(res=(8, 1, 8, 1))
         two = np.zeros(g.shape + (2, 2), dtype=complex)
         two[..., 0, 0] = two[..., 1, 1] = 2.0
-        metric = gr.Metric(g, two, name="2I")
+        metric = gr.Metric(g, two)
         h = np.broadcast_to(np.eye(2, dtype=complex), g.shape + (2, 2))
         lam = gr.eig_wrt_metric(h, metric)
         np.testing.assert_allclose(lam, 0.5)
@@ -426,7 +426,7 @@ class TestEigWrtMetric:
 
         gm = rand_herm(True)
         h = rand_herm(False)
-        metric = gr.Metric(g, gm, name="random")
+        metric = gr.Metric(g, gm)
         lam = gr.eig_wrt_metric(h, metric)
         flat_h = h.reshape(-1, n, n)
         flat_g = gm.reshape(-1, n, n)
@@ -439,7 +439,7 @@ class TestEigWrtMetric:
         gm = np.zeros(g.shape + (2, 2), dtype=complex)
         gm[..., 0, 0], gm[..., 1, 1] = 2.0, 1.0
         gm[..., 0, 1] = gm[..., 1, 0] = 0.3
-        metric = gr.Metric(g, gm, name="t")
+        metric = gr.Metric(g, gm)
         h = np.broadcast_to(np.diag([1.0, -1.0]).astype(complex), g.shape + (2, 2))
         lam, v = gr.eig_wrt_metric(h, metric, vectors=True)
         gram = np.conj(np.swapaxes(v, -1, -2)) @ gm @ v
@@ -450,10 +450,17 @@ class TestEigWrtMetric:
         gm = np.zeros(g.shape + (2, 2), dtype=complex)
         gm[..., 0, 0], gm[..., 1, 1] = 1.0, 1.0
         gm[3, 0, 4, 0] = [[-1.0, 0.0], [0.0, 1.0]]
-        metric = gr.Metric(g, gm, name="bad")
-        for _ in range(2):  # a failed check is not remembered as a pass
-            with pytest.raises(gr.PositivityError, match="node"):
-                gr.eig_wrt_metric(np.broadcast_to(np.eye(2, dtype=complex), gm.shape), metric)
+        # refused at construction, so no metric that is not positive exists
+        with pytest.raises(gr.PositivityError, match=re.escape("node (3, 0, 4, 0)")):
+            gr.Metric(g, gm)
+
+    @pytest.mark.parametrize("make", [gr.metric_flat, lambda g: gr.metric_conformal(g, 0.3)],
+                             ids=["flat", "conformal"])
+    def test_field_of_another_dimension_refused(self, make):
+        metric = make(make_grid(res=(8, 1, 8, 1)))
+        h = np.broadcast_to(np.eye(3, dtype=complex), metric.grid.shape + (3, 3))
+        with pytest.raises(gr.GridError, match=re.escape("shape (8, 1, 8, 1, 3, 3) does not end in the metric's (2, 2)")):
+            gr.eig_wrt_metric(h, metric)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("vectors", [True, False], ids=["vectors", "values"])
@@ -482,7 +489,7 @@ class TestEigWrtMetric:
         lam = out[0] if vectors else out
         others = np.delete(lam.reshape(-1, n), index, axis=0)
         np.testing.assert_allclose(others, np.broadcast_to(np.arange(1.0, n + 1.0), others.shape), rtol=1e-12)
-        with pytest.raises(cn.ConeDomainError, match=f"at flat index {index}:"):
+        with pytest.raises(cn.ConeDomainError, match=re.escape(f"at node {node}, flat index {index}:")):
             cn.cone_function("log-ma", n).value_grad(lam)
 
 
@@ -603,7 +610,7 @@ class TestClosedFormEigh2:
         a = rng.normal(size=g.shape + (2, 2)) + 1j * rng.normal(size=g.shape + (2, 2))
         gm = a @ np.conj(np.swapaxes(a, -1, -2)) + 0.3 * np.eye(2)
         h = a + np.conj(np.swapaxes(a, -1, -2))
-        lam, v = gr.eig_wrt_metric(h, gr.Metric(g, gm, name="random"), vectors=True)
+        lam, v = gr.eig_wrt_metric(h, gr.Metric(g, gm), vectors=True)
         for idx in np.ndindex(g.shape):
             ref = scipy.linalg.eigh(h[idx], gm[idx], eigvals_only=True)
             np.testing.assert_allclose(lam[idx], ref, rtol=0, atol=1e-10)
@@ -612,7 +619,9 @@ class TestClosedFormEigh2:
             np.testing.assert_allclose(gram, np.eye(2), rtol=0, atol=1e-12)
 
     def test_no_lapack_call_at_n2(self, monkeypatch):
+        # the metrics are built first: construction checks positivity with LAPACK
         metric = gr.metric_conformal(make_grid(res=(8, 1, 8, 1)), 0.3)
+        flat = gr.metric_flat(metric.grid)
         h = np.broadcast_to(np.diag([2.0, 1.0]).astype(complex), metric.g.shape)
 
         def lapack(*args, **kwargs):
@@ -622,8 +631,8 @@ class TestClosedFormEigh2:
         monkeypatch.setattr(np.linalg, "eigvalsh", lapack)
         gr.eig_wrt_metric(h, metric, vectors=True)
         gr.eig_wrt_metric(h, metric)
-        gr.eig_wrt_metric(h, gr.metric_flat(metric.grid), vectors=True)
-        gr.eig_wrt_metric(h, gr.metric_flat(metric.grid))
+        gr.eig_wrt_metric(h, flat, vectors=True)
+        gr.eig_wrt_metric(h, flat)
 
     def test_scratch_memory_stays_flat(self):
         # The blocked kernel allocates its outputs plus well under 1 MiB; a
@@ -901,7 +910,7 @@ class TestMetricCaches:
         np.testing.assert_array_equal(gform, first[1])
         # the cache holds exactly the planes built from fresh coefficients
         fresh = gr._torsion_planes(metric, gr.z_coefficients(g, metric))
-        cached = metric.torsion_planes()
+        cached = metric.torsion_planes
         assert len(cached) == len(fresh) == 2
         for planes, fresh_planes in zip(cached, fresh):
             assert [key for key, _ in planes] == [key for key, _ in fresh_planes]
@@ -925,13 +934,28 @@ class TestMetricCaches:
             np.testing.assert_allclose(form, ref, rtol=0, atol=atol)
 
     def test_torsion_computed_once_per_metric(self, monkeypatch):
-        g, metric, u, chi, rho = self.inputs()
         calls = []
         fresh = gr.torsion
         monkeypatch.setattr(gr, "torsion", lambda grid, m: calls.append(m) or fresh(grid, m))
+        g, metric, u, chi, rho = self.inputs()
+        assert calls == [metric]  # at construction
         for _ in range(2):
             gr.gauduchon_fields(g, u, chi, rho, metric)
         assert calls == [metric]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("call", [
+        lambda g, m, u: gr.torsion(g, m),
+        lambda g, m, u: gr.z_coefficients(g, m),
+        lambda g, m, u: gr.z_tensor(g, m, u),
+        lambda g, m, u: gr.gauduchon_fields(g, u, 3.0 * m.matrix(), 0.5, m),
+    ], ids=["torsion", "z_coefficients", "z_tensor", "gauduchon_fields"])
+    def test_another_grid_refused(self, n, call):
+        res = (8, 1, 8, 1) if n == 2 else (8, 1, 1, 1, 8, 1)
+        metric = gr.metric_conformal(make_grid(n=n, res=res), 0.3)
+        other = gr.ProductGrid(n, ((2 * TAU, TAU),) * (n - 1), (0.0, 1.0), res)  # other periods
+        with pytest.raises(gr.GridError, match="is not the metric's grid"):
+            call(other, metric, np.zeros(other.shape))
 
     def test_metric_cannot_be_changed(self):
         g, metric, *_ = self.inputs()
@@ -940,17 +964,23 @@ class TestMetricCaches:
         with pytest.raises(AttributeError):
             metric.g = 2.0 * metric.g
         source = np.array(metric.g)
-        copied = gr.Metric(g, source, name="copy")
+        copied = gr.Metric(g, source)
         source[...] = 0.0
         np.testing.assert_array_equal(copied.g, metric.g)
-        _, fields = metric.torsion_planes()[0][0]  # the first cached Z plane
+        _, fields = metric.torsion_planes[0][0]  # the first cached Z plane
         with pytest.raises(ValueError, match="read-only"):
             fields[0][1][...] = 0.0
+        for name in ("inverse", "inv_cholesky", "torsion_planes"):
+            with pytest.raises(AttributeError):
+                setattr(metric, name, None)
+        for value in (metric.inverse, metric.inv_cholesky):
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 0.0
 
 
     def test_flat_inv_cholesky_is_identity(self):
         g = make_grid(res=(8, 1, 8, 1))
-        linv = np.broadcast_to(gr.metric_flat(g).inv_cholesky(), g.shape + (2, 2))
+        linv = np.broadcast_to(gr.metric_flat(g).inv_cholesky, g.shape + (2, 2))
         np.testing.assert_array_equal(linv, np.broadcast_to(np.eye(2), linv.shape))
 
     def test_equality_and_hash_by_identity(self):
@@ -982,7 +1012,7 @@ class TestNaturalShape:
             full = metric.matrix()
             assert full.shape == g.shape + (3, 3) and not full.flags.writeable
             np.testing.assert_array_equal(full, np.broadcast_to(metric.g, full.shape))
-        assert gr.metric_flat(g).inverse().shape == (1,) * 6 + (3, 3)
+        assert gr.metric_flat(g).inverse.shape == (1,) * 6 + (3, 3)
         assert gr.z_coefficients(g, gr.metric_conformal(g, 0.3)).shape == (16,) + (1,) * 5 + (3, 3, 3)
 
     @staticmethod
@@ -1030,15 +1060,18 @@ class TestNaturalShape:
         dense = gr.Metric(g, np.broadcast_to(np.eye(2), g.shape + (2, 2)))
         h = gr.complex_hessian(g, np.random.default_rng(31).normal(size=g.shape)) + np.eye(2)
 
-        def reduction(self):
-            raise AssertionError("Cholesky reduction on an identity metric")
-
-        monkeypatch.setattr(gr.Metric, "inv_cholesky", reduction)
+        solved = []
+        eigh = gr._eigh
+        monkeypatch.setattr(gr, "_eigh", lambda a, *args, **kw: solved.append(a) or eigh(a, *args, **kw))
         for metric in (dense, gr.metric_flat(g)):
+            assert metric.is_flat
+            solved.clear()
             lam, v = gr.eig_wrt_metric(h, metric, vectors=True)
+            assert len(solved) == 1 and solved[0] is h  # the caller's own array, not reduced
             np.testing.assert_allclose(h @ v, v * lam[..., None, :], rtol=0, atol=1e-12)
-        with pytest.raises(AssertionError, match="Cholesky"):
-            gr.eig_wrt_metric(h, gr.metric_conformal(g, 0.3))
+        solved.clear()
+        gr.eig_wrt_metric(h, gr.metric_conformal(g, 0.3))
+        assert len(solved) == 1 and solved[0] is not h
 
     @pytest.mark.parametrize("shape", [
         (3, 3), (1, 1), (2,), (), (4, 1, 1, 1, 2, 2), (8, 1, 8, 2, 2, 2), (2, 8, 1, 8, 1, 2, 2),
@@ -1190,7 +1223,7 @@ class TestDiagonalMetric:
         shift = (gr.trace_wrt_metric(metric, chi) + gr.trace_wrt_metric(metric, rz)) / (n - 1)
         ref_g = gr.complex_hessian(g, u) - chi - rz + shift[..., None, None] * metric.g
         ref_u = gr.hat_transform(metric, ref_g)
-        assert metric.torsion_planes() == ((), ())
+        assert metric.torsion_planes == ((), ())
 
         def d1(grid, field, axis):
             raise AssertionError("u differentiated for a zero Z tensor")
@@ -1223,7 +1256,7 @@ class TestGeneralMetric:
     @staticmethod
     def trace(metric, h):
         """Index-loop tr_omega h = sum_{i,j} g^{i jbar} h_{i jbar}."""
-        ginv = metric.inverse()
+        ginv = metric.inverse
         n = h.shape[-1]
         return sum(ginv[..., j, i] * h[..., i, j] for i in range(n) for j in range(n)).real
 
@@ -1243,7 +1276,7 @@ class TestGeneralMetric:
         if n > 2:  # at n = 2 the gradient tensor vanishes identically
             assert np.abs(z_ref).max() > 1e-2
             # the Z planes are dense: every real and imaginary plane has a field
-            assert len(metric.torsion_planes()[0]) == n * n
+            assert len(metric.torsion_planes[0]) == n * n
         TestNaturalShape.assert_close(gr.z_tensor(g, metric, u), z_ref)
         # U = chi + (lap u) g - dd u + rho Z and g = dd u + chihat + rho W/(n-1),
         # with chihat = (tr chi/(n-1)) g - chi and W = (tr Z) g - (n-1) Z

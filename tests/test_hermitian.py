@@ -172,6 +172,14 @@ class TestIntervalComponents:
         comps = hm.interval_components([0.0, 1.0], 0.5)
         assert len(comps) == 2
 
+    @pytest.mark.parametrize("d, radius", [
+        ([], 0.1), ([0.0, math.nan], 0.1), ([0.0, math.inf], 0.1),
+        ([0.0, 1.0], -1.0), ([0.0, 1.0], 0.0), ([0.0, 1.0], math.nan), ([0.0, 1.0], math.inf),
+    ], ids=["empty", "nan-centre", "inf-centre", "negative-radius", "zero-radius", "nan-radius", "inf-radius"])
+    def test_refuses_bad_input(self, d, radius):
+        with pytest.raises(hm.ValidationError):
+            hm.interval_components(d, radius)
+
 
 class TestCountStability:
     def test_separated_counts(self):
