@@ -16,6 +16,10 @@ the diagonal ray every family is 1-homogeneous or logarithmic, so the
 level c with f(c, ..., c) = sigma is a closed form too.
 
 Everything here is pure and accepts batched input along leading axes.
+Layout rule: sigma tables are computed order-first, each order one
+contiguous plane over the batch, and reductions over a short last axis (a
+min over orders or deleted sums, a sum over coordinates) fold column by
+column in index order, one whole-plane operation per column (``_fold``).
 """
 
 import math
@@ -54,14 +58,31 @@ def _sigma_table(lam, top):
     float array, by the incremental product recurrence (multiply in one root
     at a time, updating coefficients in place from the top), the stable way
     that forms no power sums.  Each order reads only lower ones, so e_0..e_top
-    do not depend on ``top``, and no unread order above it can overflow."""
-    e = np.zeros(lam.shape[:-1] + (top + 1,))
-    e[..., 0] = 1.0
+    do not depend on ``top``, and no unread order above it can overflow.
+
+    The table is held order-first, each order one contiguous plane over the
+    batch, so every step of the recurrence is a whole-plane operation; it is
+    returned as a view with the order on the last axis, and readers reduce
+    over that axis with ``_fold``, column by column in index order."""
+    e = np.zeros((top + 1,) + lam.shape[:-1])
+    e[0] = 1.0
     for i in range(lam.shape[-1]):
         x = lam[..., i]
         for j in range(min(i + 1, top), 0, -1):
-            e[..., j] += x * e[..., j - 1]
-    return e
+            e[j] += x * e[j - 1]
+    return np.moveaxis(e, 0, -1)
+
+
+def _fold(ufunc, table):
+    """ufunc folded over the short last axis, one column at a time in index
+    order: whole-plane operations where a reduction along the last axis
+    would run numpy's slow short-axis loop.  A min is exact; a sum adds in
+    index order (numpy's own sum does too below 8 terms).  A single vector
+    gives a float64 scalar."""
+    out = table[..., 0].copy()
+    for j in range(1, table.shape[-1]):
+        ufunc(out, table[..., j], out=out)
+    return out[()]
 
 
 def sigma_all(lam):
@@ -148,9 +169,9 @@ class Cone:
         """
         if self.kind == "gamma":
             table = sigma_k(lam, range(1, self.k + 1))
-            return np.min(table, axis=-1), table
-        table = q_inverse(lam)
-        return np.min(table, axis=-1), table
+        else:
+            table = q_inverse(lam)
+        return _fold(np.minimum, table), table
 
     def margin(self, lam):
         """Smallest slack among the defining inequalities (batched)."""
@@ -194,6 +215,8 @@ class ConeFunction:
     and raise :class:`ConeDomainError` carrying the violated inequality and,
     for batched input, the node (the index in lam's batch shape, a grid node
     for an eigenvalue field) and flat index of the first point outside.
+    An empty batch has no point outside: every entry point returns empty
+    arrays of its shape.
     """
 
     family = None
@@ -237,7 +260,7 @@ class ConeFunction:
                 f"got {lam.shape[-1]}"
             )
         margin, table = self.cone._margin_table(lam)
-        if not np.min(margin) > 0.0:  # min propagates NaN, which fails too
+        if not np.min(margin, initial=math.inf) > 0.0:  # NaN fails; an empty batch passes
             where, point = "", lam
             if lam.ndim > 1:
                 first = int(np.flatnonzero(~(margin.reshape(-1) > 0.0))[0])
@@ -281,7 +304,7 @@ class LogMA(ConeFunction):
         return super()._check(lam)[0], None
 
     def _value(self, lam, table):
-        return np.sum(np.log(lam), axis=-1)
+        return _fold(np.add, np.log(lam))
 
     def _grad(self, lam, table):
         return 1.0 / lam
@@ -382,7 +405,7 @@ class LogDeletedSums(ConeFunction):
         return Cone.deleted_sum(n)
 
     def _value(self, lam, table):
-        return np.sum(np.log(table), axis=-1)
+        return _fold(np.add, np.log(table))
 
     def _grad(self, lam, table):
         return q_inverse(1.0 / table)
@@ -429,7 +452,7 @@ def q_inverse(lam):
     The one place the deleted sums are formed; batched along leading axes.
     """
     lam = np.asarray(lam, dtype=float)
-    return np.sum(lam, axis=-1, keepdims=True) - lam
+    return _fold(np.add, lam)[..., None] - lam
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +506,7 @@ def concavity_probe(f, lam, mu):
     mu = np.asarray(mu, dtype=float)
     flam, g = f.value_grad(lam)
     fmu = f.value(mu)
-    return flam - fmu - np.sum(g * (lam - mu), axis=-1)
+    return flam - fmu - _fold(np.add, g * (lam - mu))
 
 
 def gamma_infinity_member(lam_prime, cone):

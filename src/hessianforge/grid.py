@@ -617,11 +617,22 @@ def _add_metric_multiple(h, s, metric):
         h += s[..., None, None] * metric.g
 
 
+def _check_field(h, metric):
+    """Refuse a field that does not end in the metric's (n, n) with
+    :class:`GridError` naming both shapes."""
+    n = metric.grid.n
+    if np.shape(h)[-2:] != (n, n):
+        raise GridError(f"field of shape {np.shape(h)} does not end in the metric's ({n}, {n})")
+
+
 def trace_wrt_metric(metric, h):
     """tr_omega H = sum g^{i jbar} H_{i jbar} (real for Hermitian H).
 
     On a diagonal metric it is the elementwise sum of g^{i ibar} Re H_{i ibar}.
+    h must end in the metric's (n, n), or :class:`GridError` names both
+    shapes.
     """
+    _check_field(h, metric)
     ginv = metric.inverse
     if not metric.is_diagonal:
         return np.einsum("...ji,...ij->...", ginv, h).real
@@ -635,7 +646,8 @@ def hat_transform(metric, h):
     """(tr_omega H) g - H; exchanges the two forms of the deleted-sum equation.
 
     On a diagonal metric it is -H with (tr_omega H) g_ii added to the
-    diagonal.
+    diagonal.  h must end in the metric's (n, n), as for
+    :func:`trace_wrt_metric`.
     """
     tr = trace_wrt_metric(metric, h)
     out = np.empty(np.broadcast_shapes(np.shape(h), metric.g.shape), dtype=complex)
@@ -892,9 +904,7 @@ def eig_wrt_metric(h, metric, vectors=False):
     names the node.
     """
     h = np.asarray(h)
-    n = metric.grid.n
-    if h.shape[-2:] != (n, n):
-        raise GridError(f"field of shape {h.shape} does not end in the metric's ({n}, {n})")
+    _check_field(h, metric)
     if metric.is_flat:
         return _eigh(h, vectors)
     linv = metric.inv_cholesky

@@ -551,3 +551,208 @@ class TestFactory:
     def test_n1_rejected(self):
         with pytest.raises(cn.ValidationError):
             cn.cone_function("log-ma", 1)
+
+
+# ---------------------------------------------------------------------------
+# whole-plane layout: return types, empty batches, and the formulas it replaced
+
+def families_at(n):
+    """Every family at dimension n, with orders that exist there."""
+    return {
+        "log-ma": dict(),
+        "sigma-k-root": dict(k=min(3, n)),
+        "log-sigma-k": dict(k=max(2, n - 2)),
+        "quotient-root": dict(k=min(3, n), l=1),
+        "log-p": dict(),
+    }
+
+
+FAMILY_NAMES = list(families_at(2))
+
+
+def last_axis_table(lam, top):
+    """The sigma recurrence with the order on the last axis of the table."""
+    e = np.zeros(lam.shape[:-1] + (top + 1,))
+    e[..., 0] = 1.0
+    for i in range(lam.shape[-1]):
+        x = lam[..., i]
+        for j in range(min(i + 1, top), 0, -1):
+            e[..., j] += x * e[..., j - 1]
+    return e
+
+
+def last_axis_deleted(lam, top):
+    n = lam.shape[-1]
+    m = np.arange(n - 1)
+    return last_axis_table(lam[..., m + (m >= np.arange(n)[:, None])], top)
+
+
+def summed_q_inverse(lam):
+    return np.sum(lam, axis=-1, keepdims=True) - lam
+
+
+def reference_margin(cone, lam):
+    if cone.kind == "gamma":
+        return np.min(last_axis_table(lam, cone.k)[..., 1:], axis=-1)
+    return np.min(summed_q_inverse(lam), axis=-1)
+
+
+def reference_value_grad(f, lam):
+    """Each family's value and gradient from last-axis tables and numpy sums."""
+    if f.family == "log-ma":
+        return np.sum(np.log(lam), axis=-1), 1.0 / lam
+    if f.family == "log-p":
+        mu = summed_q_inverse(lam)
+        return np.sum(np.log(mu), axis=-1), summed_q_inverse(1.0 / mu)
+    k = f.k
+    table = last_axis_table(lam, k)  # column j holds sigma_j
+    deleted = last_axis_deleted(lam, k - 1)
+    ek, dk = table[..., k, None], deleted[..., k - 1]
+    if f.family == "sigma-k-root":
+        return ek[..., 0] ** (1.0 / k), (1.0 / k) * ek ** (1.0 / k - 1.0) * dk
+    if f.family == "log-sigma-k":
+        return np.log(ek[..., 0]), dk / ek
+    el, dl = table[..., f.l, None], deleted[..., f.l - 1]
+    val = (ek / el) ** (1.0 / (k - f.l))
+    return val[..., 0], val / (k - f.l) * (dk / ek - dl / el)
+
+
+def reference_probe(f, lam, mu):
+    flam, g = reference_value_grad(f, lam)
+    return flam - reference_value_grad(f, mu)[0] - np.sum(g * (lam - mu), axis=-1)
+
+
+def layouts(lam, n):
+    """lam in the memory layouts a caller can hand over, all of equal values.
+
+    C and Fortran order, a read-only broadcast, a strided view, and an
+    eigenvalue field as ``eig_wrt_metric`` returns it on a flat metric (its
+    batch is the grid shape, and its values are positive, so inside every
+    cone).
+    """
+    wide = np.zeros((2 * len(lam), n + 1))
+    wide[::2, :n] = lam
+    broadcast = np.broadcast_to(lam[:, None, :], (len(lam), 2, n))
+    assert not broadcast.flags.writeable
+    g = gr.ProductGrid(n, ((2 * math.pi, 2 * math.pi),) * (n - 1), (0.0, 1.0),
+                       (8, 1) + (1, 1) * (n - 2) + (8, 1))
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=g.shape + (n, n)) + 1j * rng.normal(size=g.shape + (n, n))
+    h = a @ np.conj(np.swapaxes(a, -1, -2)) + np.eye(n)
+    eig, _ = gr.eig_wrt_metric(h, gr.metric_flat(g), vectors=True)
+    return {
+        "C": np.ascontiguousarray(lam),
+        "F": np.asfortranarray(lam),
+        "broadcast": broadcast,
+        "strided": wide[::2, :n],
+        "eig_wrt_metric": eig,
+    }
+
+
+class TestReturnTypes:
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_single_vector_gives_float64(self, family, n):
+        f = make(family, n, **families_at(n)[family])
+        lam = 1.0 + np.arange(n) / n
+        outs = [f.value(lam), f.margin(lam), f.value_grad(lam)[0], f.cone.margin(lam),
+                cn.concavity_probe(f, lam, lam[::-1])]
+        for out in outs:
+            assert type(out) is np.float64, type(out)
+        assert f.grad(lam).shape == (n,)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_batched_shapes_unchanged(self, family, n):
+        f = make(family, n, **families_at(n)[family])
+        lam = np.broadcast_to(1.0 + np.arange(n) / n, (4, 3, n))
+        value, grad = f.value_grad(lam)
+        assert value.shape == f.value(lam).shape == f.margin(lam).shape == (4, 3)
+        assert grad.shape == f.grad(lam).shape == (4, 3, n)
+        assert f.cone.margin(lam).shape == cn.concavity_probe(f, lam, lam[..., ::-1]).shape == (4, 3)
+        assert cn.q_inverse(lam).shape == (4, 3, n)
+
+
+class TestEmptyBatch:
+    @pytest.mark.parametrize("batch", [(0,), (3, 0)])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_every_entry_point_returns_empty_arrays(self, family, batch):
+        f = make(family, 3, **families_at(3)[family])
+        lam = np.empty(batch + (3,))
+        value, grad = f.value_grad(lam)
+        assert value.shape == f.value(lam).shape == f.margin(lam).shape == batch
+        assert grad.shape == f.grad(lam).shape == batch + (3,)
+        assert cn.concavity_probe(f, lam, lam).shape == f.cone.margin(lam).shape == batch
+        assert not f.cone.contains(lam).any()
+
+    def test_tables_of_an_empty_batch(self):
+        lam = np.empty((0, 3))
+        assert cn.sigma_all(lam).shape == (0, 4)
+        assert cn.sigma_k(lam, 2).shape == (0,)
+        assert cn.sigma_k(lam, range(1, 3)).shape == (0, 2)
+        assert cn.sigma_deleted(lam, 1).shape == cn.q_inverse(lam).shape == (0, 3)
+
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_nan_still_refused(self, family):
+        f = make(family, 3, **families_at(3)[family])
+        with pytest.raises(cn.ConeDomainError, match=re.escape("at node (0,), flat index 0:")):
+            f.value_grad(np.full((1, 3), np.nan))
+
+
+class TestAgainstLastAxisFormulas:
+    """Whole-plane tables and column folds give the last-axis formulas' bits.
+
+    numpy sums fewer than 8 terms in index order, as the fold does, so below
+    n = 8 every output is bit-identical whatever the input's layout.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_tables_bit_identical(self, n):
+        lam = cn.sample_cone(cn.Cone.gamma(1, n), 60, np.random.default_rng(n))
+        for name, x in layouts(lam, n).items():
+            ref = last_axis_table(x, n)
+            np.testing.assert_array_equal(cn.sigma_all(x), ref, err_msg=name)
+            np.testing.assert_array_equal(cn.sigma_k(x, range(1, n + 1)), ref[..., 1:], err_msg=name)
+            np.testing.assert_array_equal(cn.sigma_k(x, range(2, n + 1, 2)), ref[..., 2::2], err_msg=name)
+            for k in range(1, n + 1):
+                np.testing.assert_array_equal(cn.sigma_k(x, k), ref[..., k], err_msg=name)
+            for k in range(n):
+                np.testing.assert_array_equal(cn.sigma_deleted(x, k), last_axis_deleted(x, k)[..., k],
+                                              err_msg=name)
+            np.testing.assert_array_equal(cn.q_inverse(x), summed_q_inverse(x), err_msg=name)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_families_bit_identical(self, family, n):
+        f = make(family, n, **families_at(n)[family])
+        rng = np.random.default_rng(10 * n)
+        lam, mu = sample_pairs(f.cone, 60, rng)
+        mus = layouts(mu, n)
+        for name, x in layouts(lam, n).items():
+            y = mus[name][..., ::-1]  # reversed coordinates: a second point per node
+            value, grad = reference_value_grad(f, x)
+            got_value, got_grad = f.value_grad(x)
+            np.testing.assert_array_equal(got_value, value, err_msg=name)
+            np.testing.assert_array_equal(got_grad, grad, err_msg=name)
+            np.testing.assert_array_equal(f.value(x), value, err_msg=name)
+            np.testing.assert_array_equal(f.grad(x), grad, err_msg=name)
+            np.testing.assert_array_equal(f.margin(x), reference_margin(f.cone, x), err_msg=name)
+            np.testing.assert_array_equal(cn.concavity_probe(f, x, y), reference_probe(f, x, y),
+                                          err_msg=name)
+
+    def test_sums_of_eight_within_rounding(self):
+        # numpy sums 8 or more terms pairwise, the fold in index order: the
+        # two agree to n eps relative to the sum of magnitudes
+        n, eps = 8, np.finfo(float).eps
+        rng = np.random.default_rng(8)
+        lam = np.exp(rng.uniform(-2.0, 2.0, size=(500, n)))
+        for x in (lam, np.asfortranarray(lam)):
+            scale = np.sum(np.abs(x), axis=-1, keepdims=True)
+            assert np.all(np.abs(cn.q_inverse(x) - summed_q_inverse(x)) <= n * eps * scale)
+            logs = np.sum(np.abs(np.log(x)), axis=-1)
+            got = make("log-ma", n).value(x)
+            assert np.all(np.abs(got - np.sum(np.log(x), axis=-1)) <= n * eps * logs)
+            logs = np.log(cn.q_inverse(x))
+            got = make("log-p", n).value(x)
+            assert np.all(np.abs(got - np.sum(logs, axis=-1)) <= n * eps * np.sum(np.abs(logs), axis=-1))
+            np.testing.assert_array_equal(make("log-ma", n).margin(x), reference_margin(cn.Cone.gamma(n, n), x))

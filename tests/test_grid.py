@@ -462,6 +462,15 @@ class TestEigWrtMetric:
         with pytest.raises(gr.GridError, match=re.escape("shape (8, 1, 8, 1, 3, 3) does not end in the metric's (2, 2)")):
             gr.eig_wrt_metric(h, metric)
 
+    @pytest.mark.parametrize("fn", [gr.trace_wrt_metric, gr.hat_transform], ids=["trace", "hat"])
+    @pytest.mark.parametrize("make", [gr.metric_flat, lambda g: gr.metric_conformal(g, 0.3)],
+                             ids=["flat", "conformal"])
+    def test_trace_and_hat_refuse_a_field_of_another_dimension(self, make, fn):
+        metric = make(make_grid(res=(8, 1, 8, 1)))
+        h = np.broadcast_to(np.eye(3, dtype=complex), metric.grid.shape + (3, 3))
+        with pytest.raises(gr.GridError, match=re.escape("shape (8, 1, 8, 1, 3, 3) does not end in the metric's (2, 2)")):
+            fn(metric, h)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("vectors", [True, False], ids=["vectors", "values"])
     @pytest.mark.parametrize("metric_name", ["flat", "conformal"])
