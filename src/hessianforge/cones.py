@@ -94,7 +94,8 @@ def sigma_k(lam, k):
     """k-th elementary symmetric polynomial of the last axis.
 
     ``k`` may also be a range of orders, read as a view of one recurrence
-    run to the highest order read.  The cone functions read every sigma of
+    run to the highest order read.  A single vector and an int ``k`` give a
+    float64 scalar, as ``_fold`` does.  The cone functions read every sigma of
     lam through here (see ``Cone._margin_table``).
     """
     lam = np.asarray(lam, dtype=float)
@@ -104,7 +105,7 @@ def sigma_k(lam, k):
         raise ValidationError(f"order k={k} out of range 1..{n}")
     if isinstance(k, range):
         k = slice(k.start, k.stop, k.step)
-    return _sigma_table(lam, max(orders))[..., k]
+    return _sigma_table(lam, max(orders))[..., k][()]
 
 
 def _deleted_table(lam, top):
@@ -419,28 +420,31 @@ FAMILIES = {
     "log-p": LogDeletedSums,
 }
 
+# the orders each family takes, in constructor order; the others take none
+_ORDERS = {"sigma-k-root": ("k",), "log-sigma-k": ("k",), "quotient-root": ("k", "l")}
+
 
 def cone_function(family, n, k=None, l=None):
     """Factory for the built-in families.
 
     family : one of "log-ma", "sigma-k-root", "log-sigma-k",
         "quotient-root", "log-p"
-    n : dimension; k, l : integer orders where the family needs them.
+    n : dimension; k, l : integer orders where the family needs them.  An
+        order the family does not take is refused, not ignored.
     """
     if family not in FAMILIES:
         raise ValidationError(
             f"unknown family {family!r}; choose from {sorted(FAMILIES)}"
         )
-    cls = FAMILIES[family]
-    if family in ("sigma-k-root", "log-sigma-k"):
-        if k is None:
-            raise ValidationError(f"family {family!r} needs an order k")
-        return cls(n, k)
-    if family == "quotient-root":
-        if k is None or l is None:
-            raise ValidationError("family 'quotient-root' needs orders k and l")
-        return cls(n, k, l)
-    return cls(n)
+    takes = _ORDERS.get(family, ())
+    given = {"k": k, "l": l}
+    missing = [name for name in takes if given[name] is None]
+    if missing:
+        raise ValidationError(f"family {family!r} needs order {' and '.join(missing)}")
+    extra = [name for name, value in given.items() if value is not None and name not in takes]
+    if extra:
+        raise ValidationError(f"family {family!r} takes no order {' or '.join(extra)}")
+    return FAMILIES[family](n, *(given[name] for name in takes))
 
 
 # ---------------------------------------------------------------------------

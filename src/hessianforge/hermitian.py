@@ -10,9 +10,14 @@ reports how tightly the spectrum concentrates, including the per-interval
 eigenvalue counts that certify the concentration is stable along rays of
 increasing corner values.
 
+Every spectrum is read from the real symmetric arrowhead matrix with border
+``|a|``, which has the same eigenvalues as the Hermitian one (see
+``_spectra``), so the batteries run LAPACK's real solver on half the bytes.
+
 All functions are pure and accept batched input where noted.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +46,8 @@ class BorderedSpec:
 
     ``d`` is real of length n-1, ``a`` is complex of length n-1, ``aa`` is the
     real corner parameter and ``eps`` the concentration tolerance used by the
-    threshold formulas and the report.
+    threshold formulas and the report.  Each must be finite; a field that is
+    not is refused by name.
     """
 
     d: np.ndarray
@@ -56,6 +62,9 @@ class BorderedSpec:
         self.eps = _finite_positive(self.eps, "eps")
         if self.d.shape != self.a.shape or self.d.ndim != 1:
             raise ValidationError("d and a must be 1-d arrays of equal length")
+        for name, value in (("d", self.d), ("a", self.a), ("aa", self.aa)):
+            if not np.all(np.isfinite(value)):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.n < 2:
             raise ValidationError("bordered matrices need dimension n >= 2")
 
@@ -93,24 +102,51 @@ def _finite_positive(value, name):
     return value
 
 
+def _count(value, name, least):
+    """value as an int, refused, as ``name``, unless an integer >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
 def bordered(spec):
     """Assemble the n x n bordered Hermitian matrix of a :class:`BorderedSpec`."""
     return bordered_batch(spec.d[None], spec.a[None], [spec.aa])[0]
 
 
 def bordered_batch(d, a, aa):
-    """Bordered matrices for stacks of (d, a, aa) rows; the only assembly."""
+    """Bordered matrices for stacks of (d, a, aa) rows; the only assembly.
+
+    The dtype follows the border: float64 for a real ``a``, complex128 for a
+    complex one.
+    """
     d = np.asarray(d, dtype=float)
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a.dtype, float), copy=False)
     aa = np.asarray(aa, dtype=float)
     t, m = d.shape
-    out = np.zeros((t, m + 1, m + 1), dtype=complex)
+    out = np.zeros((t, m + 1, m + 1), dtype=a.dtype)
     idx = np.arange(m)
     out[:, idx, idx] = d
     out[:, :m, m] = a
     out[:, m, :m] = np.conj(a)
     out[:, m, m] = aa
     return out
+
+
+def _spectra(d, a, aa):
+    """Ascending eigenvalues of the bordered matrices of stacked (d, a, aa).
+
+    The one eigensolve of this module.  With ``U = diag(a_i/|a_i|, 1)`` (a
+    zero ``a_i`` takes phase 1), ``U* M U`` is the real symmetric arrowhead
+    matrix with diagonal ``d``, border ``|a|`` and corner ``aa``: the phases
+    cancel on the diagonal and rotate each border entry onto the positive
+    axis.  A unitary similarity keeps the spectrum, so the real matrix is
+    solved instead of the Hermitian one.
+    """
+    return np.linalg.eigvalsh(bordered_batch(d, np.abs(a), aa))
 
 
 def _threshold_inputs(eps, d, a):
@@ -228,10 +264,12 @@ def _component_counts(eigs, comps):
 def concentration_report(spec):
     """Measure eigenvalue concentration for one bordered matrix.
 
-    Both conclusions are evaluated unconditionally; whether ``spec.aa``
-    actually meets a growth threshold is the caller's concern.
+    The eigenvalues come from the real arrowhead matrix with border
+    ``|spec.a|`` (``_spectra``).  Both conclusions are evaluated
+    unconditionally; whether ``spec.aa`` actually meets a growth threshold is
+    the caller's concern.
     """
-    eigs = np.linalg.eigvalsh(bordered(spec))
+    eigs = _spectra(spec.d[None], spec.a[None], [spec.aa])[0]
     ds = np.sort(spec.d)
     small, corner = eigs[:-1], eigs[-1] - spec.aa
     deviations, passed_main = _main_conclusion(spec.eps, ds, small, corner)
@@ -254,7 +292,8 @@ def count_stability_scan(spec, aa_grid):
     Every grid entry must be finite and at or above the main growth
     threshold; the scan refuses the others, naming them.  Rows of the returned
     integer matrix are the component counts for successive corner values; the
-    concentration property makes them identical.
+    concentration property makes them identical.  Each spectrum comes from
+    the real arrowhead matrix with border ``|spec.a|`` (``_spectra``).
     """
     aa_grid = np.atleast_1d(np.asarray(aa_grid, dtype=float))
     thr = growth_threshold_main(spec.eps, spec.d, spec.a)
@@ -266,8 +305,8 @@ def count_stability_scan(spec, aa_grid):
         )
     comps = _components(spec)
     shape = (aa_grid.size, spec.d.size)
-    mats = bordered_batch(np.broadcast_to(spec.d, shape), np.broadcast_to(spec.a, shape), aa_grid)
-    return _component_counts(np.linalg.eigvalsh(mats), comps)
+    eigs = _spectra(np.broadcast_to(spec.d, shape), np.broadcast_to(spec.a, shape), aa_grid)
+    return _component_counts(eigs, comps)
 
 
 def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0):
@@ -276,17 +315,18 @@ def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0):
     Draws ``trials`` random ``(d, a)`` pairs with entries (real and imaginary
     parts) uniform in ``[-2, 2]``, sets the corner to ``aa_factor`` times the
     relevant growth threshold and checks the corresponding conclusion on
-    every draw.
+    every draw.  The spectra come from the real arrowhead matrices with
+    border ``|a|`` (``_spectra``), so no complex matrix is formed.  ``n`` and
+    ``trials`` must be integers, and ``aa_factor`` finite and positive.
 
     Returns
     -------
     dict with keys ``trials``, ``violations``, ``worst_deviation``,
     ``worst_corner_excess``.
     """
-    if n < 2:
-        raise ValidationError("n must be at least 2")
-    if trials < 1:
-        raise ValidationError("trials must be at least 1")
+    n = _count(n, "n", 2)
+    trials = _count(trials, "trials", 1)
+    aa_factor = _finite_positive(aa_factor, "aa_factor")
     rng = np.random.default_rng(seed)
     shape = (trials, n - 1)
     d = rng.uniform(-_TRIAL_AMPLITUDE, _TRIAL_AMPLITUDE, shape)
@@ -295,7 +335,7 @@ def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0):
     )
     threshold = growth_threshold_refined if refined else growth_threshold_main
     aa = aa_factor * threshold(eps, d, a)
-    eigs = np.linalg.eigvalsh(bordered_batch(d, a, aa))
+    eigs = _spectra(d, a, aa)
     ds = np.sort(d, axis=1)
     small, corner = eigs[:, :-1], eigs[:, -1] - aa
     if refined:

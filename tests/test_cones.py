@@ -46,6 +46,13 @@ class TestSigmaK:
         lam = rng.normal(size=(40, 5))
         np.testing.assert_allclose(cn.sigma_k(lam, 1), lam.sum(axis=-1), rtol=1e-13)
 
+    def test_single_vector_gives_a_scalar(self):
+        # the same type as value and margin, through [()] as in _fold
+        got = cn.sigma_k(np.ones(3), 2)
+        assert type(got) is np.float64 and got == 3.0
+        assert cn.sigma_k(np.ones((4, 3)), 2).shape == (4,)
+        assert cn.sigma_k(np.ones(3), range(1, 3)).shape == (2,)
+
     def test_out_of_range(self):
         with pytest.raises(cn.ValidationError):
             cn.sigma_k([1.0, 2.0], 3)
@@ -547,6 +554,15 @@ class TestFactory:
             with pytest.raises(cn.ValidationError) as caught:
                 raiser()
             assert caught.type is kind
+
+    @pytest.mark.parametrize("family, k, l, order", [
+        ("log-ma", 5, None, "k"), ("log-p", None, 2, "l"), ("log-p", 2, 1, "k or l"),
+        ("sigma-k-root", 2, 1, "l"), ("log-sigma-k", 2, 1, "l"),
+    ])
+    def test_order_the_family_does_not_take(self, family, k, l, order):
+        # an ignored order would build another operator with no error
+        with pytest.raises(cn.ValidationError, match=rf"family '{family}' takes no order {order}$"):
+            cn.cone_function(family, 3, k=k, l=l)
 
     def test_n1_rejected(self):
         with pytest.raises(cn.ValidationError):

@@ -64,6 +64,26 @@ class TestBordered:
             single = hm.bordered(hm.BorderedSpec(d[t], a[t], aa[t], 1.0))
             np.testing.assert_array_equal(batch[t], single)
 
+    def test_dtype_follows_the_border(self):
+        d, aa = np.ones((4, 2)), np.zeros(4)
+        assert hm.bordered_batch(d, np.ones((4, 2)), aa).dtype == np.float64
+        assert hm.bordered_batch(d, np.ones((4, 2), dtype=int), aa).dtype == np.float64
+        assert hm.bordered_batch(d, np.ones((4, 2), dtype=complex), aa).dtype == np.complex128
+        assert hm.bordered(hm.BorderedSpec([1.0], [1.0], 11.0, 0.1)).dtype == np.complex128
+
+    @pytest.mark.parametrize("field, d, a, aa", [
+        ("d", [1.0, math.nan], [1.0, 1.0], 0.0),
+        ("d", [1.0, -math.inf], [1.0, 1.0], 0.0),
+        ("a", [1.0, 2.0], [1.0, math.inf], 0.0),
+        ("a", [1.0, 2.0], [1.0, complex(0.0, math.nan)], 0.0),
+        ("aa", [1.0, 2.0], [1.0, 1.0], math.nan),
+        ("aa", [1.0, 2.0], [1.0, 1.0], math.inf),
+    ])
+    def test_refuses_non_finite_fields(self, field, d, a, aa):
+        # refused at construction, naming the field, before any spectrum
+        with pytest.raises(hm.ValidationError, match=rf"^{field} must be finite"):
+            hm.BorderedSpec(d, a, aa, 0.1)
+
     @pytest.mark.parametrize("eps", [-0.1, 0.0, math.nan, math.inf])
     def test_validation(self, eps):
         with pytest.raises(hm.ValidationError, match="eps must be finite and positive"):
@@ -233,6 +253,41 @@ class TestCountStability:
             np.testing.assert_array_equal(rows, ref)
 
 
+class TestRealArrowhead:
+    """diag(a_i/|a_i|, 1) carries the Hermitian bordered matrix to the real
+    arrowhead matrix with border |a|; its spectrum is read from the latter."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 3.0, 10.0])
+    def test_matches_complex_eigvalsh(self, n, factor):
+        rng = np.random.default_rng([n, int(10 * factor)])
+        shape = (400, n - 1)
+        d = rng.uniform(-2.0, 2.0, shape)
+        a = rng.uniform(-2.0, 2.0, shape) + 1j * rng.uniform(-2.0, 2.0, shape)
+        a[rng.random(shape) < 0.2] = 0.0
+        aa = factor * hm.growth_threshold_main(0.1, d, a)
+        ref = np.linalg.eigvalsh(hm.bordered_batch(d, a, aa))
+        got = hm._spectra(d, a, aa)
+        scaled = np.abs(got - ref) / np.maximum(1.0, np.abs(aa))[:, None]
+        assert scaled.max() < 1e-13
+
+    def test_only_real_matrices_are_solved(self, monkeypatch):
+        dtypes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(m):
+            dtypes.append(np.asarray(m).dtype)
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        spec = rand_spec(np.random.default_rng(2), 4, 0.2)
+        hm.lemma_trial_batch(4, 0.1, 50, seed=1)
+        hm.lemma_trial_batch(4, 0.1, 50, seed=1, refined=True)
+        hm.count_stability_scan(spec, spec.aa * np.array([1.0, 2.0]))
+        hm.concentration_report(spec)
+        assert dtypes == [np.float64] * 4
+
+
 class TestLemmaProperties:
     """Randomized batteries for the two concentration lemmas."""
 
@@ -253,6 +308,22 @@ class TestLemmaProperties:
     def test_rejects_empty_battery(self, trials):
         with pytest.raises(hm.ValidationError, match="trials"):
             hm.lemma_trial_batch(3, 0.1, trials=trials, seed=1)
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_aa_factor(self, factor):
+        with pytest.raises(hm.ValidationError, match="aa_factor must be finite and positive"):
+            hm.lemma_trial_batch(3, 0.1, trials=10, seed=1, aa_factor=factor)
+
+    @pytest.mark.parametrize("field, n, trials", [
+        ("n", 3.0, 10), ("n", 2.5, 10), ("n", "3", 10), ("trials", 3, 10.0), ("trials", 3, True),
+    ])
+    def test_rejects_non_integer_counts(self, field, n, trials):
+        with pytest.raises(hm.ValidationError, match=f"{field} must be an integer"):
+            hm.lemma_trial_batch(n, 0.1, trials=trials, seed=1)
+
+    def test_numpy_integer_counts(self):
+        out = hm.lemma_trial_batch(np.int64(3), 0.1, trials=np.int32(10), seed=1)
+        assert out["trials"] == 10 and type(out["trials"]) is int
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     @pytest.mark.parametrize("eps", [0.5, 0.01])
