@@ -5,6 +5,14 @@ log-determinant, elementary-symmetric-root, log-sigma, quotient-root and
 log-of-deleted-sums families, each paired with the open symmetric convex
 cone on which it is elliptic (positive partial derivatives) and concave.
 
+A family is declared once, as a :class:`ConeFunction` subclass: its
+``family`` name, the integer ``orders`` it takes in constructor order (the
+factory and ``describe`` read them), its ``_value`` and ``_grad``, and a
+``_build_cone`` only where its cone is not the Garding cone Gamma_k, with k
+the order ``k`` where the family takes one and n otherwise.  A point is
+turned into a float array, and its length checked, in one place,
+``Cone._margin_table``.
+
 The deleted sums mu_i = sum_{j != i} lam_j, the image of lam under the
 symmetric matrix Q with zero diagonal and unit off-diagonal entries, are
 formed in one place, ``q_inverse``.  Limits along coordinate rays
@@ -163,32 +171,37 @@ class Cone:
         return Cone("deleted-sum", n)
 
     def _margin_table(self, lam):
-        """Smallest slack with the table it is read from (float lam, batched).
+        """(lam, margin, table): the point as a float array, its smallest
+        slack, and the table the slack is read from (batched).
 
-        The table is sigma_1..sigma_k of lam for a Garding cone (column
-        j - 1 holds sigma_j) and the deleted sums for the deleted-sum cone.
+        The one place a point is converted and its length checked: a point
+        whose last axis is not n long, or that has no axis, is refused with
+        :class:`ValidationError`.  The table is sigma_1..sigma_k of lam for
+        a Garding cone (column j - 1 holds sigma_j) and the deleted sums for
+        the deleted-sum cone.
         """
+        lam = np.asarray(lam, dtype=float)
+        if lam.shape[-1:] != (self.n,):
+            raise ValidationError(
+                f"dimension mismatch: {self.ray_description()} has n={self.n}, "
+                f"point has {lam.shape[-1] if lam.ndim else 'shape ()'}"
+            )
         if self.kind == "gamma":
             table = sigma_k(lam, range(1, self.k + 1))
         else:
             table = q_inverse(lam)
-        return _fold(np.minimum, table), table
+        return lam, _fold(np.minimum, table), table
 
     def margin(self, lam):
         """Smallest slack among the defining inequalities (batched)."""
-        lam = np.asarray(lam, dtype=float)
-        if lam.shape[-1] != self.n:
-            raise ValidationError(
-                f"dimension mismatch: cone has n={self.n}, point has {lam.shape[-1]}"
-            )
-        return self._margin_table(lam)[0]
+        return self._margin_table(lam)[1]
 
-    def contains(self, lam, margin=0.0):
-        return self.margin(lam) > margin
+    def contains(self, lam):
+        return self.margin(lam) > 0.0
 
     def violated_inequality(self, lam):
         """Human-readable description of the first failed inequality."""
-        _, table = self._margin_table(np.asarray(lam, dtype=float))
+        table = self._margin_table(lam)[2]
         if self.kind == "gamma":
             for j in range(1, self.k + 1):
                 if not table[..., j - 1].min() > 0:
@@ -210,30 +223,40 @@ class Cone:
 class ConeFunction:
     """A symmetric function f with its cone: evaluation, gradient, limits.
 
-    Subclasses fill in ``_value``/``_grad`` on points known to lie in the
-    cone; each receives the table the cone check computed (see
-    ``Cone._margin_table``).  Public entry points validate cone membership
-    and raise :class:`ConeDomainError` carrying the violated inequality and,
-    for batched input, the node (the index in lam's batch shape, a grid node
-    for an eigenvalue field) and flat index of the first point outside.
-    An empty batch has no point outside: every entry point returns empty
-    arrays of its shape.
+    A subclass declares a family: ``family``, its name for the factory;
+    ``orders``, the names of the integer orders it takes, in constructor
+    order, each stored as an int attribute of that name; ``_value`` and
+    ``_grad``, which run on points known to lie in the cone and receive the
+    table the cone check computed (see ``Cone._margin_table``); and
+    ``_build_cone`` only where the cone is not Gamma_k, with k the order
+    ``k`` and n where the family takes none.  ``describe`` and the factory
+    read ``family`` and ``orders``.
+
+    Public entry points validate cone membership and raise
+    :class:`ConeDomainError` carrying the violated inequality and, for
+    batched input, the node (the index in lam's batch shape, a grid node for
+    an eigenvalue field) and flat index of the first point outside.  An
+    empty batch has no point outside: every entry point returns empty arrays
+    of its shape.
     """
 
     family = None
+    orders = ()
     # m with f(c 1) = f(1) + m log c along the diagonal ray for a log family;
     # None for a root family, where f(c 1) = c f(1).
     _log_degree = None
 
-    def __init__(self, n):
+    def __init__(self, n, *orders):
         if n < 2:
             raise ValidationError("complex dimension n >= 2 required")
         self.n = n
+        for name, value in zip(self.orders, orders, strict=True):
+            setattr(self, name, int(value))
         self.cone = self._build_cone(n)
 
     # -- subclass hooks
     def _build_cone(self, n):
-        raise NotImplementedError
+        return Cone.gamma(getattr(self, "k", n), n)
 
     def _value(self, lam, table):
         raise NotImplementedError
@@ -254,13 +277,7 @@ class ConeFunction:
     # -- public surface
     def _check(self, lam):
         """(lam, table): lam as a float array inside the cone, and its table."""
-        lam = np.asarray(lam, dtype=float)
-        if lam.shape[-1] != self.n:
-            raise ValidationError(
-                f"{self.describe()} expects vectors of length {self.n}, "
-                f"got {lam.shape[-1]}"
-            )
-        margin, table = self.cone._margin_table(lam)
+        lam, margin, table = self.cone._margin_table(lam)
         if not np.min(margin, initial=math.inf) > 0.0:  # NaN fails; an empty batch passes
             where, point = "", lam
             if lam.ndim > 1:
@@ -284,10 +301,11 @@ class ConeFunction:
         return self._value(lam, table), self._grad(lam, table)
 
     def margin(self, lam):
-        return self.cone.margin(np.asarray(lam, dtype=float))
+        return self.cone.margin(lam)
 
     def describe(self):
-        return f"{self.family}(n={self.n})"
+        orders = "".join(f", {name}={getattr(self, name)}" for name in self.orders)
+        return f"{self.family}(n={self.n}{orders})"
 
 
 class LogMA(ConeFunction):
@@ -295,9 +313,6 @@ class LogMA(ConeFunction):
 
     family = "log-ma"
     _log_degree = property(lambda self: self.n)
-
-    def _build_cone(self, n):
-        return Cone.gamma(n, n)
 
     def _check(self, lam):
         # Value and gradient read lam alone: holding the sigma table through
@@ -315,13 +330,7 @@ class SigmaKRoot(ConeFunction):
     """k-th root of the k-th elementary symmetric polynomial on Gamma_k."""
 
     family = "sigma-k-root"
-
-    def __init__(self, n, k):
-        self.k = int(k)
-        super().__init__(n)
-
-    def _build_cone(self, n):
-        return Cone.gamma(self.k, n)
+    orders = ("k",)
 
     def _value(self, lam, table):
         return table[..., self.k - 1] ** (1.0 / self.k)
@@ -330,9 +339,6 @@ class SigmaKRoot(ConeFunction):
         ek = table[..., self.k - 1, None]
         dk = sigma_deleted(lam, self.k - 1)
         return (1.0 / self.k) * ek ** (1.0 / self.k - 1.0) * dk
-
-    def describe(self):
-        return f"{self.family}(n={self.n}, k={self.k})"
 
 
 class LogSigmaK(SigmaKRoot):
@@ -356,16 +362,12 @@ class QuotientRoot(ConeFunction):
     """
 
     family = "quotient-root"
+    orders = ("k", "l")
 
     def __init__(self, n, k, l):
-        self.k = int(k)
-        self.l = int(l)
-        super().__init__(n)
+        super().__init__(n, k, l)
         if not 1 <= self.l < self.k <= n:
             raise ValidationError(f"need 1 <= l < k <= n, got k={k}, l={l}")
-
-    def _build_cone(self, n):
-        return Cone.gamma(self.k, n)
 
     def _value(self, lam, table):
         r = table[..., self.k - 1] / table[..., self.l - 1]
@@ -388,9 +390,6 @@ class QuotientRoot(ConeFunction):
             return False, -math.inf
         return True, (dk / dl) ** (1.0 / (self.k - self.l))
 
-    def describe(self):
-        return f"{self.family}(n={self.n}, k={self.k}, l={self.l})"
-
 
 class LogDeletedSums(ConeFunction):
     """Sum of logarithms of the deleted sums, on the deleted-sum cone.
@@ -412,16 +411,7 @@ class LogDeletedSums(ConeFunction):
         return q_inverse(1.0 / table)
 
 
-FAMILIES = {
-    "log-ma": LogMA,
-    "sigma-k-root": SigmaKRoot,
-    "log-sigma-k": LogSigmaK,
-    "quotient-root": QuotientRoot,
-    "log-p": LogDeletedSums,
-}
-
-# the orders each family takes, in constructor order; the others take none
-_ORDERS = {"sigma-k-root": ("k",), "log-sigma-k": ("k",), "quotient-root": ("k", "l")}
+FAMILIES = {f.family: f for f in (LogMA, SigmaKRoot, LogSigmaK, QuotientRoot, LogDeletedSums)}
 
 
 def cone_function(family, n, k=None, l=None):
@@ -436,7 +426,7 @@ def cone_function(family, n, k=None, l=None):
         raise ValidationError(
             f"unknown family {family!r}; choose from {sorted(FAMILIES)}"
         )
-    takes = _ORDERS.get(family, ())
+    takes = FAMILIES[family].orders
     given = {"k": k, "l": l}
     missing = [name for name in takes if given[name] is None]
     if missing:
@@ -506,11 +496,9 @@ def concavity_probe(f, lam, mu):
     concavity keeps nonnegative up to rounding (>= -1e-9 is the tested
     bound; a linear family gives exactly zero).
     """
-    lam = np.asarray(lam, dtype=float)
-    mu = np.asarray(mu, dtype=float)
     flam, g = f.value_grad(lam)
     fmu = f.value(mu)
-    return flam - fmu - _fold(np.add, g * (lam - mu))
+    return flam - fmu - _fold(np.add, g * np.subtract(lam, mu, dtype=float))
 
 
 def gamma_infinity_member(lam_prime, cone):
@@ -566,7 +554,7 @@ def c_sigma(f, sigma):
 # ---------------------------------------------------------------------------
 # sampling
 
-def sample_cone(cone, count, rng, box=3.0):
+def sample_cone(cone, count, rng):
     """Draw cone points: positive-orthant draws mixed with box rejection.
 
     The positive draws guarantee progress for thin cones; the rejection
@@ -577,7 +565,7 @@ def sample_cone(cone, count, rng, box=3.0):
     keep = [pos[cone.margin(pos) > 0]]
     got = len(keep[0])
     while got < count:
-        cand = rng.uniform(-box, box, size=(4 * count, cone.n))
+        cand = rng.uniform(-3.0, 3.0, size=(4 * count, cone.n))
         good = cand[cone.margin(cand) > 0]
         keep.append(good)
         got += len(good)

@@ -165,8 +165,6 @@ class ProductGrid:
         r = self.resolutions[axis]
         if axis == self.strip_axis:
             return (self.strip_bounds[1] - self.strip_bounds[0]) / (r - 1)
-        if r == 1:
-            return self.period(axis)
         return self.period(axis) / r
 
     def coord(self, axis):
@@ -525,8 +523,11 @@ def gfield(grid, u, chi, eta=None):
     coupling adds u_i conj(eta_j) + eta_i conj(u_j) to each node matrix.  It
     is the first-order term with coefficients A_p[i, j] = delta_pi
     conj(eta_j), assembled as coefficient planes on the Hessian's first
-    derivatives.
+    derivatives.  ``chi`` must end in (n, n), or :class:`GridError` names
+    both shapes: a scalar would be added to every entry, not to the
+    diagonal.
     """
+    _check_field(chi, grid.n, "grid's")
     planes = ()
     if eta is not None:
         eta = np.asarray(eta, dtype=complex)
@@ -617,12 +618,11 @@ def _add_metric_multiple(h, s, metric):
         h += s[..., None, None] * metric.g
 
 
-def _check_field(h, metric):
-    """Refuse a field that does not end in the metric's (n, n) with
-    :class:`GridError` naming both shapes."""
-    n = metric.grid.n
+def _check_field(h, n, owner="metric's"):
+    """Refuse a field that does not end in (n, n) with :class:`GridError`
+    naming both shapes, the second as the ``owner``'s."""
     if np.shape(h)[-2:] != (n, n):
-        raise GridError(f"field of shape {np.shape(h)} does not end in the metric's ({n}, {n})")
+        raise GridError(f"field of shape {np.shape(h)} does not end in the {owner} ({n}, {n})")
 
 
 def trace_wrt_metric(metric, h):
@@ -632,7 +632,7 @@ def trace_wrt_metric(metric, h):
     h must end in the metric's (n, n), or :class:`GridError` names both
     shapes.
     """
-    _check_field(h, metric)
+    _check_field(h, metric.grid.n)
     ginv = metric.inverse
     if not metric.is_diagonal:
         return np.einsum("...ji,...ij->...", ginv, h).real
@@ -904,7 +904,7 @@ def eig_wrt_metric(h, metric, vectors=False):
     names the node.
     """
     h = np.asarray(h)
-    _check_field(h, metric)
+    _check_field(h, metric.grid.n)
     if metric.is_flat:
         return _eigh(h, vectors)
     linv = metric.inv_cholesky

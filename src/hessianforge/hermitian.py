@@ -47,7 +47,7 @@ class BorderedSpec:
     ``d`` is real of length n-1, ``a`` is complex of length n-1, ``aa`` is the
     real corner parameter and ``eps`` the concentration tolerance used by the
     threshold formulas and the report.  Each must be finite; a field that is
-    not is refused by name.
+    not is refused by name (``d``, ``a`` and ``eps`` by ``_rows``).
     """
 
     d: np.ndarray
@@ -56,17 +56,12 @@ class BorderedSpec:
     eps: float
 
     def __post_init__(self):
-        self.d = np.atleast_1d(np.asarray(self.d, dtype=float))
-        self.a = np.atleast_1d(np.asarray(self.a, dtype=complex))
+        self.eps, self.d, self.a, _ = _rows(self.eps, self.d, self.a)
+        if self.d.ndim != 1:
+            raise ValidationError(f"d and a must be 1-d, got shape {self.d.shape}")
         self.aa = float(self.aa)
-        self.eps = _finite_positive(self.eps, "eps")
-        if self.d.shape != self.a.shape or self.d.ndim != 1:
-            raise ValidationError("d and a must be 1-d arrays of equal length")
-        for name, value in (("d", self.d), ("a", self.a), ("aa", self.aa)):
-            if not np.all(np.isfinite(value)):
-                raise ValidationError(f"{name} must be finite, got {value}")
-        if self.n < 2:
-            raise ValidationError("bordered matrices need dimension n >= 2")
+        if not np.isfinite(self.aa):
+            raise ValidationError(f"aa must be finite, got {self.aa}")
 
     @property
     def n(self):
@@ -119,14 +114,22 @@ def bordered(spec):
 def bordered_batch(d, a, aa):
     """Bordered matrices for stacks of (d, a, aa) rows; the only assembly.
 
-    The dtype follows the border: float64 for a real ``a``, complex128 for a
-    complex one.
+    ``d`` is 2-d ``(rows, n-1)``, ``a`` has its shape and ``aa`` holds one
+    corner per row; other shapes are refused, naming the field.  The dtype
+    follows the border: float64 for a real ``a``, complex128 for a complex
+    one.
     """
     d = np.asarray(d, dtype=float)
     a = np.asarray(a)
     a = a.astype(np.result_type(a.dtype, float), copy=False)
     aa = np.asarray(aa, dtype=float)
+    if d.ndim != 2:
+        raise ValidationError(f"d must be 2-d (rows, n-1), got shape {d.shape}")
+    if a.shape != d.shape:
+        raise ValidationError(f"a must have d's shape {d.shape}, got {a.shape}")
     t, m = d.shape
+    if aa.shape != (t,):
+        raise ValidationError(f"aa must hold one corner for each of {t} rows, got shape {aa.shape}")
     out = np.zeros((t, m + 1, m + 1), dtype=a.dtype)
     idx = np.arange(m)
     out[:, idx, idx] = d
@@ -149,13 +152,28 @@ def _spectra(d, a, aa):
     return np.linalg.eigvalsh(bordered_batch(d, np.abs(a), aa))
 
 
-def _threshold_inputs(eps, d, a):
+def _rows(eps, d, a):
+    """(eps, d, a, n): the one check of bordered rows, for a spec and for
+    the growth thresholds.
+
+    ``d`` becomes a real and ``a`` a complex array, at least 1-d, each row
+    along the last axis, and n is the row length plus one.  Refused, each by
+    name with :class:`ValidationError`: ``eps`` that is not finite and
+    positive, ``d`` and ``a`` of different shapes, n < 2, and a NaN or
+    infinite entry of ``d`` or ``a``.
+    """
     eps = _finite_positive(eps, "eps")
     d = np.atleast_1d(np.asarray(d, dtype=float))
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     if d.shape != a.shape:
-        raise ValidationError("d and a must have equal length")
-    return eps, d, a, d.shape[-1] + 1
+        raise ValidationError(f"d and a must have equal shapes, got {d.shape} and {a.shape}")
+    n = d.shape[-1] + 1
+    if n < 2:
+        raise ValidationError("bordered matrices need dimension n >= 2")
+    for name, value in (("d", d), ("a", a)):
+        if not np.isfinite(value).all():
+            raise ValidationError(f"{name} must be finite, got {value}")
+    return eps, d, a, n
 
 
 def growth_threshold_main(eps, d, a):
@@ -166,7 +184,7 @@ def growth_threshold_main(eps, d, a):
     sorted diagonal block and the top eigenvalue exceeds the corner by less
     than ``(n-1) eps``.  Stacked ``(..., n-1)`` rows give one threshold each.
     """
-    eps, d, a, n = _threshold_inputs(eps, d, a)
+    eps, d, a, n = _rows(eps, d, a)
     return (
         (2 * n - 3) / eps * np.sum(np.abs(a) ** 2, axis=-1)
         + (n - 1) * np.sum(np.abs(d), axis=-1)
@@ -182,7 +200,7 @@ def growth_threshold_refined(eps, d, a):
     (not necessarily its own after sorting).  Stacked ``(..., n-1)`` rows give
     one threshold each.
     """
-    eps, d, a, n = _threshold_inputs(eps, d, a)
+    eps, d, a, n = _rows(eps, d, a)
     return (
         np.sum(np.abs(a) ** 2, axis=-1) / eps
         + np.sum(d + (n - 2) * np.abs(d), axis=-1)
@@ -316,8 +334,9 @@ def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0):
     parts) uniform in ``[-2, 2]``, sets the corner to ``aa_factor`` times the
     relevant growth threshold and checks the corresponding conclusion on
     every draw.  The spectra come from the real arrowhead matrices with
-    border ``|a|`` (``_spectra``), so no complex matrix is formed.  ``n`` and
-    ``trials`` must be integers, and ``aa_factor`` finite and positive.
+    border ``|a|`` (``_spectra``), so no complex matrix is formed.  ``n``,
+    ``trials`` and ``seed`` must be integers (``seed`` >= 0), and
+    ``aa_factor`` finite and positive.
 
     Returns
     -------
@@ -327,7 +346,7 @@ def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0):
     n = _count(n, "n", 2)
     trials = _count(trials, "trials", 1)
     aa_factor = _finite_positive(aa_factor, "aa_factor")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     shape = (trials, n - 1)
     d = rng.uniform(-_TRIAL_AMPLITUDE, _TRIAL_AMPLITUDE, shape)
     a = rng.uniform(-_TRIAL_AMPLITUDE, _TRIAL_AMPLITUDE, shape) + 1j * rng.uniform(

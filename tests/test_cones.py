@@ -568,6 +568,52 @@ class TestFactory:
         with pytest.raises(cn.ValidationError):
             cn.cone_function("log-ma", 1)
 
+    @pytest.mark.parametrize("family, kw, text", [
+        ("log-ma", dict(), "log-ma(n=3)"),
+        ("sigma-k-root", dict(k=2), "sigma-k-root(n=3, k=2)"),
+        ("log-sigma-k", dict(k=2), "log-sigma-k(n=3, k=2)"),
+        ("quotient-root", dict(k=3, l=1), "quotient-root(n=3, k=3, l=1)"),
+        ("log-p", dict(), "log-p(n=3)"),
+    ])
+    def test_describe(self, family, kw, text):
+        assert make(family, 3, **kw).describe() == text
+
+    def test_families_are_keyed_by_their_own_name(self):
+        assert sorted(cn.FAMILIES) == sorted(name for name, _ in ALL_FAMILIES)
+        for name, cls in cn.FAMILIES.items():
+            assert cls.family == name
+
+    def test_orders_are_stored_as_ints(self):
+        f = make("quotient-root", 4, k=np.int64(3), l=2.0)
+        assert (type(f.k), type(f.l)) == (int, int) and f.cone == cn.Cone.gamma(3, 4)
+
+
+class TestPointLength:
+    """Every entry point refuses a point of the wrong length, or with no
+    axis at all, with ValidationError naming the cone."""
+
+    ENTRY_POINTS = {
+        "value": lambda f, lam: f.value(lam),
+        "grad": lambda f, lam: f.grad(lam),
+        "value_grad": lambda f, lam: f.value_grad(lam),
+        "margin": lambda f, lam: f.margin(lam),
+        "Cone.margin": lambda f, lam: f.cone.margin(lam),
+        "Cone.contains": lambda f, lam: f.cone.contains(lam),
+        "concavity_probe": lambda f, lam: cn.concavity_probe(f, lam, lam),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
+    @pytest.mark.parametrize("lam, has", [
+        (np.ones(4), "4"), (np.ones((2, 4)), "4"), (np.float64(1.0), "shape ()"), (1.0, "shape ()"),
+    ], ids=["n+1", "batched-n+1", "0-d", "scalar"])
+    def test_refused(self, family, kw, entry, lam, has):
+        f = make(family, 3, **kw)
+        cone = f.cone.ray_description()
+        with pytest.raises(cn.ValidationError, match=re.escape(f"dimension mismatch: {cone} has n=3, point has {has}")) as caught:
+            self.ENTRY_POINTS[entry](f, lam)
+        assert caught.type is cn.ValidationError
+
 
 # ---------------------------------------------------------------------------
 # whole-plane layout: return types, empty batches, and the formulas it replaced

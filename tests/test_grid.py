@@ -275,6 +275,15 @@ class TestGField:
                + eta[..., :, None] * np.conj(uz)[..., None, :])
         TestNaturalShape.assert_close(gr.gfield(g, u, chi, eta), ref)
 
+    @pytest.mark.parametrize("chi, shape", [
+        (2.0, "()"), (np.ones(2), "(2,)"), (np.eye(3), "(3, 3)"), (np.ones((8, 1, 8, 1, 2)), "(8, 1, 8, 1, 2)"),
+    ], ids=["scalar", "vector", "3x3", "field-of-vectors"])
+    def test_chi_must_end_in_n_by_n(self, chi, shape):
+        # a scalar would be added to every entry: a rank-one form, not 2 I
+        g = make_grid(res=(8, 1, 8, 1))
+        with pytest.raises(gr.GridError, match=re.escape(f"field of shape {shape} does not end in the grid's (2, 2)")):
+            gr.gfield(g, np.zeros(g.shape), chi)
+
 
 def conformal_setup(m=48, eps=0.3):
     g = make_grid(res=(m, 1, 16, 1))
@@ -901,6 +910,25 @@ class TestGauduchonFields:
         mu = np.sort(gr.eig_wrt_metric(uform, metric), axis=-1)
         expect = np.sort(lam.sum(axis=-1, keepdims=True) - lam, axis=-1)
         np.testing.assert_allclose(mu, expect, atol=1e-10)
+
+    def test_g_form_at_zero_chi_is_linear_in_u(self):
+        # the Newton step's linear part: chi = 0 as an (n, n) zero, rho != 0
+        g = make_grid(n=3, res=(8, 1, 8, 1, 8, 8))
+        metric = gr.metric_conformal(g, 0.3)
+        assert metric.torsion_planes[1]
+        rng = np.random.default_rng(12)
+        rho = 0.5 + rng.uniform(size=g.shape)
+        u, v = rng.normal(size=g.shape), rng.normal(size=g.shape)
+        zero = np.zeros((3, 3))
+
+        def linear_part(w):
+            return gr.gauduchon_fields(g, w, zero, rho, metric)[1]
+
+        got = linear_part(2.0 * u - 3.0 * v)
+        ref = 2.0 * linear_part(u) - 3.0 * linear_part(v)
+        scale = np.max(np.abs(ref))
+        assert scale > 0 and np.max(np.abs(got - ref)) <= 1e-12 * scale
+        assert not np.any(linear_part(np.zeros(g.shape)))
 
 
 class TestMetricCaches:

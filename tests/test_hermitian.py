@@ -91,6 +91,19 @@ class TestBordered:
         with pytest.raises(hm.ValidationError):
             hm.BorderedSpec([], [], 0.0, 0.1)
 
+    @pytest.mark.parametrize("field, d, a, aa", [
+        ("d", [1.0, 2.0], [1.0, 1.0], [3.0]),
+        ("d", np.ones((2, 2, 1)), np.ones((2, 2, 1)), [0.0, 0.0]),
+        ("a", np.ones((2, 2)), np.ones((2, 3)), [0.0, 0.0]),
+        ("a", np.ones((2, 2)), np.ones(2), [0.0, 0.0]),
+        ("aa", np.ones((2, 2)), np.ones((2, 2)), [0.0]),
+        ("aa", np.ones((2, 2)), np.ones((2, 2)), 0.0),
+        ("aa", np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 1))),
+    ])
+    def test_batch_refuses_shapes(self, field, d, a, aa):
+        with pytest.raises(hm.ValidationError, match=rf"^{field} must "):
+            hm.bordered_batch(d, a, aa)
+
 
 class TestThresholds:
     def test_main_n2(self):
@@ -142,6 +155,24 @@ class TestThresholds:
                 threshold(eps, [1.0], [1.0])
         with pytest.raises(hm.ValidationError, match="eps must be finite and positive"):
             hm.lemma_trial_batch(3, eps, 10, 1)
+
+    @pytest.mark.parametrize("threshold", [hm.growth_threshold_main, hm.growth_threshold_refined])
+    @pytest.mark.parametrize("field, d, a", [
+        ("d", [math.nan], [1.0]),
+        ("d", [[1.0, 2.0], [-math.inf, 0.0]], [[1.0, 1.0], [1.0, 1.0]]),
+        ("a", [1.0], [math.inf]),
+        ("a", [1.0, 2.0], [1.0, complex(0.0, math.nan)]),
+    ])
+    def test_rejects_non_finite_rows(self, threshold, field, d, a):
+        with pytest.raises(hm.ValidationError, match=rf"^{field} must be finite"):
+            threshold(0.1, d, a)
+
+    @pytest.mark.parametrize("threshold", [hm.growth_threshold_main, hm.growth_threshold_refined])
+    def test_rejects_rows_of_unequal_shape_or_length_zero(self, threshold):
+        with pytest.raises(hm.ValidationError, match="d and a must have equal shapes"):
+            threshold(0.1, [1.0, 2.0], [1.0])
+        with pytest.raises(hm.ValidationError, match="n >= 2"):
+            threshold(0.1, [], [])
 
 
 class TestConcentrationReport:
@@ -324,6 +355,12 @@ class TestLemmaProperties:
     def test_numpy_integer_counts(self):
         out = hm.lemma_trial_batch(np.int64(3), 0.1, trials=np.int32(10), seed=1)
         assert out["trials"] == 10 and type(out["trials"]) is int
+
+    @pytest.mark.parametrize("seed, text", [(-1, "seed must be at least 0"), (1.5, "seed must be an integer"),
+                                            (None, "seed must be an integer")])
+    def test_rejects_bad_seed(self, seed, text):
+        with pytest.raises(hm.ValidationError, match=text):
+            hm.lemma_trial_batch(3, 0.1, trials=10, seed=seed)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     @pytest.mark.parametrize("eps", [0.5, 0.01])
