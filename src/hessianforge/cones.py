@@ -93,9 +93,19 @@ def _fold(ufunc, table):
     return out[()]
 
 
+def _points(lam, name):
+    """lam as a float array of points along its last axis; a 0-d input is
+    refused with :class:`ValidationError` naming the function ``name``."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim == 0:
+        raise ValidationError(f"{name} needs points along a last axis, got shape ()")
+    return lam
+
+
 def sigma_all(lam):
     """All elementary symmetric polynomials e_0..e_n of the last axis."""
-    return _sigma_table(np.asarray(lam, dtype=float), np.shape(lam)[-1])
+    lam = _points(lam, "sigma_all")
+    return _sigma_table(lam, lam.shape[-1])
 
 
 def sigma_k(lam, k):
@@ -106,7 +116,7 @@ def sigma_k(lam, k):
     float64 scalar, as ``_fold`` does.  The cone functions read every sigma of
     lam through here (see ``Cone._margin_table``).
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = _points(lam, "sigma_k")
     n = lam.shape[-1]
     orders = k if isinstance(k, range) else range(k, k + 1)
     if not orders or min(orders) < 1 or max(orders) > n:
@@ -134,7 +144,7 @@ def sigma_deleted(lam, k):
     Returns an array whose last axis indexes the deleted coordinate; order
     ``k`` runs over 0..n-1 (0 gives ones).
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = _points(lam, "sigma_deleted")
     n = lam.shape[-1]
     if not 0 <= k < n:
         raise ValidationError(f"order k={k} out of range 0..{n - 1}")
@@ -445,7 +455,7 @@ def q_inverse(lam):
 
     The one place the deleted sums are formed; batched along leading axes.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = _points(lam, "q_inverse")
     return _fold(np.add, lam)[..., None] - lam
 
 

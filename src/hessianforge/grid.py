@@ -41,6 +41,17 @@ coincide, where the closed form would miss a 1e-12 relative target.  On
 every n and metric, a node with a NaN or infinite entry gets NaN eigenpairs
 without a warning.  A diagonal metric (flat, conformal and product metrics
 all are) reduces them elementwise.
+
+Layout rule: every Hermitian field and every eigen output this module
+allocates (the assembled tensor fields, :func:`hat_transform`, the reduced
+matrix and the eigenvalues and eigenvectors of :func:`eig_wrt_metric`) is
+stored entry-plane-first, (n, n) + batch in memory, by one allocator,
+``_plane_first``, and handed out as the usual (..., n, n) view, or
+(..., n) for eigenvalues.  Each entry is then one contiguous plane over
+the grid, so the assembler, the metric reduction, the closed-form kernels
+and the cone layer read and write whole planes.  Readers index by shape and
+never rely on C order; an input of any layout is accepted, and values do
+not depend on it.
 """
 
 import math
@@ -268,6 +279,16 @@ def d_dz(grid, u, i):
     return 0.5 * (d1(grid, u, 2 * i) - 1j * d1(grid, u, 2 * i + 1))
 
 
+def _plane_first(batch, entries, dtype=complex):
+    """An empty array of shape ``batch + entries``, stored entry-plane-first:
+    in memory the order is ``entries + batch``, so each entry of every node
+    (each (i, j) of a field, each i of an eigenvalue stack) is one
+    contiguous plane over the batch.  The one allocator of the module's
+    Hermitian fields and eigen outputs."""
+    k = len(entries)
+    return np.moveaxis(np.empty(entries + batch, dtype), tuple(range(k)), tuple(range(-k, 0)))
+
+
 def _planes(a):
     """Real coefficient planes of a first-order term sum_p A_p u_p + h.c.
 
@@ -319,10 +340,13 @@ def _torsion_planes(metric, za):
     return _planes(za), _planes(wa)
 
 
-def _assemble(grid, u, planes=(), weight=None, hessian=True):
+def _assemble(grid, u, planes=(), weight=None, hessian=True, lead=()):
     """The complex Hessian of u (unless ``hessian`` is False) plus the
     first-order term given by ``planes`` (see :func:`_planes`), times
     ``weight`` when one is given: the one assembler of the tensor fields.
+    The result is allocated entry-plane-first, at the broadcast shape of u,
+    the term's fields and ``lead``, the leading shape of a field the caller
+    adds afterwards.
 
     Each first derivative d_a u is formed once, on first use, and shared by
     the mixed Hessian stencils and the coefficient planes.  Each real and
@@ -344,7 +368,7 @@ def _assemble(grid, u, planes=(), weight=None, hessian=True):
     shapes = [np.shape(c) for fields in terms.values() for _, c in fields]
     if terms and weight is not None:
         shapes.append(np.shape(weight))
-    out = np.empty(np.broadcast_shapes(u.shape, *shapes) + (n, n), dtype=complex)
+    out = _plane_first(np.broadcast_shapes(u.shape, lead, *shapes), (n, n))
     # the diagonal first, before the first derivatives the mixed terms share
     entries = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
     for i, j in entries:
@@ -523,16 +547,30 @@ def gfield(grid, u, chi, eta=None):
     coupling adds u_i conj(eta_j) + eta_i conj(u_j) to each node matrix.  It
     is the first-order term with coefficients A_p[i, j] = delta_pi
     conj(eta_j), assembled as coefficient planes on the Hessian's first
-    derivatives.  ``chi`` must end in (n, n), or :class:`GridError` names
-    both shapes: a scalar would be added to every entry, not to the
-    diagonal.
+    derivatives.  ``chi`` must broadcast to ``grid.shape + (n, n)``, or
+    :class:`GridError` names both shapes: a scalar would be added to every
+    entry, not to the diagonal.
     """
-    _check_field(chi, grid.n, "grid's")
+    _check_chi(grid, chi)
     planes = ()
     if eta is not None:
         eta = np.asarray(eta, dtype=complex)
         planes = _planes(np.eye(grid.n)[:, :, None] * np.conj(eta)[..., None, None, :])
-    return _assemble(grid, u, planes) + chi
+    out = _assemble(grid, u, planes, lead=np.shape(chi)[:-2])
+    out += chi
+    return out
+
+
+def _check_chi(grid, chi):
+    """Refuse a chi that does not broadcast to ``grid.shape + (n, n)`` with
+    :class:`GridError` naming both shapes: the one check of chi, for
+    :func:`gfield` and :func:`gauduchon_fields`.  A chi that does not end in
+    (n, n) is named first: a scalar would be added to every entry, not to
+    the diagonal."""
+    _check_field(chi, grid.n, "grid's")
+    shape, full = np.shape(chi), grid.shape + (grid.n, grid.n)
+    if len(shape) > len(full) or any(a not in (1, b) for a, b in zip(shape[::-1], full[::-1])):
+        raise GridError(f"chi of shape {shape} does not broadcast to the grid's {full}")
 
 
 def _check_grid(grid, metric):
@@ -650,7 +688,8 @@ def hat_transform(metric, h):
     :func:`trace_wrt_metric`.
     """
     tr = trace_wrt_metric(metric, h)
-    out = np.empty(np.broadcast_shapes(np.shape(h), metric.g.shape), dtype=complex)
+    n = metric.grid.n
+    out = _plane_first(np.broadcast_shapes(np.shape(h)[:-2], metric.g.shape[:-2]), (n, n))
     np.negative(h, out=out)
     _add_metric_multiple(out, tr, metric)
     return out
@@ -670,10 +709,12 @@ def gauduchon_fields(grid, u, chi, rho, metric):
     of u are formed once and shared, and W/(n-1) enters through the W
     planes of ``metric.torsion_planes``, weighted by rho.  chihat is added
     after, and U is the :func:`hat_transform` of the g-form.  On a diagonal
-    metric the traces and the multiples of omega are elementwise.
+    metric the traces and the multiples of omega are elementwise.  ``chi``
+    is checked as in :func:`gfield`.
     """
     _check_grid(grid, metric)
-    g_form = _assemble(grid, u, metric.torsion_planes[1], weight=rho)
+    _check_chi(grid, chi)
+    g_form = _assemble(grid, u, metric.torsion_planes[1], weight=rho, lead=np.shape(chi)[:-2])
     g_form -= chi
     _add_metric_multiple(g_form, trace_wrt_metric(metric, chi) / (grid.n - 1), metric)
     return hat_transform(metric, g_form), g_form
@@ -681,7 +722,8 @@ def gauduchon_fields(grid, u, chi, rho, metric):
 
 def _non_finite(h):
     """Nodes of an (m, n, n) stack with a NaN or infinite entry in the lower
-    triangle or real diagonal, each tested through a strided view."""
+    triangle or real diagonal, each entry tested as one plane of the stack
+    (contiguous when the stack is stored plane-first)."""
     ok = np.isfinite(h[:, 0, 0].real)
     for i in range(1, h.shape[-1]):
         ok &= np.isfinite(h[:, i, i].real)
@@ -833,33 +875,41 @@ def _eigh3(h, lam, vec):
 def _eigh(h, vectors, overwrite=False):
     """Batched Hermitian eigensolve: the one driver, for every n.
 
-    Solves the flattened stack ``_EIG_BLOCK`` nodes at a time, so the
-    temporaries stay flat.  The closed forms :func:`_eigh2` and
-    :func:`_eigh3` write into the output slices they are handed and return
-    the nodes they leave to LAPACK's ``eigh``, which solves whole blocks at
-    every other n.  A node with a NaN or infinite entry in the lower
-    triangle or real diagonal, the entries all of them read, gets NaN
+    Solves the stack ``_EIG_BLOCK`` nodes at a time, so the temporaries
+    stay flat, on (-1, n[, n]) reshapes of h and of the outputs.  The
+    eigenvalues (and eigenvectors) are allocated plane-first, so their
+    reshapes are views and they are returned as they are, with no final
+    copy; h's reshape is a view too when its batch axes merge, as those of
+    a plane-first or C-ordered field do.  The closed forms :func:`_eigh2`
+    and :func:`_eigh3` write into the output slices they are handed and
+    return the nodes they leave to LAPACK's ``eigh``, which solves whole
+    blocks at every other n.  A node with a NaN or infinite entry in the
+    lower triangle or real diagonal, the entries all of them read, gets NaN
     eigenpairs without a warning: its kernel sees zeros in its place, and
     LAPACK never sees it.
 
-    ``overwrite`` writes the eigenvectors over h, a complex array the caller
-    gives up; each block is then copied first, so no kernel's input aliases
-    its output.
+    ``overwrite`` (with ``vectors``) writes the eigenvectors over h, a
+    complex array the caller gives up, whose batch axes must merge into a
+    view; they are returned as h itself.  Each block is then copied before
+    it is solved, in its own memory order, so no kernel's input aliases its
+    output and the kernels still read contiguous planes.
     """
     n = h.shape[-1]
     batch = h.shape[:-2]
     flat = h.reshape(-1, n, n)
-    lam = np.empty(flat.shape[:-1])
-    vec = (flat if overwrite else np.empty(flat.shape, dtype=complex)) if vectors else None
+    lam = _plane_first(batch, (n,), float)
+    vec = (h if overwrite else _plane_first(batch, (n, n))) if vectors else None
+    lam_f = lam.reshape(-1, n)
+    vec_f = None if vec is None else vec.reshape(-1, n, n)
     kernel = {2: _eigh2, 3: _eigh3}.get(n)
     for lo in range(0, flat.shape[0], _EIG_BLOCK):
         rows = slice(lo, lo + _EIG_BLOCK)
-        blk, lam_b = flat[rows], lam[rows]
-        vec_b = None if vec is None else vec[rows]
+        blk, lam_b = flat[rows], lam_f[rows]
+        vec_b = None if vec_f is None else vec_f[rows]
         bad = _non_finite(blk)
         skip = bad.any()
-        if skip or vec is flat:
-            blk = blk.copy()
+        if skip or overwrite:
+            blk = blk.copy(order="K")
             blk[bad] = 0.0
         lapack = ~bad if kernel is None else kernel(blk, lam_b, vec_b)
         if lapack is not None:
@@ -873,8 +923,7 @@ def _eigh(h, vectors, overwrite=False):
             lam_b[bad] = np.nan
             if vectors:
                 vec_b[bad] = np.nan
-    lam = lam.reshape(batch + (n,))
-    return (lam, vec.reshape(batch + (n, n))) if vectors else lam
+    return (lam, vec) if vectors else lam
 
 
 def eig_wrt_metric(h, metric, vectors=False):
@@ -893,8 +942,12 @@ def eig_wrt_metric(h, metric, vectors=False):
     Every eigenpair comes from :func:`_eigh`, the one driver, flat metric
     or not: closed forms at n = 2 and n = 3, and LAPACK's ``eigh`` at
     near-degenerate n = 3 nodes and at every other n.  All read only the
-    lower triangle and real diagonal of the reduced matrix, a private copy
-    that the eigenvectors overwrite.
+    lower triangle and real diagonal of the reduced matrix, a private
+    plane-first array that the eigenvectors overwrite, one copied block at
+    a time; h itself is never written.  The eigenvalues and eigenvectors
+    are returned plane-first on every metric (see the module docstring):
+    the diagonal back-transform scales the eigenvectors in place, and the
+    general one writes its matmul into a plane-first output.
 
     Non-finite policy: a node with a NaN or infinite entry among those read
     gets NaN eigenvalues and eigenvectors, the others are solved as if it
@@ -904,21 +957,25 @@ def eig_wrt_metric(h, metric, vectors=False):
     names the node.
     """
     h = np.asarray(h)
-    _check_field(h, metric.grid.n)
+    n = metric.grid.n
+    _check_field(h, n)
     if metric.is_flat:
         return _eigh(h, vectors)
     linv = metric.inv_cholesky
+    reduced = _plane_first(np.broadcast_shapes(h.shape[:-2], linv.shape[:-2]), (n, n))
     with np.errstate(invalid="ignore"):
         if metric.is_diagonal:
             d = np.diagonal(linv, axis1=-2, axis2=-1).real[..., :, None]
-            reduced = np.multiply(h, d * np.swapaxes(d, -1, -2), dtype=complex)
+            np.multiply(h, d * np.swapaxes(d, -1, -2), out=reduced, dtype=complex)
         else:
-            reduced = linv @ h @ np.conj(np.swapaxes(linv, -1, -2))
-            reduced = 0.5 * (reduced + np.conj(np.swapaxes(reduced, -1, -2)))
+            linv_h = np.conj(np.swapaxes(linv, -1, -2))
+            full = linv @ h @ linv_h
+            np.add(full, np.conj(np.swapaxes(full, -1, -2)), out=reduced)
+            reduced *= 0.5
     if not vectors:
         return _eigh(reduced, False)
     lam, v = _eigh(reduced, True, overwrite=True)
     if metric.is_diagonal:
         v *= d
         return lam, v
-    return lam, np.conj(np.swapaxes(linv, -1, -2)) @ v
+    return lam, np.matmul(linv_h, v, out=_plane_first(v.shape[:-2], (n, n)))

@@ -615,6 +615,20 @@ class TestPointLength:
         assert caught.type is cn.ValidationError
 
 
+    @pytest.mark.parametrize("name, call", [
+        ("sigma_all", lambda x: cn.sigma_all(x)),
+        ("sigma_k", lambda x: cn.sigma_k(x, 1)),
+        ("sigma_deleted", lambda x: cn.sigma_deleted(x, 0)),
+        ("q_inverse", lambda x: cn.q_inverse(x)),
+    ])
+    @pytest.mark.parametrize("point", [1.0, 2.0, np.float64(1.0), np.array(1.0)], ids=["one", "two", "float64", "0-d"])
+    def test_polynomials_refuse_a_0d_point(self, name, call, point):
+        # a 0-d point has no last axis to read coordinates from
+        with pytest.raises(cn.ValidationError, match=re.escape(f"{name} needs points along a last axis, got shape ()")) as caught:
+            call(point)
+        assert caught.type is cn.ValidationError
+
+
 # ---------------------------------------------------------------------------
 # whole-plane layout: return types, empty batches, and the formulas it replaced
 

@@ -284,6 +284,33 @@ class TestGField:
         with pytest.raises(gr.GridError, match=re.escape(f"field of shape {shape} does not end in the grid's (2, 2)")):
             gr.gfield(g, np.zeros(g.shape), chi)
 
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (8, 1, 8, 2, 2, 2), (2, 8, 1, 8, 1, 2, 2)],
+                             ids=["stack", "wrong-axis", "extra-axis"])
+    @pytest.mark.parametrize("call", ["gfield", "gauduchon_fields"])
+    def test_chi_must_broadcast_to_the_grid(self, call, shape):
+        # a stack of chi would add batch axes to the field, or fail deep in
+        # numpy; both functions name the two shapes instead
+        g = make_grid(res=(8, 1, 8, 1))
+        u, chi = np.zeros(g.shape), np.broadcast_to(np.eye(2), shape)
+        run = {
+            "gfield": lambda: gr.gfield(g, u, chi),
+            "gauduchon_fields": lambda: gr.gauduchon_fields(g, u, chi, np.zeros(g.shape), gr.metric_flat(g)),
+        }[call]
+        with pytest.raises(gr.GridError, match=re.escape(f"chi of shape {shape} does not broadcast to the grid's (8, 1, 8, 1, 2, 2)")):
+            run()
+
+    def test_chi_wider_than_u(self):
+        # u constant along x_1 and chi varying along it: both functions
+        # return the field at the broadcast shape
+        g = make_grid(res=(8, 1, 8, 1))
+        chi = np.eye(2) * (2.0 + g.coord_field(0))[..., None, None] + 0j
+        u = np.zeros((1, 1, 8, 1))
+        np.testing.assert_array_equal(gr.gfield(g, u, chi), np.broadcast_to(chi, g.shape + (2, 2)))
+        metric = gr.metric_flat(g)
+        u_form, g_form = gr.gauduchon_fields(g, u, chi, np.zeros(g.shape), metric)
+        np.testing.assert_array_equal(g_form, np.broadcast_to(chi, g.shape + (2, 2)))
+        np.testing.assert_array_equal(u_form, gr.hat_transform(metric, g_form))
+
 
 def conformal_setup(m=48, eps=0.3):
     g = make_grid(res=(m, 1, 16, 1))
@@ -1330,3 +1357,122 @@ class TestGeneralMetric:
         again = gr.gauduchon_fields(g, u, chi, rho, metric)
         for form, repeat in zip(forms, again):
             np.testing.assert_array_equal(repeat, form)
+
+
+def is_plane_first(x, k=2):
+    """x is stored entry-plane-first: with its last k axes moved to the
+    front, it is C-contiguous."""
+    return np.moveaxis(x, tuple(range(-k, 0)), tuple(range(k))).flags.c_contiguous
+
+
+def as_plane_first(h):
+    """A copy of the field h, stored entry-plane-first."""
+    return np.moveaxis(np.moveaxis(h, (-2, -1), (0, 1)).copy(), (0, 1), (-2, -1))
+
+
+class TestPlaneFirstLayout:
+    """Every Hermitian field and eigen output the module allocates is stored
+    entry-plane-first, and the values never depend on the input's layout."""
+
+    METRICS = {
+        "flat": gr.metric_flat,
+        "conformal": lambda g: gr.metric_conformal(g, 0.3),
+        "general": TestGeneralMetric.metric,
+    }
+
+    @staticmethod
+    def grid3():
+        return make_grid(n=3, res=(8, 1, 8, 1, 8, 1))
+
+    def test_assembled_fields(self):
+        g = self.grid3()
+        metric = gr.metric_conformal(g, 0.3)
+        rng = np.random.default_rng(70)
+        u = rng.normal(size=g.shape)
+        chi = 3.0 * metric.matrix()
+        assert metric.torsion_planes[0]  # the conformal n = 3 metric has Z planes
+        fields = {
+            "complex_hessian": gr.complex_hessian(g, u),
+            "gfield": gr.gfield(g, u, np.eye(3), eta=rng.normal(size=3) + 0j),
+            "z_tensor": gr.z_tensor(g, metric, u),
+            "hat_transform": gr.hat_transform(metric, random_hermitian(rng, g.shape, 3)),
+        }
+        fields["U form"], fields["g form"] = gr.gauduchon_fields(g, u, chi, np.full(g.shape, 0.5), metric)
+        for name, h in fields.items():
+            assert h.shape == g.shape + (3, 3), name
+            assert is_plane_first(h), name
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    @pytest.mark.parametrize("metric_name", list(METRICS))
+    def test_eigen_outputs(self, metric_name, vectors):
+        g = self.grid3()
+        metric = self.METRICS[metric_name](g)
+        h = random_hermitian(np.random.default_rng(71), g.shape, 3)  # C-ordered
+        out = gr.eig_wrt_metric(h, metric, vectors=vectors)
+        lam, vec = out if vectors else (out, None)
+        assert lam.shape == g.shape + (3,) and is_plane_first(lam, 1)
+        if vectors:
+            assert vec.shape == g.shape + (3, 3) and is_plane_first(vec)
+
+    @staticmethod
+    def layouts(n):
+        """One field with a NaN node at shape (16, 3, 16, 1) for n = 2 or
+        (8, 3, 8, 1, 8, 1) for n = 3, in five memory layouts: plane-first,
+        C, Fortran, a read-only broadcast and a strided view."""
+        res = (16, 1, 16, 1) if n == 2 else (8, 1, 8, 1, 8, 1)
+        base = random_hermitian(np.random.default_rng(72), res, n)
+        base[(3, 0, 5) + (0,) * (len(res) - 3)] = np.nan
+        shape = (res[0], 3) + res[2:] + (n, n)
+        field = np.broadcast_to(base, shape)
+        big = np.zeros(shape[:-3] + (2, n, n), dtype=complex)
+        big[..., ::2, :, :] = field
+        return make_grid(n=n, res=res), {
+            "plane-first": as_plane_first(field),
+            "C": np.ascontiguousarray(field),
+            "Fortran": np.asfortranarray(field),
+            "broadcast": field,
+            "strided": big[..., ::2, :, :],
+        }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("vectors", [False, True])
+    @pytest.mark.parametrize("metric_name", list(METRICS))
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_values_do_not_depend_on_the_input_layout(self, n, metric_name, vectors):
+        g, fields = self.layouts(n)
+        metric = self.METRICS[metric_name](g)
+        assert not fields["broadcast"].flags.writeable
+        ref = gr.eig_wrt_metric(fields.pop("plane-first"), metric, vectors=vectors)
+        assert np.isnan(ref[0] if vectors else ref).any()
+        for name, h in fields.items():
+            out = gr.eig_wrt_metric(h, metric, vectors=vectors)
+            for got, want in zip(out, ref) if vectors else [(out, ref)]:
+                np.testing.assert_array_equal(got, want, err_msg=name)
+
+    @pytest.mark.parametrize("metric_name", list(METRICS))
+    @pytest.mark.parametrize("layout", ["plane-first", "C"])
+    def test_the_input_is_left_untouched(self, metric_name, layout):
+        g, fields = self.layouts(3)
+        metric = self.METRICS[metric_name](g)
+        h = fields[layout]
+        kept = h.copy()
+        gr.eig_wrt_metric(h, metric, vectors=True)
+        np.testing.assert_array_equal(h, kept)
+
+    @pytest.mark.parametrize("metric_name", ["flat", "conformal"])
+    def test_no_full_size_copy(self, metric_name):
+        # A plane-first field reshapes to the driver's (-1, n, n) stack as a
+        # view: the scratch beyond the outputs is a few blocks of
+        # _EIG_BLOCK matrices, where one copy of h would be 4 MiB.
+        g = make_grid(res=(16, 16, 16, 16))
+        metric = self.METRICS[metric_name](g)
+        h = gr.complex_hessian(g, np.random.default_rng(73).normal(size=g.shape))
+        assert is_plane_first(h) and h.nbytes == 4 * 2**20
+        tracemalloc.start()
+        try:
+            out = gr.eig_wrt_metric(h, metric, vectors=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = gr._EIG_BLOCK * 2 * 2 * 16  # bytes of one block of 2x2 complex matrices
+        assert peak - sum(o.nbytes for o in out) < 6 * block
