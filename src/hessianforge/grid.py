@@ -18,21 +18,29 @@ vanish.  :class:`Metric` keeps g at such a natural shape, and the quantities
 computed from the metric alone inherit it.
 
 Derivative stencils are second-order centered, with one-sided second-order
-closures on the two boundary slices of the Re w axis.  Each is formed from
-shifted slices of the field, written into one output of float or complex
-dtype; a field whose length along the axis is neither 1 nor the grid's
+closures on the two boundary slices of the Re w axis.  One kernel,
+``_diff``, forms every stencil as an unscaled difference, in float or
+complex dtype: the interior as one shifted subtraction over the C-contiguous
+flattened field, shifted by the axis stride, then the two end planes,
+wrapped around or closed.  :func:`d1` and :func:`d2` divide it by 2h or
+h^2.  A field whose length along the axis is neither 1 nor the grid's
 resolution is refused with :class:`GridError`.
 
 The tensor fields (:func:`complex_hessian`, :func:`z_tensor`,
 :func:`gfield` and :func:`gauduchon_fields`) come from one assembler,
-:func:`_assemble`.  It forms each real first derivative of u once and shares
-it between the mixed Hessian stencils and the first-order terms, and writes
-each real and imaginary plane of the (..., n, n) result once.  A first-order
-term, such as the torsion term Z(du) or the eta coupling of :func:`gfield`,
-enters as real coefficient fields on those derivatives, one list per plane,
-with identically zero fields dropped.  The torsion term's planes depend on
-the metric alone, and :class:`Metric` builds them once.  On a diagonal metric
-the traces and the multiples of omega are elementwise.
+:func:`_assemble`.  It keeps the first differences of u unscaled, forms each
+once and shares it between the mixed Hessian stencils and the first-order
+terms.  The scales 1/(2h), 1/h^2 and the Hessian's 1/4 are folded into one
+coefficient per product: a float per Hessian stencil, and each coefficient
+field of a first-order term divided by 2h at its natural shape.  Each real
+and imaginary plane of the upper triangle is combined in two scratch
+buffers and written once into the (..., n, n) result; the lower triangle is
+one conjugate of it.  A first-order term, such as the torsion term Z(du) or
+the eta coupling of :func:`gfield`, enters as real coefficient fields on
+the first derivatives, one list per plane, with identically zero fields
+dropped.  The torsion term's planes depend on the metric alone, and
+:class:`Metric` builds them once.  On a diagonal metric the traces and the
+multiples of omega are elementwise.
 
 The per-node eigenproblems of :func:`eig_wrt_metric` all go through one
 blocked driver, :func:`_eigh`: closed forms at n = 2 and n = 3, and LAPACK's
@@ -215,59 +223,86 @@ class ProductGrid:
 # ---------------------------------------------------------------------------
 # real-coordinate derivative stencils
 
-def _axis_first(grid, u, axis):
-    """A fresh output of float or complex dtype, and u and that output viewed
-    with ``axis`` first; on a length-1 axis the output is 0 and no view is
-    taken.  u needs every grid axis; only the length along ``axis`` is
-    checked, so u may carry trailing (n, n) axes."""
+def _field(grid, u):
+    """u as a C-contiguous array of float or complex dtype, copied only when
+    it is neither; a field with fewer axes than the grid raises
+    :class:`GridError`."""
     u = np.asarray(u)
     if u.ndim < len(grid.shape):
         raise GridError(f"field of shape {u.shape} has fewer axes than the grid {grid.shape}")
+    return np.ascontiguousarray(u, np.result_type(u.dtype, 1.0))
+
+
+def _diff(grid, u, axis, order, out=None):
+    """The unscaled first (``order`` 1) or second (2) difference of u along
+    ``axis``, written into ``out`` (an array of u's shape and dtype) or a
+    fresh one, and returned: the one stencil kernel.
+
+    Along an axis of stride s in the C-contiguous flattened field, the
+    interior is one shifted subtraction, u[k + s] - u[k - s] or
+    u[k + s] - 2 u[k] + u[k - s].  Where that shift crosses an end plane,
+    the value is wrong, and the two end planes are then rewritten: wrapped
+    around on a periodic axis, closed one-sided to second order on Re w.
+    The order of operations is that of the roll stencils, so d1 and d2,
+    this difference divided by 2h or h^2, match them bit for bit.  Zero on
+    a length-1 axis; a length other than 1 or the grid's resolution raises
+    :class:`GridError`.  u may carry trailing (n, n) axes.
+    """
+    u = _field(grid, u)
     length, res = u.shape[axis], grid.resolutions[axis]
     if length not in (1, res):
         raise GridError(f"axis {axis}: field has length {length} where the grid has {res}")
-    out = np.zeros(u.shape, np.result_type(u.dtype, 1.0))
+    if out is None:
+        out = np.empty_like(u)
     if length == 1:
-        return out, None, None
-    return out, np.moveaxis(u, axis, 0), np.moveaxis(out, axis, 0)
-
-
-def d1(grid, u, axis):
-    """First derivative along a real coordinate axis (zero on length 1).
-
-    Formed from shifted slices of u into one output of float or complex
-    dtype: centered inside, wrapped around at the ends of a periodic axis,
-    and closed one-sided, to second order, on Re w.  A length along ``axis``
-    other than 1 or the grid's resolution raises :class:`GridError`.
-    """
-    out, v, w = _axis_first(grid, u, axis)
-    if v is not None:
-        np.subtract(v[2:], v[:-2], out=w[1:-1])
-        if grid.is_periodic(axis):
+        out[...] = 0
+        return out
+    s = math.prod(u.shape[axis + 1:])
+    f, o = u.reshape(-1), out.reshape(-1)
+    v, w = np.moveaxis(u, axis, 0), np.moveaxis(out, axis, 0)
+    periodic = grid.is_periodic(axis)
+    if order == 1:
+        np.subtract(f[2 * s:], f[:-2 * s], out=o[s:-s])
+        if periodic:
             np.subtract(v[1], v[-1], out=w[0])
             np.subtract(v[0], v[-2], out=w[-1])
         else:
             w[0] = -3 * v[0] + 4 * v[1] - v[2]
             w[-1] = 3 * v[-1] - 4 * v[-2] + v[-3]
-        w /= 2 * grid.spacing(axis)
-    return out
-
-
-def d2(grid, u, axis):
-    """Second derivative along a real coordinate axis (zero on length 1),
-    formed, closed and checked as in :func:`d1`."""
-    out, v, w = _axis_first(grid, u, axis)
-    if v is not None:
-        np.subtract(v[2:], 2 * v[1:-1], out=w[1:-1])
-        w[1:-1] += v[:-2]
-        if grid.is_periodic(axis):
+    else:
+        inner = o[s:-s]
+        np.multiply(f[s:-s], 2, out=inner)
+        np.subtract(f[2 * s:], inner, out=inner)
+        inner += f[:-2 * s]
+        if periodic:
             w[0] = v[1] - 2 * v[0] + v[-1]
             w[-1] = v[0] - 2 * v[-1] + v[-2]
         else:
             w[0] = 2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]
             w[-1] = 2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]
-        h = grid.spacing(axis)
-        w /= h * h
+    return out
+
+
+def d1(grid, u, axis):
+    """First derivative along a real coordinate axis (zero on length 1).
+
+    The difference of :func:`_diff`, divided by 2h: centered inside,
+    wrapped around at the ends of a periodic axis, and closed one-sided, to
+    second order, on Re w, in float or complex dtype.  A length along
+    ``axis`` other than 1 or the grid's resolution raises :class:`GridError`.
+    """
+    out = _diff(grid, u, axis, 1)
+    out /= 2 * grid.spacing(axis)
+    return out
+
+
+def d2(grid, u, axis):
+    """Second derivative along a real coordinate axis (zero on length 1):
+    the difference of :func:`_diff` divided by h^2, closed and checked as in
+    :func:`d1`."""
+    out = _diff(grid, u, axis, 2)
+    h = grid.spacing(axis)
+    out /= h * h
     return out
 
 
@@ -346,55 +381,96 @@ def _assemble(grid, u, planes=(), weight=None, hessian=True, lead=()):
     ``weight`` when one is given: the one assembler of the tensor fields.
     The result is allocated entry-plane-first, at the broadcast shape of u,
     the term's fields and ``lead``, the leading shape of a field the caller
-    adds afterwards.
+    adds afterwards.  A complex u raises :class:`ValidationError`.
 
-    Each first derivative d_a u is formed once, on first use, and shared by
-    the mixed Hessian stencils and the coefficient planes.  Each real and
-    imaginary plane of the upper triangle is summed in its own buffer and
-    written once; the lower triangle mirrors it, which is exact because
-    stencils along distinct axes commute.  Diagonal entries are
-    quarter-Laplacians in each complex coordinate, with zero imaginary part.
+    Every stencil is an unscaled difference from :func:`_diff`, and the
+    scales are folded into one coefficient per product: 1/h^2 and the
+    Hessian's 1/4 into one float per second difference; 1/(2h) twice and
+    1/4 into one float per stencil pair of a mixed term; and 1/(2h) into
+    each coefficient field of the first-order term, at its natural shape.
+    Each first difference of u is formed once, on first use, and shared by
+    the mixed stencils and the coefficient fields.
+
+    Each real and imaginary plane of the upper triangle is combined with
+    ``out=`` in two scratch buffers, the two halves of the memory of the
+    lower plane (j, i), and a stencil is written straight into the buffer
+    it is scaled in, so no scratch is allocated: on a large grid every
+    fresh page costs a fault.  The plane is then written once; a diagonal
+    entry, a quarter-Laplacian in one complex coordinate, as one complex
+    plane with zero imaginary part.  The lower plane is then one conjugate
+    of the upper, which is exact because stencils along distinct axes
+    commute.  An axis along which u has length 1 is never differentiated,
+    since all it would add is zero.
     """
-    u = np.asarray(u)
     n = grid.n
-    terms = dict(planes)
-    derivs = {}
+    u = _field(grid, u)
+    if np.iscomplexobj(u):
+        raise ValidationError(f"u must be real, got dtype {u.dtype}")
+    live = [length > 1 for length in u.shape[: 2 * n]]
+    h = [grid.spacing(axis) for axis in range(2 * n)]
+    terms = {key: [(axis, c / (2 * h[axis])) for axis, c in fields if live[axis]]
+             for key, fields in planes}
+    shapes = [np.shape(c) for _, fields in planes for _, c in fields]
+    if planes and weight is not None:
+        shapes.append(np.shape(weight))
+    batch = np.broadcast_shapes(u.shape, lead, *shapes)
+    out = _plane_first(batch, (n, n))
+    firsts = {}
 
     def first(axis):
-        if axis not in derivs:
-            derivs[axis] = d1(grid, u, axis)
-        return derivs[axis]
+        if axis not in firsts:
+            firsts[axis] = _diff(grid, u, axis, 1)
+        return firsts[axis]
 
-    shapes = [np.shape(c) for fields in terms.values() for _, c in fields]
-    if terms and weight is not None:
-        shapes.append(np.shape(weight))
-    out = _plane_first(np.broadcast_shapes(u.shape, lead, *shapes), (n, n))
-    # the diagonal first, before the first derivatives the mixed terms share
-    entries = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for i, j in entries:
+    def stencils(i, j, part):
+        """(field, axis, order, coefficient) of each stencil of the
+        Hessian's plane: the unscaled difference of the field along axis."""
+        if not hessian:
+            return []
         xi, yi, xj, yj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
         if i == j:
-            out.imag[..., i, i] = 0.0
-        for part, dst in enumerate((out.real, out.imag)[: 1 + (i < j)]):
-            val = 0.0
-            if hessian and i == j:
-                val = 0.25 * (d2(grid, u, xi) + d2(grid, u, yi))
-            elif hessian and part == 0:
-                val = 0.25 * (d1(grid, first(xj), xi) + d1(grid, first(yj), yi))
-            elif hessian:
-                val = 0.25 * (d1(grid, first(yj), xi) - d1(grid, first(xj), yi))
-            fields = terms.get((i, j, part))
-            if fields:
-                (axis, c), *rest = fields
-                term = c * first(axis)
-                for axis, c in rest:
-                    term += c * first(axis)
-                val = val + (term if weight is None else weight * term)
-            dst[..., i, j] = val
-            if i < j and part:
-                np.negative(val, out=dst[..., j, i])
-            elif i < j:
-                dst[..., j, i] = val
+            return [(u, axis, 2, 0.25 / (h[axis] * h[axis])) for axis in (xi, yi) if live[axis]]
+        pairs = ((xi, xj, 1), (yi, yj, 1)) if part == 0 else ((xi, yj, 1), (yi, xj, -1))
+        return [(first(inner), outer, 1, sign * 0.0625 / (h[outer] * h[inner]))
+                for outer, inner, sign in pairs if live[outer] and live[inner]]
+
+    def combine(products, acc, tmp, started):
+        """Add the products into ``acc``, which holds a partial sum only
+        when ``started``; returns whether it now does.  A stencil is
+        written straight into the buffer it is scaled in when the shapes
+        and dtypes agree."""
+        for x, axis, order, c in products:
+            dst = tmp if started else acc
+            if axis is not None:
+                direct = x.shape == dst.shape and x.dtype == dst.dtype
+                x = _diff(grid, x, axis, order, dst if direct else None)
+            np.multiply(x, c, out=dst)
+            if started:
+                np.add(acc, tmp, out=acc)
+            started = True
+        return started
+
+    # the scratch of entry (i, j) is the lower plane (j, i), free until the
+    # conjugate fills it; the diagonal, done first, borrows (1, 0)
+    lower = np.moveaxis(out, (-2, -1), (0, 1))
+    for i, j in [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]:
+        memory = lower[(j, i) if i < j else (1, 0)].reshape(-1).view(float)
+        acc, tmp = memory.reshape((2,) + batch)
+        for part in range(1 + (i < j)):
+            fields = [(first(axis), None, 1, c) for axis, c in terms.get((i, j, part), ())]
+            started = False
+            if weight is not None and fields:
+                started = combine(fields, acc, tmp, started)
+                np.multiply(acc, weight, out=acc)
+                fields = []
+            started = combine(stencils(i, j, part) + fields, acc, tmp, started)
+            plane = acc if started else 0.0
+            if i == j:
+                out[..., i, i] = plane
+            else:
+                (out.real, out.imag)[part][..., i, j] = plane
+        if i < j:
+            np.conjugate(out[..., i, j], out=out[..., j, i])
     return out
 
 
@@ -551,7 +627,7 @@ def gfield(grid, u, chi, eta=None):
     :class:`GridError` names both shapes: a scalar would be added to every
     entry, not to the diagonal.
     """
-    _check_chi(grid, chi)
+    _check_field(grid, chi, "chi", "grid's")
     planes = ()
     if eta is not None:
         eta = np.asarray(eta, dtype=complex)
@@ -561,16 +637,21 @@ def gfield(grid, u, chi, eta=None):
     return out
 
 
-def _check_chi(grid, chi):
-    """Refuse a chi that does not broadcast to ``grid.shape + (n, n)`` with
-    :class:`GridError` naming both shapes: the one check of chi, for
-    :func:`gfield` and :func:`gauduchon_fields`.  A chi that does not end in
-    (n, n) is named first: a scalar would be added to every entry, not to
-    the diagonal."""
-    _check_field(chi, grid.n, "grid's")
-    shape, full = np.shape(chi), grid.shape + (grid.n, grid.n)
-    if len(shape) > len(full) or any(a not in (1, b) for a, b in zip(shape[::-1], full[::-1])):
-        raise GridError(f"chi of shape {shape} does not broadcast to the grid's {full}")
+def _check_field(grid, h, name="field", owner="metric's", stack=False):
+    """Refuse a field h that does not broadcast to ``grid.shape + (n, n)``
+    with :class:`GridError` naming both shapes: the one check of a field's
+    shape, for chi in :func:`gfield` and :func:`gauduchon_fields` and for h
+    in the metric functions.  A field that does not end in the ``owner``'s
+    (n, n) is named first: a scalar chi would be added to every entry, not
+    to the diagonal.  With ``stack`` (a flat metric), the leading axes may
+    be any stack."""
+    n = grid.n
+    shape, full = np.shape(h), grid.shape + (n, n)
+    if shape[-2:] != (n, n):
+        raise GridError(f"field of shape {shape} does not end in the {owner} ({n}, {n})")
+    if not stack and (len(shape) > len(full)
+                      or any(a not in (1, b) for a, b in zip(shape[::-1], full[::-1]))):
+        raise GridError(f"{name} of shape {shape} does not broadcast to the grid's {full}")
 
 
 def _check_grid(grid, metric):
@@ -656,21 +737,15 @@ def _add_metric_multiple(h, s, metric):
         h += s[..., None, None] * metric.g
 
 
-def _check_field(h, n, owner="metric's"):
-    """Refuse a field that does not end in (n, n) with :class:`GridError`
-    naming both shapes, the second as the ``owner``'s."""
-    if np.shape(h)[-2:] != (n, n):
-        raise GridError(f"field of shape {np.shape(h)} does not end in the {owner} ({n}, {n})")
-
-
 def trace_wrt_metric(metric, h):
     """tr_omega H = sum g^{i jbar} H_{i jbar} (real for Hermitian H).
 
     On a diagonal metric it is the elementwise sum of g^{i ibar} Re H_{i ibar}.
-    h must end in the metric's (n, n), or :class:`GridError` names both
-    shapes.
+    h must end in the metric's (n, n) and, unless the metric is flat,
+    broadcast to ``grid.shape + (n, n)``, or :class:`GridError` names both
+    shapes; with a flat metric its leading axes may be any stack.
     """
-    _check_field(h, metric.grid.n)
+    _check_field(metric.grid, h, stack=metric.is_flat)
     ginv = metric.inverse
     if not metric.is_diagonal:
         return np.einsum("...ji,...ij->...", ginv, h).real
@@ -684,8 +759,7 @@ def hat_transform(metric, h):
     """(tr_omega H) g - H; exchanges the two forms of the deleted-sum equation.
 
     On a diagonal metric it is -H with (tr_omega H) g_ii added to the
-    diagonal.  h must end in the metric's (n, n), as for
-    :func:`trace_wrt_metric`.
+    diagonal.  h is checked as for :func:`trace_wrt_metric`.
     """
     tr = trace_wrt_metric(metric, h)
     n = metric.grid.n
@@ -713,7 +787,7 @@ def gauduchon_fields(grid, u, chi, rho, metric):
     is checked as in :func:`gfield`.
     """
     _check_grid(grid, metric)
-    _check_chi(grid, chi)
+    _check_field(grid, chi, "chi", "grid's")
     g_form = _assemble(grid, u, metric.torsion_planes[1], weight=rho, lead=np.shape(chi)[:-2])
     g_form -= chi
     _add_metric_multiple(g_form, trace_wrt_metric(metric, chi) / (grid.n - 1), metric)
@@ -929,7 +1003,8 @@ def _eigh(h, vectors, overwrite=False):
 def eig_wrt_metric(h, metric, vectors=False):
     """Eigenvalues (ascending) of a Hermitian field relative to the metric.
 
-    h must end in the metric's (n, n), or :class:`GridError` names both
+    h must end in the metric's (n, n) and, unless the metric is flat,
+    broadcast to ``grid.shape + (n, n)``, or :class:`GridError` names both
     shapes; with a flat metric its leading axes may be any stack.  Unless
     the metric is exactly the identity, the generalized problem is reduced
     through ``metric.inv_cholesky``, the per-node L^-1 the metric holds
@@ -958,7 +1033,7 @@ def eig_wrt_metric(h, metric, vectors=False):
     """
     h = np.asarray(h)
     n = metric.grid.n
-    _check_field(h, n)
+    _check_field(metric.grid, h, stack=metric.is_flat)
     if metric.is_flat:
         return _eigh(h, vectors)
     linv = metric.inv_cholesky

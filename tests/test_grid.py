@@ -89,7 +89,8 @@ class TestDerivatives:
         u = np.broadcast_to(g.coord_field(2), g.shape).copy()
         np.testing.assert_allclose(gr.d_dz(g, u, 1), 0.5, atol=1e-12)
 
-    @pytest.mark.parametrize("kind", ["float", "complex", "broadcast", "fortran", "matrix"])
+    @pytest.mark.parametrize("kind", ["float", "complex", "broadcast", "fortran", "matrix",
+                                      "natural", "integer"])
     def test_matches_the_roll_stencils_bit_for_bit(self, kind):
         g = make_grid(res=(8, 1, 9, 8))  # periodic, frozen, Re w, periodic
         rng = np.random.default_rng(60)
@@ -99,12 +100,30 @@ class TestDerivatives:
             "broadcast": lambda: np.broadcast_to(rng.normal(size=(8, 1, 9, 1)), g.shape),
             "fortran": lambda: np.asfortranarray(rng.normal(size=g.shape)),
             "matrix": lambda: random_hermitian(rng, g.shape, 2),
+            # the shape of a metric's g: length 1 on the resolved axis 3
+            "natural": lambda: random_hermitian(rng, (8, 1, 9, 1), 2),
+            "integer": lambda: rng.integers(-50, 51, size=g.shape),
         }[kind]()
-        for axis in range(4):
+        # the roll stencils keep an integer dtype on the frozen axis
+        for axis in [2] if kind == "integer" else range(4):
             for order, derivative in ((1, gr.d1), (2, gr.d2)):
                 got, ref = derivative(g, u, axis), roll_stencil(g, u, axis, order)
                 assert got.shape == ref.shape and got.dtype == ref.dtype
                 np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("make", [lambda g: gr.metric_conformal(g, 0.3),
+                                      lambda g: TestGeneralMetric.metric(g)],
+                             ids=["conformal", "general"])
+    def test_torsion_matches_the_roll_stencils_bit_for_bit(self, make, monkeypatch):
+        # torsion differentiates the natural-shape g, with its (n, n) tail,
+        # through d_dz and d1
+        g = make_grid(n=3, res=(8, 1, 8, 1, 9, 8))
+        metric = make(g)
+        got = gr.torsion(g, metric)
+        monkeypatch.setattr(gr, "d1", lambda grid, u, axis: roll_stencil(grid, u, axis, 1))
+        ref = gr.torsion(g, metric)
+        assert np.any(ref) and got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
 
     def test_integer_field_is_differentiated_in_floating_point(self):
         g = make_grid(res=(8, 1, 8, 1))
@@ -506,6 +525,20 @@ class TestEigWrtMetric:
         h = np.broadcast_to(np.eye(3, dtype=complex), metric.grid.shape + (3, 3))
         with pytest.raises(gr.GridError, match=re.escape("shape (8, 1, 8, 1, 3, 3) does not end in the metric's (2, 2)")):
             fn(metric, h)
+
+    @pytest.mark.parametrize("call", [
+        lambda metric, h: gr.eig_wrt_metric(h, metric),
+        gr.trace_wrt_metric,
+        gr.hat_transform,
+    ], ids=["eig", "trace", "hat"])
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (7, 2, 2, 2)])
+    def test_field_off_the_grid_refused_unless_the_metric_is_flat(self, call, shape):
+        g = make_grid(res=(16, 1, 16, 1))
+        h = np.broadcast_to(np.eye(2, dtype=complex), shape)
+        message = f"field of shape {shape} does not broadcast to the grid's (16, 1, 16, 1, 2, 2)"
+        with pytest.raises(gr.GridError, match=re.escape(message)):
+            call(gr.metric_conformal(g, 0.3), h)
+        call(gr.metric_flat(g), h)  # a flat metric takes any stack
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("vectors", [True, False], ids=["vectors", "values"])
@@ -1289,11 +1322,11 @@ class TestDiagonalMetric:
         ref_u = gr.hat_transform(metric, ref_g)
         assert metric.torsion_planes == ((), ())
 
-        def d1(grid, field, axis):
+        def diff(grid, field, axis, order, out=None):
             raise AssertionError("u differentiated for a zero Z tensor")
 
         with monkeypatch.context() as patch:
-            patch.setattr(gr, "d1", d1)
+            patch.setattr(gr, "_diff", diff)  # the one stencil kernel
             z = gr.z_tensor(g, metric, u)
         assert z.shape == full.shape and z.dtype == full.dtype
         np.testing.assert_array_equal(z, full)
@@ -1359,6 +1392,142 @@ class TestGeneralMetric:
             np.testing.assert_array_equal(repeat, form)
 
 
+class TestAssembler:
+    """The one assembler against a reference composed from the public
+    stencils, and the number of stencils it forms."""
+
+    @staticmethod
+    def hessian(g, u):
+        """The complex Hessian as quarter sums of the public stencils:
+        0.25 (d1(d1(u, x_j), x_i) + d1(d1(u, y_j), y_i)) and so on, every
+        entry formed on its own."""
+        n = g.n
+        out = np.zeros(g.shape + (n, n), dtype=complex)
+        for i in range(n):
+            xi, yi = 2 * i, 2 * i + 1
+            out[..., i, i] = 0.25 * (gr.d2(g, u, xi) + gr.d2(g, u, yi))
+            for j in range(n):
+                if j != i:
+                    xj, yj = 2 * j, 2 * j + 1
+                    re = 0.25 * (gr.d1(g, gr.d1(g, u, xj), xi) + gr.d1(g, gr.d1(g, u, yj), yi))
+                    im = 0.25 * (gr.d1(g, gr.d1(g, u, yj), xi) - gr.d1(g, gr.d1(g, u, xj), yi))
+                    out[..., i, j] = re + 1j * im
+        return out
+
+    @staticmethod
+    def gradient(g, u):
+        """The holomorphic gradient u_p = d_dz(u, p), stacked last."""
+        return np.stack([gr.d_dz(g, u, p) for p in range(g.n)], axis=-1)
+
+    @staticmethod
+    def z_tensor(metric, uz):
+        """Z = sum_p ZA_p u_p + h.c., from the Z coefficients."""
+        z = np.einsum("...pij,...p->...ij", gr.z_coefficients(metric.grid, metric), uz)
+        return z + np.conj(np.swapaxes(z, -1, -2))
+
+    @staticmethod
+    def assert_close(got, ref):
+        scale = max(1.0, float(np.abs(ref).max()))
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * scale)
+
+    CASES = {
+        # grid, metric, axis along which the broadcast u is constant
+        "flat-n2-frozen": (lambda: make_grid(res=(8, 1, 9, 8)), gr.metric_flat, 3),
+        "conformal-n3": (lambda: make_grid(n=3, res=(8, 1, 8, 8, 9, 1)),
+                         lambda g: gr.metric_conformal(g, 0.3), 3),
+        "general-n3": (lambda: make_grid(n=3, res=(8, 8, 8, 1, 9, 1)),
+                       lambda g: TestGeneralMetric.metric(g), 1),
+    }
+
+    @pytest.mark.parametrize("layout", ["C", "Fortran", "broadcast"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_fields_agree_with_the_public_stencils(self, case, layout):
+        make, make_metric, const_axis = self.CASES[case]
+        g = make()
+        metric = make_metric(g)
+        n = g.n
+        rng = np.random.default_rng(80)
+        u = rng.normal(size=g.shape)
+        if layout == "Fortran":
+            u = np.asfortranarray(u)
+        elif layout == "broadcast":
+            u = np.broadcast_to(u.take([0], axis=const_axis), g.shape)
+        hess = self.hessian(g, u)
+        uz = self.gradient(g, u)
+        self.assert_close(gr.complex_hessian(g, u), hess)
+        # gfield: chi + dd u + u_i conj(eta_j) + eta_i conj(u_j)
+        eta = rng.normal(size=n) + 1j * rng.normal(size=n)
+        chi = 3.0 * metric.matrix()
+        coupling = uz[..., :, None] * np.conj(eta) + eta[:, None] * np.conj(uz)[..., None, :]
+        self.assert_close(gr.gfield(g, u, chi, eta=eta), chi + hess + coupling)
+        z = self.z_tensor(metric, uz)
+        if case != "flat-n2-frozen":
+            assert np.abs(z).max() > 1e-2
+        self.assert_close(gr.z_tensor(g, metric, u), z)
+        # U = chi + (tr dd u) g - dd u + rho Z and g = dd u + chihat + rho W/(n-1)
+        rho = np.broadcast_to(0.5 + g.sigma_hat(), g.shape)
+        gm = metric.matrix()
+
+        def tr(h):
+            return gr.trace_wrt_metric(metric, h)[..., None, None]
+
+        chihat = tr(chi) * gm / (n - 1) - chi
+        w = tr(z) * gm - (n - 1) * z
+        uform, gform = gr.gauduchon_fields(g, u, chi, rho, metric)
+        self.assert_close(uform, chi + tr(hess) * gm - hess + rho[..., None, None] * z)
+        self.assert_close(gform, hess + chihat + rho[..., None, None] * w / (n - 1))
+
+    def test_complex_u_is_refused(self):
+        g = make_grid(n=3, res=(8, 1, 8, 1, 8, 1))
+        metric = gr.metric_conformal(g, 0.3)
+        u = np.random.default_rng(83).normal(size=g.shape) * (1 + 1j)
+        chi = 3.0 * metric.matrix()
+        for call in (lambda: gr.complex_hessian(g, u), lambda: gr.gfield(g, u, chi),
+                     lambda: gr.z_tensor(g, metric, u),
+                     lambda: gr.gauduchon_fields(g, u, chi, 0.5, metric)):
+            with pytest.raises(ValidationError, match="u must be real, got dtype complex128"):
+                call()
+
+    @staticmethod
+    def count_stencils(monkeypatch, u):
+        """Record (order, whether the field is u itself, axis) of every call
+        of the stencil kernel."""
+        calls = []
+        kernel = gr._diff
+
+        def diff(grid, field, axis, order, out=None):
+            calls.append((order, field is u, axis))
+            return kernel(grid, field, axis, order, out)
+
+        monkeypatch.setattr(gr, "_diff", diff)
+        return calls
+
+    def test_complex_hessian_forms_ten_stencils_at_n2(self, monkeypatch):
+        g = make_grid(res=(8, 8, 9, 8))
+        u = np.random.default_rng(81).normal(size=g.shape)
+        calls = self.count_stencils(monkeypatch, u)
+        gr.complex_hessian(g, u)
+        # 4 second differences of u, 2 shared first differences of u (along
+        # x_1 and y_1), and 4 first differences of those along x_0 and y_0
+        assert sorted(calls) == sorted([(2, True, a) for a in range(4)]
+                                       + [(1, True, 2), (1, True, 3)]
+                                       + [(1, False, a) for a in (0, 0, 1, 1)])
+
+    def test_gauduchon_fields_form_each_first_difference_once(self, monkeypatch):
+        g = make_grid(n=3, res=(8, 1, 8, 8, 9, 1))
+        metric = gr.metric_conformal(g, 0.3)
+        u = np.random.default_rng(82).normal(size=g.shape)
+        rho = np.broadcast_to(0.5 * g.sigma_hat(), g.shape)
+        assert metric.torsion_planes[1]
+        calls = self.count_stencils(monkeypatch, u)
+        gr.gauduchon_fields(g, u, 3.0 * metric.matrix(), rho, metric)
+        firsts = [axis for order, of_u, axis in calls if order == 1 and of_u]
+        # the Hessian's shared differences along x_1, y_1, x_2 and the
+        # torsion term's along x_0: each formed once, none on a frozen axis
+        assert sorted(firsts) == [0, 2, 3, 4]
+
+
 def is_plane_first(x, k=2):
     """x is stored entry-plane-first: with its last k axes moved to the
     front, it is C-contiguous."""
@@ -1416,13 +1585,14 @@ class TestPlaneFirstLayout:
 
     @staticmethod
     def layouts(n):
-        """One field with a NaN node at shape (16, 3, 16, 1) for n = 2 or
-        (8, 3, 8, 1, 8, 1) for n = 3, in five memory layouts: plane-first,
-        C, Fortran, a read-only broadcast and a strided view."""
-        res = (16, 1, 16, 1) if n == 2 else (8, 1, 8, 1, 8, 1)
-        base = random_hermitian(np.random.default_rng(72), res, n)
+        """One field with a NaN node on the (16, 8, 16, 1) grid for n = 2 or
+        the (8, 8, 8, 1, 8, 1) grid for n = 3, constant along axis 1, in
+        five memory layouts: plane-first, C, Fortran, a read-only broadcast
+        and a strided view."""
+        res = (16, 8, 16, 1) if n == 2 else (8, 8, 8, 1, 8, 1)
+        base = random_hermitian(np.random.default_rng(72), (res[0], 1) + res[2:], n)
         base[(3, 0, 5) + (0,) * (len(res) - 3)] = np.nan
-        shape = (res[0], 3) + res[2:] + (n, n)
+        shape = res + (n, n)
         field = np.broadcast_to(base, shape)
         big = np.zeros(shape[:-3] + (2, n, n), dtype=complex)
         big[..., ::2, :, :] = field
