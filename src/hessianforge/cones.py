@@ -9,9 +9,10 @@ A family is declared once, as a :class:`ConeFunction` subclass: its
 ``family`` name, the integer ``orders`` it takes in constructor order (the
 factory and ``describe`` read them), its ``_value`` and ``_grad``, and a
 ``_build_cone`` only where its cone is not the Garding cone Gamma_k, with k
-the order ``k`` where the family takes one and n otherwise.  A point is
-turned into a float array, and its length checked, in one place,
-``Cone._margin_table``.
+the order ``k`` where the family takes one and n otherwise.  Each check has
+one place: a dimension or an order is taken as an int, or refused, by
+``_integer``; a cone's kind and order by ``Cone``; and a point is turned
+into a float array, and its length checked, by ``Cone._margin_table``.
 
 The deleted sums mu_i = sum_{j != i} lam_j, the image of lam under the
 symmetric matrix Q with zero diagonal and unit off-diagonal entries, are
@@ -31,11 +32,12 @@ column in index order, one whole-plane operation per column (``_fold``).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConeDomainError, ValidationError
+from .errors import ConeDomainError, ValidationError, _first_bad
 
 __all__ = [
     "ConeDomainError",
@@ -45,7 +47,6 @@ __all__ = [
     "cone_function",
     "FAMILIES",
     "sigma_k",
-    "sigma_all",
     "sigma_deleted",
     "q_inverse",
     "MarginReport",
@@ -54,7 +55,6 @@ __all__ = [
     "gamma_infinity_member",
     "gamma_r1_member",
     "c_sigma",
-    "sample_cone",
 ]
 
 
@@ -102,28 +102,30 @@ def _points(lam, name):
     return lam
 
 
-def sigma_all(lam):
-    """All elementary symmetric polynomials e_0..e_n of the last axis."""
-    lam = _points(lam, "sigma_all")
-    return _sigma_table(lam, lam.shape[-1])
+def _integer(value, name):
+    """value as an int: an integer or an integral float, not a bool, or
+    :class:`ValidationError` naming ``name``.  The one check of a dimension
+    or an order."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def sigma_k(lam, k):
     """k-th elementary symmetric polynomial of the last axis.
 
     ``k`` may also be a range of orders, read as a view of one recurrence
-    run to the highest order read.  A single vector and an int ``k`` give a
-    float64 scalar, as ``_fold`` does.  The cone functions read every sigma of
-    lam through here (see ``Cone._margin_table``).
+    run to the highest order read.  A single vector and an integer ``k``
+    give a float64 scalar, as ``_fold`` does.  The cone functions read every
+    sigma of lam through here (see ``Cone._margin_table``).
     """
     lam = _points(lam, "sigma_k")
     n = lam.shape[-1]
-    orders = k if isinstance(k, range) else range(k, k + 1)
+    index = slice(k.start, k.stop, k.step) if isinstance(k, range) else _integer(k, "order k")
+    orders = k if isinstance(k, range) else range(index, index + 1)
     if not orders or min(orders) < 1 or max(orders) > n:
         raise ValidationError(f"order k={k} out of range 1..{n}")
-    if isinstance(k, range):
-        k = slice(k.start, k.stop, k.step)
-    return _sigma_table(lam, max(orders))[..., k][()]
+    return _sigma_table(lam, max(orders))[..., index][()]
 
 
 def _deleted_table(lam, top):
@@ -146,6 +148,7 @@ def sigma_deleted(lam, k):
     """
     lam = _points(lam, "sigma_deleted")
     n = lam.shape[-1]
+    k = _integer(k, "order k")
     if not 0 <= k < n:
         raise ValidationError(f"order k={k} out of range 0..{n - 1}")
     return _deleted_table(lam, k)[..., k].copy()  # a view would keep the whole table alive
@@ -161,24 +164,28 @@ class Cone:
 
     kind "gamma" with order k is the set where sigma_1..sigma_k are all
     positive; kind "deleted-sum" is the set where every sum of all but one
-    coordinate is positive.
+    coordinate is positive.  Construction checks the kind, and the order k
+    (1..n) of a Garding cone or the dimension n (>= 2) of the deleted-sum
+    cone, with :class:`ValidationError`: the one check of both.
     """
 
     kind: str
     n: int
     k: int = 0
 
-    @staticmethod
-    def gamma(k, n):
-        if not 1 <= k <= n:
-            raise ValidationError(f"Garding cone order k={k} out of range 1..{n}")
-        return Cone("gamma", n, k)
+    def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "k", _integer(self.k, "order k"))
+        if self.kind == "gamma":
+            if not 1 <= self.k <= self.n:
+                raise ValidationError(f"Garding cone order k={self.k} out of range 1..{self.n}")
+        elif self.kind != "deleted-sum":
+            raise ValidationError(f"unknown cone kind {self.kind!r}; choose 'gamma' or 'deleted-sum'")
+        elif self.n < 2:
+            raise ValidationError(f"deleted-sum cone needs n >= 2, got {self.n}")
 
-    @staticmethod
-    def deleted_sum(n):
-        if n < 2:
-            raise ValidationError(f"deleted-sum cone needs n >= 2, got {n}")
-        return Cone("deleted-sum", n)
+    gamma = staticmethod(lambda k, n: Cone("gamma", n, k))
+    deleted_sum = staticmethod(lambda n: Cone("deleted-sum", n))
 
     def _margin_table(self, lam):
         """(lam, margin, table): the point as a float array, its smallest
@@ -235,9 +242,10 @@ class ConeFunction:
 
     A subclass declares a family: ``family``, its name for the factory;
     ``orders``, the names of the integer orders it takes, in constructor
-    order, each stored as an int attribute of that name; ``_value`` and
-    ``_grad``, which run on points known to lie in the cone and receive the
-    table the cone check computed (see ``Cone._margin_table``); and
+    order, each stored as an int attribute of that name (n and every order
+    go through ``_integer``); ``_value`` and ``_grad``, which run on points
+    known to lie in the cone and receive the table the cone check computed
+    (see ``Cone._margin_table``); and
     ``_build_cone`` only where the cone is not Gamma_k, with k the order
     ``k`` and n where the family takes none.  ``describe`` and the factory
     read ``family`` and ``orders``.
@@ -257,12 +265,12 @@ class ConeFunction:
     _log_degree = None
 
     def __init__(self, n, *orders):
-        if n < 2:
+        self.n = _integer(n, "n")
+        if self.n < 2:
             raise ValidationError("complex dimension n >= 2 required")
-        self.n = n
         for name, value in zip(self.orders, orders, strict=True):
-            setattr(self, name, int(value))
-        self.cone = self._build_cone(n)
+            setattr(self, name, _integer(value, f"order {name}"))
+        self.cone = self._build_cone(self.n)
 
     # -- subclass hooks
     def _build_cone(self, n):
@@ -291,8 +299,7 @@ class ConeFunction:
         if not np.min(margin, initial=math.inf) > 0.0:  # NaN fails; an empty batch passes
             where, point = "", lam
             if lam.ndim > 1:
-                first = int(np.flatnonzero(~(margin.reshape(-1) > 0.0))[0])
-                node = tuple(int(v) for v in np.unravel_index(first, margin.shape))
+                node, first = _first_bad(margin > 0.0)
                 where, point = f" at node {node}, flat index {first}", lam[node]
             raise ConeDomainError(
                 f"point outside {self.cone.ray_description()}{where}: "
@@ -376,8 +383,8 @@ class QuotientRoot(ConeFunction):
 
     def __init__(self, n, k, l):
         super().__init__(n, k, l)
-        if not 1 <= self.l < self.k <= n:
-            raise ValidationError(f"need 1 <= l < k <= n, got k={k}, l={l}")
+        if not 1 <= self.l < self.k <= self.n:
+            raise ValidationError(f"need 1 <= l < k <= n, got k={self.k}, l={self.l}")
 
     def _value(self, lam, table):
         r = table[..., self.k - 1] / table[..., self.l - 1]
@@ -559,24 +566,3 @@ def c_sigma(f, sigma):
     if not 0.0 < c < math.inf:
         raise ConeDomainError(f"level {sigma} unattainable on the diagonal ray of {f.describe()}")
     return float(c)
-
-
-# ---------------------------------------------------------------------------
-# sampling
-
-def sample_cone(cone, count, rng):
-    """Draw cone points: positive-orthant draws mixed with box rejection.
-
-    The positive draws guarantee progress for thin cones; the rejection
-    draws cover the part of the cone outside the positive orthant.
-    """
-    want_pos = count // 2
-    pos = np.exp(rng.uniform(-1.5, 1.2, size=(want_pos, cone.n)))
-    keep = [pos[cone.margin(pos) > 0]]
-    got = len(keep[0])
-    while got < count:
-        cand = rng.uniform(-3.0, 3.0, size=(4 * count, cone.n))
-        good = cand[cone.margin(cand) > 0]
-        keep.append(good)
-        got += len(good)
-    return np.concatenate(keep)[:count]

@@ -1,4 +1,7 @@
-"""The package's error hierarchy: one ValidationError and its refinements."""
+"""The package's error hierarchy: one ValidationError and its refinements,
+and ``_first_bad``, the one search for the node an error names."""
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -15,3 +18,11 @@ class GridError(ValidationError):
 
 class PositivityError(ValidationError):
     """A metric lost positivity somewhere; carries the node location."""
+
+
+def _first_bad(ok):
+    """(node, flat index) of the first False entry of the boolean array
+    ``ok`` in C order, the node a tuple of ints in ``ok``'s shape.  ``ok``
+    must hold a False entry."""
+    first = int(np.argmin(ok))
+    return tuple(int(v) for v in np.unravel_index(first, np.shape(ok))), first

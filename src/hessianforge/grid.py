@@ -15,7 +15,11 @@ points.
 A field may also be stored at any shape that broadcasts to the grid's: a
 length-1 axis means it is constant along that axis, where its derivatives
 vanish.  :class:`Metric` keeps g at such a natural shape, and the quantities
-computed from the metric alone inherit it.
+computed from the metric alone inherit it.  Every such field the module
+takes (g, chi, eta, rho, za, and the h of the metric functions) is checked
+in one place, ``_check_field``, against the grid's shape followed by the
+field's own trailing shape; one that does not broadcast is refused with
+:class:`GridError` naming the field and both shapes.
 
 Derivative stencils are second-order centered, with one-sided second-order
 closures on the two boundary slices of the Re w axis.  One kernel,
@@ -24,7 +28,8 @@ complex dtype: the interior as one shifted subtraction over the C-contiguous
 flattened field, shifted by the axis stride, then the two end planes,
 wrapped around or closed.  :func:`d1` and :func:`d2` divide it by 2h or
 h^2.  A field whose length along the axis is neither 1 nor the grid's
-resolution is refused with :class:`GridError`.
+resolution, and an axis outside 0..2n-1, are refused with
+:class:`GridError`.
 
 The tensor fields (:func:`complex_hessian`, :func:`z_tensor`,
 :func:`gfield` and :func:`gauduchon_fields`) come from one assembler,
@@ -67,7 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridError, PositivityError, ValidationError
+from .errors import GridError, PositivityError, ValidationError, _first_bad
 
 __all__ = [
     "GridError",
@@ -113,7 +118,7 @@ class ProductGrid:
     ----------
     n : complex dimension (>= 2)
     torus_periods : tuple of (Lx, Ly) pairs, one per torus factor
-    strip_bounds : (s0, s1) with s0 < s1, the range of Re w
+    strip_bounds : (s0, s1), finite with s0 < s1, the range of Re w
     resolutions : 2n ints; each is 1 (frozen direction) or >= 8, the
         Re w axis always >= 8
     strip_imag_period : period of Im w (default 2 pi)
@@ -137,8 +142,8 @@ class ProductGrid:
                             f"strip_imag_period={self.strip_imag_period}")
         object.__setattr__(self, "torus_periods", periods)
         s0, s1 = (float(v) for v in self.strip_bounds)
-        if not s0 < s1:
-            raise GridError("strip bounds must satisfy s0 < s1")
+        if not (math.isfinite(s0) and math.isfinite(s1) and s0 < s1):
+            raise GridError(f"strip bounds must be finite and satisfy s0 < s1, got {(s0, s1)}")
         object.__setattr__(self, "strip_bounds", (s0, s1))
         res = tuple(int(r) for r in self.resolutions)
         if len(res) != 2 * self.n:
@@ -245,9 +250,12 @@ def _diff(grid, u, axis, order, out=None):
     around on a periodic axis, closed one-sided to second order on Re w.
     The order of operations is that of the roll stencils, so d1 and d2,
     this difference divided by 2h or h^2, match them bit for bit.  Zero on
-    a length-1 axis; a length other than 1 or the grid's resolution raises
-    :class:`GridError`.  u may carry trailing (n, n) axes.
+    a length-1 axis; a length other than 1 or the grid's resolution, and an
+    axis outside 0..2n-1, raise :class:`GridError`.  u may carry trailing
+    (n, n) axes.
     """
+    if axis not in range(2 * grid.n):
+        raise GridError(f"axis {axis} out of range 0..{2 * grid.n - 1}")
     u = _field(grid, u)
     length, res = u.shape[axis], grid.resolutions[axis]
     if length not in (1, res):
@@ -289,7 +297,8 @@ def d1(grid, u, axis):
     The difference of :func:`_diff`, divided by 2h: centered inside,
     wrapped around at the ends of a periodic axis, and closed one-sided, to
     second order, on Re w, in float or complex dtype.  A length along
-    ``axis`` other than 1 or the grid's resolution raises :class:`GridError`.
+    ``axis`` other than 1 or the grid's resolution, and an ``axis`` outside
+    0..2n-1, raise :class:`GridError`.
     """
     out = _diff(grid, u, axis, 1)
     out /= 2 * grid.spacing(axis)
@@ -381,7 +390,8 @@ def _assemble(grid, u, planes=(), weight=None, hessian=True, lead=()):
     ``weight`` when one is given: the one assembler of the tensor fields.
     The result is allocated entry-plane-first, at the broadcast shape of u,
     the term's fields and ``lead``, the leading shape of a field the caller
-    adds afterwards.  A complex u raises :class:`ValidationError`.
+    adds afterwards.  A complex u raises :class:`ValidationError`, and a u
+    with more axes than the grid :class:`GridError`.
 
     Every stencil is an unscaled difference from :func:`_diff`, and the
     scales are folded into one coefficient per product: 1/h^2 and the
@@ -404,6 +414,8 @@ def _assemble(grid, u, planes=(), weight=None, hessian=True, lead=()):
     """
     n = grid.n
     u = _field(grid, u)
+    if u.ndim > 2 * n:
+        raise GridError(f"field of shape {u.shape} has more axes than the grid {grid.shape}")
     if np.iscomplexobj(u):
         raise ValidationError(f"u must be real, got dtype {u.dtype}")
     live = [length > 1 for length in u.shape[: 2 * n]]
@@ -533,16 +545,12 @@ class Metric:
 
     def __post_init__(self):
         n = self.grid.n
-        full = self.grid.shape + (n, n)
+        _check_field(self.grid, self.g, "metric", (n, n))
         g = np.array(self.g, dtype=complex)
-        g = g.reshape((1,) * (len(full) - g.ndim) + g.shape)
-        if (g.shape[-2:] != (n, n) or g.ndim != len(full)
-                or any(a not in (1, b) for a, b in zip(g.shape, full))):
-            raise GridError(f"metric of shape {np.shape(self.g)} does not broadcast to {full}")
+        g = g.reshape((1,) * (2 * n + 2 - g.ndim) + g.shape)
         finite = np.all(np.isfinite(g), axis=(-2, -1))
         if not finite.all():
-            node = tuple(int(v) for v in np.unravel_index(np.argmin(finite), finite.shape))
-            raise PositivityError(f"metric has a NaN or infinite entry at node {node}")
+            raise PositivityError(f"metric has a NaN or infinite entry at node {_first_bad(finite)[0]}")
         check_hermitian_field(g)
         self._keep("g", g)
         self.validate_positive()
@@ -567,9 +575,9 @@ class Metric:
         positive definite, read in the shape of ``g``, where it is a grid
         node.  Construction runs this check; each call runs it again."""
         low = np.linalg.eigvalsh(self.g)[..., 0]
-        bad = low <= 0
-        if np.any(bad):
-            node = tuple(int(v) for v in np.unravel_index(np.argmax(bad), bad.shape))
+        positive = low > 0
+        if not positive.all():
+            node = _first_bad(positive)[0]
             raise PositivityError(
                 f"metric not positive definite at node {node}"
                 f" (min eigenvalue there {float(low[node]):.3e})"
@@ -625,11 +633,13 @@ def gfield(grid, u, chi, eta=None):
     conj(eta_j), assembled as coefficient planes on the Hessian's first
     derivatives.  ``chi`` must broadcast to ``grid.shape + (n, n)``, or
     :class:`GridError` names both shapes: a scalar would be added to every
-    entry, not to the diagonal.
+    entry, not to the diagonal.  ``eta`` is checked the same way, against
+    ``grid.shape + (n,)``.
     """
-    _check_field(grid, chi, "chi", "grid's")
+    _check_field(grid, chi, "chi", (grid.n, grid.n))
     planes = ()
     if eta is not None:
+        _check_field(grid, eta, "eta", (grid.n,))
         eta = np.asarray(eta, dtype=complex)
         planes = _planes(np.eye(grid.n)[:, :, None] * np.conj(eta)[..., None, None, :])
     out = _assemble(grid, u, planes, lead=np.shape(chi)[:-2])
@@ -637,18 +647,17 @@ def gfield(grid, u, chi, eta=None):
     return out
 
 
-def _check_field(grid, h, name="field", owner="metric's", stack=False):
-    """Refuse a field h that does not broadcast to ``grid.shape + (n, n)``
-    with :class:`GridError` naming both shapes: the one check of a field's
-    shape, for chi in :func:`gfield` and :func:`gauduchon_fields` and for h
-    in the metric functions.  A field that does not end in the ``owner``'s
-    (n, n) is named first: a scalar chi would be added to every entry, not
-    to the diagonal.  With ``stack`` (a flat metric), the leading axes may
-    be any stack."""
-    n = grid.n
-    shape, full = np.shape(h), grid.shape + (n, n)
-    if shape[-2:] != (n, n):
-        raise GridError(f"field of shape {shape} does not end in the {owner} ({n}, {n})")
+def _check_field(grid, h, name, tail, stack=False):
+    """Refuse a field h that does not broadcast to ``grid.shape + tail``
+    with :class:`GridError` naming the field ``name`` and both shapes: the
+    one check of a field's shape, for g in :class:`Metric`, for chi, eta,
+    rho and za in the tensor assemblers, and for h in the metric functions.
+    A field that does not end in ``tail`` is named first: a scalar chi
+    would be added to every entry, not to the diagonal.  With ``stack`` (a
+    flat metric), the leading axes may be any stack."""
+    shape, full = np.shape(h), grid.shape + tail
+    if shape[len(shape) - len(tail):] != tail:
+        raise GridError(f"{name} of shape {shape} does not end in {tail}")
     if not stack and (len(shape) > len(full)
                       or any(a not in (1, b) for a, b in zip(shape[::-1], full[::-1]))):
         raise GridError(f"{name} of shape {shape} does not broadcast to the grid's {full}")
@@ -720,10 +729,13 @@ def z_tensor(grid, metric, u, za=None):
 
     Assembled from real coefficient planes on the first derivatives of u:
     the Z planes of ``metric.torsion_planes``, or planes built from ``za``
-    when it is given.  A torsion-free metric has no planes, and the zero
-    field is returned without differentiating u.
+    when it is given, which must broadcast to ``grid.shape + (n, n, n)``,
+    or :class:`GridError` names both shapes.  A torsion-free metric has no
+    planes, and the zero field is returned without differentiating u.
     """
     _check_grid(grid, metric)
+    if za is not None:
+        _check_field(grid, za, "za", (grid.n,) * 3)
     planes = metric.torsion_planes[0] if za is None else _planes(za)
     return _assemble(grid, u, planes, hessian=False)
 
@@ -745,7 +757,7 @@ def trace_wrt_metric(metric, h):
     broadcast to ``grid.shape + (n, n)``, or :class:`GridError` names both
     shapes; with a flat metric its leading axes may be any stack.
     """
-    _check_field(metric.grid, h, stack=metric.is_flat)
+    _check_field(metric.grid, h, "field", (metric.grid.n,) * 2, stack=metric.is_flat)
     ginv = metric.inverse
     if not metric.is_diagonal:
         return np.einsum("...ji,...ij->...", ginv, h).real
@@ -784,10 +796,12 @@ def gauduchon_fields(grid, u, chi, rho, metric):
     planes of ``metric.torsion_planes``, weighted by rho.  chihat is added
     after, and U is the :func:`hat_transform` of the g-form.  On a diagonal
     metric the traces and the multiples of omega are elementwise.  ``chi``
-    is checked as in :func:`gfield`.
+    is checked as in :func:`gfield`, and ``rho``, a scalar field, must
+    broadcast to ``grid.shape``.
     """
     _check_grid(grid, metric)
-    _check_field(grid, chi, "chi", "grid's")
+    _check_field(grid, chi, "chi", (grid.n, grid.n))
+    _check_field(grid, rho, "rho", ())
     g_form = _assemble(grid, u, metric.torsion_planes[1], weight=rho, lead=np.shape(chi)[:-2])
     g_form -= chi
     _add_metric_multiple(g_form, trace_wrt_metric(metric, chi) / (grid.n - 1), metric)
@@ -1033,7 +1047,7 @@ def eig_wrt_metric(h, metric, vectors=False):
     """
     h = np.asarray(h)
     n = metric.grid.n
-    _check_field(metric.grid, h, stack=metric.is_flat)
+    _check_field(metric.grid, h, "field", (n, n), stack=metric.is_flat)
     if metric.is_flat:
         return _eigh(h, vectors)
     linv = metric.inv_cholesky

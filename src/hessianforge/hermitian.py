@@ -5,10 +5,10 @@ block ``d``, a fixed border column ``a``, and a variable real corner entry
 ``aa``.  Once the corner exceeds a quadratic growth threshold, the spectrum
 concentrates: one eigenvalue tracks the corner from above while the others
 pin themselves near the diagonal entries.  This module builds such matrices,
-evaluates the two growth thresholds (the main one and its refinement), and
-reports how tightly the spectrum concentrates, including the per-interval
-eigenvalue counts that certify the concentration is stable along rays of
-increasing corner values.
+evaluates the two growth thresholds (the main one and its refinement),
+checks both lemmas' conclusions on random batteries, and scans the
+per-interval eigenvalue counts that certify the concentration is stable
+along rays of increasing corner values.
 
 Every spectrum is read from the real symmetric arrowhead matrix with border
 ``|a|``, which has the same eigenvalues as the Hermitian one (see
@@ -27,11 +27,8 @@ from .errors import ValidationError
 __all__ = [
     "ValidationError",
     "BorderedSpec",
-    "ConcentrationReport",
-    "bordered",
     "growth_threshold_main",
     "growth_threshold_refined",
-    "concentration_report",
     "interval_components",
     "count_stability_scan",
     "lemma_trial_batch",
@@ -46,8 +43,8 @@ class BorderedSpec:
 
     ``d`` is real of length n-1, ``a`` is complex of length n-1, ``aa`` is the
     real corner parameter and ``eps`` the concentration tolerance used by the
-    threshold formulas and the report.  Each must be finite; a field that is
-    not is refused by name (``d``, ``a`` and ``eps`` by ``_rows``).
+    threshold formulas and the count scan.  Each must be finite; a field
+    that is not is refused by name (``d``, ``a`` and ``eps`` by ``_rows``).
     """
 
     d: np.ndarray
@@ -68,27 +65,6 @@ class BorderedSpec:
         return self.d.size + 1
 
 
-@dataclass
-class ConcentrationReport:
-    """How the spectrum of a bordered matrix sits relative to its diagonal.
-
-    ``deviations[i]`` is ``|d_(i) - lambda_(i)|`` after sorting both the
-    diagonal block and the first n-1 eigenvalues ascending.  ``corner_excess``
-    is ``lambda_n - aa`` (always >= 0: a Hermitian matrix dominates each of
-    its diagonal entries by its largest eigenvalue).  ``component_counts``
-    counts eigenvalues inside each connected component of the union of
-    intervals ``(d_i - eps/(2n-3), d_i + eps/(2n-3))``.
-    """
-
-    deviations: np.ndarray
-    corner_excess: float
-    passed_main: bool
-    passed_refined: bool
-    component_counts: np.ndarray
-    matched_indices: np.ndarray
-    eigenvalues: np.ndarray
-
-
 def _finite_positive(value, name):
     """value as a float, refused, as ``name``, unless finite and positive."""
     value = float(value)
@@ -104,11 +80,6 @@ def _count(value, name, least):
     if value < least:
         raise ValidationError(f"{name} must be at least {least}, got {value}")
     return int(value)
-
-
-def bordered(spec):
-    """Assemble the n x n bordered Hermitian matrix of a :class:`BorderedSpec`."""
-    return bordered_batch(spec.d[None], spec.a[None], [spec.aa])[0]
 
 
 def bordered_batch(d, a, aa):
@@ -267,41 +238,11 @@ def interval_components(d, radius):
     return comps
 
 
-def _components(spec):
-    """Components of the intervals ``(d_i +- eps/(2n-3))`` of a spec."""
-    return interval_components(spec.d, spec.eps / (2 * spec.n - 3))
-
-
 def _component_counts(eigs, comps):
     """Eigenvalues inside each component, counted along the last axis."""
     lo, hi = np.array(comps).T
     e = eigs[..., :, None]
     return np.count_nonzero((e > lo) & (e < hi), axis=-2)
-
-
-def concentration_report(spec):
-    """Measure eigenvalue concentration for one bordered matrix.
-
-    The eigenvalues come from the real arrowhead matrix with border
-    ``|spec.a|`` (``_spectra``).  Both conclusions are evaluated
-    unconditionally; whether ``spec.aa`` actually meets a growth threshold is
-    the caller's concern.
-    """
-    eigs = _spectra(spec.d[None], spec.a[None], [spec.aa])[0]
-    ds = np.sort(spec.d)
-    small, corner = eigs[:-1], eigs[-1] - spec.aa
-    deviations, passed_main = _main_conclusion(spec.eps, ds, small, corner)
-    _, matched, passed_refined = _refined_conclusion(spec.eps, ds, small, corner)
-    comps = _components(spec)
-    return ConcentrationReport(
-        deviations=deviations,
-        corner_excess=float(corner),
-        passed_main=bool(passed_main),
-        passed_refined=bool(passed_refined),
-        component_counts=_component_counts(eigs, comps),
-        matched_indices=matched,
-        eigenvalues=eigs,
-    )
 
 
 def count_stability_scan(spec, aa_grid):
@@ -321,7 +262,7 @@ def count_stability_scan(spec, aa_grid):
             f"corner values {bad.tolist()} are not finite or lie below the growth threshold "
             f"{thr:.6g}; counts are only stable above it"
         )
-    comps = _components(spec)
+    comps = interval_components(spec.d, spec.eps / (2 * spec.n - 3))
     shape = (aa_grid.size, spec.d.size)
     eigs = _spectra(np.broadcast_to(spec.d, shape), np.broadcast_to(spec.a, shape), aa_grid)
     return _component_counts(eigs, comps)

@@ -23,8 +23,26 @@ def make(family, n, **kw):
     return cn.cone_function(family, n, **kw)
 
 
+def sample_cone(cone, count, rng):
+    """Draw cone points: positive-orthant draws mixed with box rejection.
+
+    The positive draws guarantee progress for thin cones; the rejection
+    draws cover the part of the cone outside the positive orthant.
+    """
+    want_pos = count // 2
+    pos = np.exp(rng.uniform(-1.5, 1.2, size=(want_pos, cone.n)))
+    keep = [pos[cone.margin(pos) > 0]]
+    got = len(keep[0])
+    while got < count:
+        cand = rng.uniform(-3.0, 3.0, size=(4 * count, cone.n))
+        good = cand[cone.margin(cand) > 0]
+        keep.append(good)
+        got += len(good)
+    return np.concatenate(keep)[:count]
+
+
 def sample_pairs(cone, count, rng):
-    return cn.sample_cone(cone, count, rng), cn.sample_cone(cone, count, rng)
+    return sample_cone(cone, count, rng), sample_cone(cone, count, rng)
 
 
 def fd_grad(f, lam, h=1e-5):
@@ -59,6 +77,20 @@ class TestSigmaK:
         with pytest.raises(cn.ValidationError):
             cn.sigma_k([1.0, 2.0], 0)
 
+    @pytest.mark.parametrize("k", [True, 2.5, math.nan, "2"], ids=["bool", "2.5", "nan", "str"])
+    @pytest.mark.parametrize("call", [cn.sigma_k, cn.sigma_deleted], ids=["sigma_k", "sigma_deleted"])
+    def test_non_integral_order_refused(self, call, k):
+        # a bool would index a new axis, and a fraction fail deep in numpy
+        with pytest.raises(cn.ValidationError, match=re.escape(f"order k must be an integer, got {k!r}")) as caught:
+            call(np.ones(3), k)
+        assert caught.type is cn.ValidationError
+
+    def test_integral_orders_of_any_type(self):
+        lam = np.random.default_rng(4).normal(size=(6, 4))
+        for k in (np.int64(2), 2.0, np.float64(2.0)):
+            np.testing.assert_array_equal(cn.sigma_k(lam, k), cn.sigma_k(lam, 2))
+            np.testing.assert_array_equal(cn.sigma_deleted(lam, k), cn.sigma_deleted(lam, 2))
+
     def test_range_of_orders(self):
         lam = np.random.default_rng(8).normal(size=(30, 4))
         np.testing.assert_array_equal(
@@ -71,7 +103,7 @@ class TestSigmaK:
     def test_families_read_sigma_through_sigma_k(self, monkeypatch):
         # A defect in sigma_k must reach the family values.
         f = make("sigma-k-root", 4, k=2)
-        lam = cn.sample_cone(f.cone, 20, np.random.default_rng(9))
+        lam = sample_cone(f.cone, 20, np.random.default_rng(9))
         exact, value = cn.sigma_k, f.value(lam)
         monkeypatch.setattr(cn, "sigma_k", lambda lam, k: 4.0 * exact(lam, k))
         np.testing.assert_allclose(f.value(lam), 2.0 * value, rtol=1e-14)
@@ -81,7 +113,7 @@ class TestSigmaK:
         rng = np.random.default_rng(1)
         lam = rng.uniform(-2, 2, 6)
         coeffs = np.poly(lam)  # x^6 - e1 x^5 + e2 x^4 - ...
-        e = cn.sigma_all(lam)
+        e = cn._sigma_table(lam, lam.size)
         for k in range(7):
             assert e[k] == pytest.approx((-1) ** k * coeffs[k], rel=1e-10, abs=1e-10)
 
@@ -107,7 +139,7 @@ class TestSigmaK:
             return table(lam, top)
 
         f = make("quotient-root", 6, k=3, l=1)
-        lam = cn.sample_cone(f.cone, 50, np.random.default_rng(5))
+        lam = sample_cone(f.cone, 50, np.random.default_rng(5))
         table = cn._sigma_table
         monkeypatch.setattr(cn, "_sigma_table", counting)
         f.value_grad(lam)
@@ -145,7 +177,7 @@ class TestConeMembership:
         rng = np.random.default_rng(2)
         n = 5
         inner = cn.Cone.gamma(n, n)
-        pts = cn.sample_cone(inner, 300, rng)
+        pts = sample_cone(inner, 300, rng)
         for k in range(1, n + 1):
             assert np.all(cn.Cone.gamma(k, n).margin(pts) > 0)
 
@@ -206,7 +238,7 @@ class TestValuesAndGradients:
     def test_gradient_matches_central_differences(self, family, kw):
         f = make(family, 4, **kw)
         rng = np.random.default_rng(4)
-        pts = cn.sample_cone(f.cone, 40, rng)
+        pts = sample_cone(f.cone, 40, rng)
         checked = 0
         for lam in pts:
             if f.margin(lam) < 0.2:  # stencil accuracy degrades near the boundary
@@ -220,7 +252,7 @@ class TestValuesAndGradients:
     def test_gradient_positive_and_symmetric(self, family, kw):
         f = make(family, 4, **kw)
         rng = np.random.default_rng(5)
-        pts = cn.sample_cone(f.cone, 2000, rng)
+        pts = sample_cone(f.cone, 2000, rng)
         g = f.grad(pts)
         assert np.all(g > 0)
         perm = rng.permutation(4)
@@ -370,7 +402,7 @@ class TestCoordinateRayLimits:
             integers = rng.integers(-2, 4, size=(400, n)).astype(float)
             for f in fams:
                 inside = integers[f.margin(integers) > 0][:6]
-                for lam in np.concatenate([cn.sample_cone(f.cone, 6, rng), inside]):
+                for lam in np.concatenate([sample_cone(f.cone, 6, rng), inside]):
                     for i in range(n):
                         rep = cn.c_subsolution_margin(f, lam, 0.0, i)
                         assert (rep.valid, rep.limit) == ray_limit_reference(f, lam, i), (f.describe(), lam, i)
@@ -587,6 +619,32 @@ class TestFactory:
         f = make("quotient-root", 4, k=np.int64(3), l=2.0)
         assert (type(f.k), type(f.l)) == (int, int) and f.cone == cn.Cone.gamma(3, 4)
 
+    @pytest.mark.parametrize("family, n, kw, message", [
+        ("sigma-k-root", 3, dict(k=2.5), "order k must be an integer, got 2.5"),
+        ("quotient-root", 3, dict(k=3.9, l=1.2), "order k must be an integer, got 3.9"),
+        ("quotient-root", 3, dict(k=3, l=1.2), "order l must be an integer, got 1.2"),
+        ("log-sigma-k", 3, dict(k=True), "order k must be an integer, got True"),
+        ("log-ma", 3.5, dict(), "n must be an integer, got 3.5"),
+        ("log-p", True, dict(), "n must be an integer, got True"),
+        ("log-ma", np.float64(math.nan), dict(), "n must be an integer, got "),
+    ], ids=["k=2.5", "k=3.9", "l=1.2", "k=True", "n=3.5", "n=True", "n=nan"])
+    def test_non_integral_orders_are_refused(self, family, n, kw, message):
+        # truncating would build another operator with no error
+        with pytest.raises(cn.ValidationError, match=re.escape(message)):
+            cn.cone_function(family, n, **kw)
+
+    @pytest.mark.parametrize("kind, n, k, message", [
+        ("foo", 3, 0, "unknown cone kind 'foo'"),
+        ("gamma", 3, 4, "Garding cone order k=4 out of range 1..3"),
+        ("gamma", 3, 0, "Garding cone order k=0 out of range 1..3"),
+        ("deleted-sum", 1, 0, "deleted-sum cone needs n >= 2, got 1"),
+        ("gamma", 3, 1.5, "order k must be an integer, got 1.5"),
+    ])
+    def test_cone_checks_kind_and_order_at_construction(self, kind, n, k, message):
+        # the constructor and the two named constructors share one check
+        with pytest.raises(cn.ValidationError, match=re.escape(message)):
+            cn.Cone(kind, n, k)
+
 
 class TestPointLength:
     """Every entry point refuses a point of the wrong length, or with no
@@ -616,7 +674,6 @@ class TestPointLength:
 
 
     @pytest.mark.parametrize("name, call", [
-        ("sigma_all", lambda x: cn.sigma_all(x)),
         ("sigma_k", lambda x: cn.sigma_k(x, 1)),
         ("sigma_deleted", lambda x: cn.sigma_deleted(x, 0)),
         ("q_inverse", lambda x: cn.q_inverse(x)),
@@ -763,7 +820,7 @@ class TestEmptyBatch:
 
     def test_tables_of_an_empty_batch(self):
         lam = np.empty((0, 3))
-        assert cn.sigma_all(lam).shape == (0, 4)
+        assert cn._sigma_table(lam, 3).shape == (0, 4)
         assert cn.sigma_k(lam, 2).shape == (0,)
         assert cn.sigma_k(lam, range(1, 3)).shape == (0, 2)
         assert cn.sigma_deleted(lam, 1).shape == cn.q_inverse(lam).shape == (0, 3)
@@ -784,10 +841,10 @@ class TestAgainstLastAxisFormulas:
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_tables_bit_identical(self, n):
-        lam = cn.sample_cone(cn.Cone.gamma(1, n), 60, np.random.default_rng(n))
+        lam = sample_cone(cn.Cone.gamma(1, n), 60, np.random.default_rng(n))
         for name, x in layouts(lam, n).items():
             ref = last_axis_table(x, n)
-            np.testing.assert_array_equal(cn.sigma_all(x), ref, err_msg=name)
+            np.testing.assert_array_equal(cn._sigma_table(x, n), ref, err_msg=name)
             np.testing.assert_array_equal(cn.sigma_k(x, range(1, n + 1)), ref[..., 1:], err_msg=name)
             np.testing.assert_array_equal(cn.sigma_k(x, range(2, n + 1, 2)), ref[..., 2::2], err_msg=name)
             for k in range(1, n + 1):

@@ -32,6 +32,12 @@ class TestGridLayout:
         with pytest.raises(gr.GridError, match="s0 < s1"):
             gr.ProductGrid(2, ((TAU, TAU),), (1, 0), (8, 1, 8, 1))
 
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)])
+    def test_rejects_non_finite_strip_bounds(self, bounds):
+        # an infinite bound gives an infinite spacing and NaN coordinates
+        with pytest.raises(gr.GridError, match=re.escape(f"strip bounds must be finite and satisfy s0 < s1, got {bounds}")):
+            gr.ProductGrid(2, ((TAU, TAU),), bounds, (8, 1, 8, 1))
+
     @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_periods(self, period):
         with pytest.raises(gr.GridError, match="periods"):
@@ -151,6 +157,17 @@ class TestDerivatives:
                 gr.complex_hessian(g, np.ones(short))
         # only the differentiated axis is checked, so (n, n) tails pass
         assert gr.d1(g, np.ones((8, 1, 8, 1, 2, 2)), 0).shape == (8, 1, 8, 1, 2, 2)
+
+    @pytest.mark.parametrize("axis", [-1, -2, -4, 4, 5])
+    @pytest.mark.parametrize("derivative", [gr.d1, gr.d2], ids=["d1", "d2"])
+    def test_axis_outside_the_grid_is_refused(self, derivative, axis):
+        # a negative axis would index the field from the end but the grid
+        # from the start: d1 along -2 is Re w's stencil, wrapped around with
+        # a torus spacing; axis 4 of an n = 2 grid does not exist
+        g = make_grid(res=(8, 8, 8, 8))
+        u = np.random.default_rng(5).normal(size=g.shape)
+        with pytest.raises(gr.GridError, match=re.escape(f"axis {axis} out of range 0..3")):
+            derivative(g, u, axis)
 
     def test_constant_field(self):
         g = make_grid()
@@ -300,8 +317,28 @@ class TestGField:
     def test_chi_must_end_in_n_by_n(self, chi, shape):
         # a scalar would be added to every entry: a rank-one form, not 2 I
         g = make_grid(res=(8, 1, 8, 1))
-        with pytest.raises(gr.GridError, match=re.escape(f"field of shape {shape} does not end in the grid's (2, 2)")):
+        with pytest.raises(gr.GridError, match=re.escape(f"chi of shape {shape} does not end in (2, 2)")):
             gr.gfield(g, np.zeros(g.shape), chi)
+
+    @pytest.mark.parametrize("eta, message", [
+        (np.ones(3), "eta of shape (3,) does not end in (2,)"),
+        (np.ones((3, 2)), "eta of shape (3, 2) does not broadcast to the grid's (8, 1, 8, 1, 2)"),
+        (np.ones((8, 1, 8, 1, 1)), "eta of shape (8, 1, 8, 1, 1) does not end in (2,)"),
+    ], ids=["length-3", "stack", "length-1"])
+    def test_eta_must_broadcast_to_the_grid(self, eta, message):
+        g = make_grid(res=(8, 1, 8, 1))
+        with pytest.raises(gr.GridError, match=re.escape(message)):
+            gr.gfield(g, np.zeros(g.shape), np.eye(2), eta)
+
+    def test_u_with_more_axes_than_the_grid_is_refused(self):
+        # a trailing axis would be read as a stack, and the result would be
+        # a (..., 3, 2, 2) stack of fields
+        g = make_grid(res=(8, 1, 8, 1))
+        message = "field of shape (8, 1, 8, 1, 3) has more axes than the grid (8, 1, 8, 1)"
+        for call in (lambda u: gr.complex_hessian(g, u), lambda u: gr.gfield(g, u, np.eye(2)),
+                     lambda u: gr.z_tensor(g, gr.metric_flat(g), u, np.zeros((2, 2, 2)))):
+            with pytest.raises(gr.GridError, match=re.escape(message)):
+                call(np.zeros(g.shape + (3,)))
 
     @pytest.mark.parametrize("shape", [(3, 2, 2), (8, 1, 8, 2, 2, 2), (2, 8, 1, 8, 1, 2, 2)],
                              ids=["stack", "wrong-axis", "extra-axis"])
@@ -403,6 +440,15 @@ def z_tensor_loops(grid, metric, u):
 
 
 class TestZTensor:
+    @pytest.mark.parametrize("shape, message", [
+        ((3, 3, 3, 2), "za of shape (3, 3, 3, 2) does not end in (2, 2, 2)"),
+        ((3, 2, 2, 2), "za of shape (3, 2, 2, 2) does not broadcast to the grid's (8, 1, 8, 1, 2, 2, 2)"),
+    ], ids=["wrong-tail", "stack"])
+    def test_za_must_broadcast_to_the_grid(self, shape, message):
+        g = make_grid(res=(8, 1, 8, 1))
+        with pytest.raises(gr.GridError, match=re.escape(message)):
+            gr.z_tensor(g, gr.metric_flat(g), np.zeros(g.shape), np.ones(shape, dtype=complex))
+
     def test_flat_zero_any_u(self):
         g = make_grid()
         rng = np.random.default_rng(2)
@@ -514,7 +560,7 @@ class TestEigWrtMetric:
     def test_field_of_another_dimension_refused(self, make):
         metric = make(make_grid(res=(8, 1, 8, 1)))
         h = np.broadcast_to(np.eye(3, dtype=complex), metric.grid.shape + (3, 3))
-        with pytest.raises(gr.GridError, match=re.escape("shape (8, 1, 8, 1, 3, 3) does not end in the metric's (2, 2)")):
+        with pytest.raises(gr.GridError, match=re.escape("field of shape (8, 1, 8, 1, 3, 3) does not end in (2, 2)")):
             gr.eig_wrt_metric(h, metric)
 
     @pytest.mark.parametrize("fn", [gr.trace_wrt_metric, gr.hat_transform], ids=["trace", "hat"])
@@ -523,7 +569,7 @@ class TestEigWrtMetric:
     def test_trace_and_hat_refuse_a_field_of_another_dimension(self, make, fn):
         metric = make(make_grid(res=(8, 1, 8, 1)))
         h = np.broadcast_to(np.eye(3, dtype=complex), metric.grid.shape + (3, 3))
-        with pytest.raises(gr.GridError, match=re.escape("shape (8, 1, 8, 1, 3, 3) does not end in the metric's (2, 2)")):
+        with pytest.raises(gr.GridError, match=re.escape("field of shape (8, 1, 8, 1, 3, 3) does not end in (2, 2)")):
             fn(metric, h)
 
     @pytest.mark.parametrize("call", [
@@ -924,6 +970,13 @@ class TestClosedFormEigh3:
 
 
 class TestGauduchonFields:
+    @pytest.mark.parametrize("shape", [(5,), (8, 1, 8, 2), (2, 8, 1, 8, 1)], ids=["vector", "wrong-axis", "extra-axis"])
+    def test_rho_must_broadcast_to_the_grid(self, shape):
+        g = make_grid(res=(8, 1, 8, 1))
+        message = f"rho of shape {shape} does not broadcast to the grid's (8, 1, 8, 1)"
+        with pytest.raises(gr.GridError, match=re.escape(message)):
+            gr.gauduchon_fields(g, np.zeros(g.shape), np.eye(2), np.ones(shape), gr.metric_conformal(g, 0.3))
+
     def test_flat_identity_case(self):
         # u = 0, rho = 0, chi = I: U = I and the companion form is I/(n-1)
         g = make_grid(n=3, res=(8, 1, 8, 1, 8, 1))
@@ -1175,7 +1228,7 @@ class TestNaturalShape:
     ])
     def test_wrong_shape_rejected(self, shape):
         g = make_grid(res=(8, 1, 8, 1))
-        with pytest.raises(gr.GridError, match="broadcast"):
+        with pytest.raises(gr.GridError, match=re.escape(f"metric of shape {shape} does not ")):
             gr.Metric(g, np.ones(shape))
 
 

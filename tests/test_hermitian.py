@@ -15,25 +15,46 @@ def rand_spec(rng, n, eps, aa=None):
     return hm.BorderedSpec(d, a, aa, eps)
 
 
+def matrix(spec):
+    """The bordered matrix of one spec, as a row of the batched assembly."""
+    return hm.bordered_batch(spec.d[None], spec.a[None], [spec.aa])[0]
+
+
+def conclusions(spec):
+    """(eigenvalues, main deviations, corner excess, main passed, refined
+    passed) of one spec, read from its real arrowhead spectrum."""
+    eigs = hm._spectra(spec.d[None], spec.a[None], [spec.aa])[0]
+    ds = np.sort(spec.d)
+    small, corner = eigs[:-1], eigs[-1] - spec.aa
+    dev, main = hm._main_conclusion(spec.eps, ds, small, corner)
+    refined = hm._refined_conclusion(spec.eps, ds, small, corner)[2]
+    return eigs, dev, corner, bool(main), bool(refined)
+
+
+def component_counts(spec, eigs):
+    """Eigenvalues in each component of the intervals (d_i +- eps/(2n-3))."""
+    return hm._component_counts(eigs, hm.interval_components(spec.d, spec.eps / (2 * spec.n - 3)))
+
+
 class TestEigh:
     """Spectra of bordered matrices, read with LAPACK's eigvalsh."""
 
     def test_quadratic_oracle(self):
         # roots of lam^2 - 12 lam + 10, frozen from the characteristic polynomial
         lo, hi = 6 - math.sqrt(26), 6 + math.sqrt(26)
-        got = np.linalg.eigvalsh(hm.bordered(hm.BorderedSpec([1.0], [1.0], 11.0, 0.1)))
+        got = np.linalg.eigvalsh(matrix(hm.BorderedSpec([1.0], [1.0], 11.0, 0.1)))
         np.testing.assert_allclose(got, [lo, hi], atol=1e-12)
         np.testing.assert_allclose(got, [0.90098, 11.09902], atol=1e-5)
 
     def test_zero_border_is_exact(self):
         spec = hm.BorderedSpec([1.0, 2.0], [0.0, 0.0], 5.0, 0.1)
-        np.testing.assert_allclose(np.linalg.eigvalsh(hm.bordered(spec)), [1, 2, 5], atol=1e-14)
+        np.testing.assert_allclose(np.linalg.eigvalsh(matrix(spec)), [1, 2, 5], atol=1e-14)
 
     def test_trace_identity(self):
         rng = np.random.default_rng(0)
         for n in (2, 4, 7):
             spec = rand_spec(rng, n, 0.1)
-            m = hm.bordered(spec)
+            m = matrix(spec)
             eigs = np.linalg.eigvalsh(m)
             assert abs(eigs.sum() - np.trace(m).real) <= 1e-10 * np.linalg.norm(m)
 
@@ -41,35 +62,25 @@ class TestEigh:
 class TestBordered:
     def test_direct_assembly_2x2(self):
         spec = hm.BorderedSpec([1.0], [1.0], 11.0, 0.1)
-        np.testing.assert_array_equal(hm.bordered(spec), [[1, 1], [1, 11]])
+        np.testing.assert_array_equal(matrix(spec), [[1, 1], [1, 11]])
 
     def test_zero_matrix(self):
         spec = hm.BorderedSpec([0.0, 0.0], [0.0, 0.0], 0.0, 1.0)
-        np.testing.assert_array_equal(hm.bordered(spec), np.zeros((3, 3)))
+        np.testing.assert_array_equal(matrix(spec), np.zeros((3, 3)))
 
     def test_complex_border(self):
         spec = hm.BorderedSpec([1.0, -1.0], [1.0, 1j], 24.1, 0.3)
-        m = hm.bordered(spec)
+        m = matrix(spec)
         assert m[0, 2] == 1.0 and m[1, 2] == 1j
         assert m[2, 0] == 1.0 and m[2, 1] == -1j
         np.testing.assert_allclose(m, m.conj().T)
-
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(1)
-        d = rng.normal(size=(5, 3))
-        a = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-        aa = rng.normal(size=5)
-        batch = hm.bordered_batch(d, a, aa)
-        for t in range(5):
-            single = hm.bordered(hm.BorderedSpec(d[t], a[t], aa[t], 1.0))
-            np.testing.assert_array_equal(batch[t], single)
 
     def test_dtype_follows_the_border(self):
         d, aa = np.ones((4, 2)), np.zeros(4)
         assert hm.bordered_batch(d, np.ones((4, 2)), aa).dtype == np.float64
         assert hm.bordered_batch(d, np.ones((4, 2), dtype=int), aa).dtype == np.float64
         assert hm.bordered_batch(d, np.ones((4, 2), dtype=complex), aa).dtype == np.complex128
-        assert hm.bordered(hm.BorderedSpec([1.0], [1.0], 11.0, 0.1)).dtype == np.complex128
+        assert matrix(hm.BorderedSpec([1.0], [1.0], 11.0, 0.1)).dtype == np.complex128
 
     @pytest.mark.parametrize("field, d, a, aa", [
         ("d", [1.0, math.nan], [1.0, 1.0], 0.0),
@@ -175,30 +186,32 @@ class TestThresholds:
             threshold(0.1, [], [])
 
 
-class TestConcentrationReport:
+class TestConclusions:
+    """Both lemmas' conclusions on single specs."""
+
     def test_n2_oracle(self):
         # eigenvalues 6 +- sqrt(26); deviation and corner excess coincide (trace)
         spec = hm.BorderedSpec([1.0], [1.0], 11.0, 0.1)
-        rep = hm.concentration_report(spec)
-        dev = 1.0 - (6 - math.sqrt(26))
-        np.testing.assert_allclose(rep.deviations, [dev], atol=1e-12)
-        assert rep.corner_excess == pytest.approx(dev, abs=1e-12)
-        assert rep.passed_main and rep.passed_refined
+        _, dev, corner, main, refined = conclusions(spec)
+        expected = 1.0 - (6 - math.sqrt(26))
+        np.testing.assert_allclose(dev, [expected], atol=1e-12)
+        assert corner == pytest.approx(expected, abs=1e-12)
+        assert main and refined
 
     def test_n2_trace_identity(self):
         # d1 - lambda_1 equals lambda_2 - aa exactly, by the trace
         rng = np.random.default_rng(7)
         for _ in range(50):
             spec = rand_spec(rng, 2, 0.05)
-            eigs = np.linalg.eigvalsh(hm.bordered(spec))
+            eigs = np.linalg.eigvalsh(matrix(spec))
             assert spec.d[0] - eigs[0] == pytest.approx(eigs[1] - spec.aa, abs=1e-10)
 
     def test_exact_diagonal(self):
         spec = hm.BorderedSpec([1.0, 2.0], [0.0, 0.0], 30.0, 0.1)
-        rep = hm.concentration_report(spec)
-        np.testing.assert_allclose(rep.deviations, 0.0, atol=1e-13)
-        assert rep.corner_excess == pytest.approx(0.0, abs=1e-13)
-        assert rep.component_counts.sum() == 2
+        eigs, dev, corner, _, _ = conclusions(spec)
+        np.testing.assert_allclose(dev, 0.0, atol=1e-13)
+        assert corner == pytest.approx(0.0, abs=1e-13)
+        assert component_counts(spec, eigs).sum() == 2
 
     def test_largest_eigenvalue_dominates_corner_always(self):
         # holds threshold or not: diagonal entries never exceed the top eigenvalue
@@ -206,8 +219,7 @@ class TestConcentrationReport:
         for _ in range(200):
             n = rng.integers(2, 7)
             spec = rand_spec(rng, n, 0.1, aa=float(rng.uniform(-5, 5)))
-            rep = hm.concentration_report(spec)
-            assert rep.corner_excess >= -1e-12
+            assert conclusions(spec)[2] >= -1e-12
 
 
 class TestIntervalComponents:
@@ -271,16 +283,14 @@ class TestCountStability:
             rows = hm.count_stability_scan(spec, thr * 2.0 ** np.arange(8))
             assert (rows == rows[0]).all()
 
-    def test_matches_per_corner_reports(self):
+    def test_matches_per_corner_counts(self):
         rng = np.random.default_rng(11)
         for n in (2, 4, 6):
             spec = rand_spec(rng, n, 0.2)
             aa_grid = spec.aa * rng.uniform(1.0, 10.0, 16)
             rows = hm.count_stability_scan(spec, aa_grid)
-            ref = [
-                hm.concentration_report(hm.BorderedSpec(spec.d, spec.a, aa, spec.eps)).component_counts
-                for aa in aa_grid
-            ]
+            ref = [component_counts(spec, conclusions(hm.BorderedSpec(spec.d, spec.a, aa, spec.eps))[0])
+                   for aa in aa_grid]
             np.testing.assert_array_equal(rows, ref)
 
 
@@ -315,7 +325,7 @@ class TestRealArrowhead:
         hm.lemma_trial_batch(4, 0.1, 50, seed=1)
         hm.lemma_trial_batch(4, 0.1, 50, seed=1, refined=True)
         hm.count_stability_scan(spec, spec.aa * np.array([1.0, 2.0]))
-        hm.concentration_report(spec)
+        hm._spectra(spec.d[None], spec.a[None], [spec.aa])
         assert dtypes == [np.float64] * 4
 
 
@@ -368,10 +378,9 @@ class TestLemmaProperties:
         out = hm.lemma_trial_batch(n, eps, trials=2000, seed=9, refined=True)
         assert out["violations"] == 0
 
-    def test_report_agrees_with_batch(self):
+    def test_both_conclusions_hold_at_the_threshold(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             n = int(rng.integers(2, 8))
             spec = rand_spec(rng, n, 0.1)
-            rep = hm.concentration_report(spec)
-            assert rep.passed_main and rep.passed_refined
+            assert conclusions(spec)[3:] == (True, True)
