@@ -10,9 +10,10 @@ A family is declared once, as a :class:`ConeFunction` subclass: its
 factory and ``describe`` read them), its ``_value`` and ``_grad``, and a
 ``_build_cone`` only where its cone is not the Garding cone Gamma_k, with k
 the order ``k`` where the family takes one and n otherwise.  Each check has
-one place: a dimension or an order is taken as an int, or refused, by
-``_integer``; a cone's kind and order by ``Cone``; and a point is turned
-into a float array, and its length checked, by ``Cone._margin_table``.
+one place: a dimension, an order or a direction is taken as an int, or
+refused, by ``errors._integer``; a cone's kind and order by ``Cone``; and a
+point is turned into a float array, and its length checked, by
+``Cone._margin_table``.
 
 The deleted sums mu_i = sum_{j != i} lam_j, the image of lam under the
 symmetric matrix Q with zero diagonal and unit off-diagonal entries, are
@@ -32,12 +33,11 @@ column in index order, one whole-plane operation per column (``_fold``).
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConeDomainError, ValidationError, _first_bad
+from .errors import ConeDomainError, ValidationError, _first_bad, _integer
 
 __all__ = [
     "ConeDomainError",
@@ -56,6 +56,9 @@ __all__ = [
     "gamma_r1_member",
     "c_sigma",
 ]
+
+# Points per block of the deleted-coordinate recurrence (``_deleted_table``).
+_ROW_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +105,6 @@ def _points(lam, name):
     return lam
 
 
-def _integer(value, name):
-    """value as an int: an integer or an integral float, not a bool, or
-    :class:`ValidationError` naming ``name``.  The one check of a dimension
-    or an order."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def sigma_k(lam, k):
     """k-th elementary symmetric polynomial of the last axis.
 
@@ -128,16 +122,28 @@ def sigma_k(lam, k):
     return _sigma_table(lam, max(orders))[..., index][()]
 
 
-def _deleted_table(lam, top):
-    """sigma_0..sigma_top of float lam with each coordinate deleted in turn.
+def _deleted_table(lam, orders):
+    """sigma_j of float lam with each coordinate deleted in turn, for each
+    order j in ``orders`` (each 0..n-1).
 
-    Shape ``lam.shape + (top + 1,)``: axis -2 indexes the deleted coordinate
-    and axis -1 the order.  One pass of the recurrence over the stacked
-    deleted vectors, so no unstable downdate is needed.
+    Shape ``(len(orders),) + lam.shape``: one plane per order read, its last
+    axis indexing the deleted coordinate.  One pass of the recurrence over
+    the stacked deleted vectors, run to the highest order read, so no
+    unstable downdate is needed.  The pass runs on ``_ROW_BLOCK`` points at
+    a time and writes each block's planes into the output: the stacked
+    (points, n, n-1) vectors and the table of orders are O(block), and only
+    the output is O(points).
     """
     n = lam.shape[-1]
     m = np.arange(n - 1)
-    return _sigma_table(lam[..., m + (m >= np.arange(n)[:, None])], top)
+    deleted = m + (m >= np.arange(n)[:, None])
+    rows = lam.reshape(-1, n)
+    out = np.empty((len(orders),) + rows.shape)
+    for lo in range(0, rows.shape[0], _ROW_BLOCK):
+        table = _sigma_table(rows[lo:lo + _ROW_BLOCK, deleted], max(orders))
+        for plane, j in zip(out, orders):
+            plane[lo:lo + _ROW_BLOCK] = table[..., j]
+    return out.reshape((len(orders),) + lam.shape)
 
 
 def sigma_deleted(lam, k):
@@ -151,7 +157,7 @@ def sigma_deleted(lam, k):
     k = _integer(k, "order k")
     if not 0 <= k < n:
         raise ValidationError(f"order k={k} out of range 0..{n - 1}")
-    return _deleted_table(lam, k)[..., k].copy()  # a view would keep the whole table alive
+    return _deleted_table(lam, (k,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +399,13 @@ class QuotientRoot(ConeFunction):
     def _grad(self, lam, table):
         ek = table[..., self.k - 1, None]
         el = table[..., self.l - 1, None]
-        d = _deleted_table(lam, self.k - 1)
-        dk = d[..., self.k - 1]
-        dl = d[..., self.l - 1]
+        dk, dl = _deleted_table(lam, (self.k - 1, self.l - 1))
         val = (ek / el) ** (1.0 / (self.k - self.l))
         return val / (self.k - self.l) * (dk / ek - dl / el)
 
     def _ray_limit(self, lam, i):
         # The ratio of the slopes of sigma_k and sigma_l along the ray.
-        d = _deleted_table(lam, self.k - 1)[i]
-        dk, dl = d[self.k - 1], d[self.l - 1]
+        dk, dl = _deleted_table(lam, (self.k - 1, self.l - 1))[:, i]
         if not (dk > 0.0 and dl > 0.0):  # rounding at the cone's boundary
             return False, -math.inf
         return True, (dk / dl) ** (1.0 / (self.k - self.l))
@@ -500,6 +503,7 @@ def c_subsolution_margin(f, lam, psi, i):
     lam, _ = f._check(lam)
     if lam.shape != (f.n,):
         raise ValidationError(f"expected a single vector of length {f.n}, got shape {lam.shape}")
+    i = _integer(i, "direction index i")
     if not 0 <= i < f.n:
         raise ValidationError(f"direction index {i} out of range 0..{f.n - 1}")
     valid, limit = f._ray_limit(lam, i)

@@ -1,5 +1,8 @@
-"""The package's error hierarchy: one ValidationError and its refinements,
-and ``_first_bad``, the one search for the node an error names."""
+"""The package's error hierarchy: one ValidationError and its refinements;
+``_integer``, the one check of an integer argument; and ``_first_bad``, the
+one search for the node an error names."""
+
+import numbers
 
 import numpy as np
 
@@ -26,3 +29,12 @@ def _first_bad(ok):
     must hold a False entry."""
     first = int(np.argmin(ok))
     return tuple(int(v) for v in np.unravel_index(first, np.shape(ok))), first
+
+
+def _integer(value, name, error=ValidationError):
+    """value as an int: an integer or an integral float, not a bool, or
+    ``error`` naming ``name``.  The one check of a dimension, an order, a
+    direction or a grid resolution."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)

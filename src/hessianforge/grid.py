@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridError, PositivityError, ValidationError, _first_bad
+from .errors import GridError, PositivityError, ValidationError, _first_bad, _integer
 
 __all__ = [
     "GridError",
@@ -120,7 +120,8 @@ class ProductGrid:
     torus_periods : tuple of (Lx, Ly) pairs, one per torus factor
     strip_bounds : (s0, s1), finite with s0 < s1, the range of Re w
     resolutions : 2n ints; each is 1 (frozen direction) or >= 8, the
-        Re w axis always >= 8
+        Re w axis always >= 8.  n and each resolution may be an integral
+        float or a numpy integer; a bool or a fraction is refused, naming it.
     strip_imag_period : period of Im w (default 2 pi)
     """
 
@@ -131,6 +132,7 @@ class ProductGrid:
     strip_imag_period: float = 2.0 * math.pi
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n", GridError))
         if self.n < 2:
             raise GridError("complex dimension n >= 2 required")
         if len(self.torus_periods) != self.n - 1:
@@ -145,7 +147,8 @@ class ProductGrid:
         if not (math.isfinite(s0) and math.isfinite(s1) and s0 < s1):
             raise GridError(f"strip bounds must be finite and satisfy s0 < s1, got {(s0, s1)}")
         object.__setattr__(self, "strip_bounds", (s0, s1))
-        res = tuple(int(r) for r in self.resolutions)
+        res = tuple(_integer(r, f"axis {a}: resolution", GridError)
+                    for a, r in enumerate(self.resolutions))
         if len(res) != 2 * self.n:
             raise GridError(f"need {2 * self.n} resolutions, got {len(res)}")
         for a, r in enumerate(res):

@@ -1,6 +1,7 @@
 """Cone functions, Garding cones, deleted sums and diagonal levels."""
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -157,6 +158,48 @@ class TestSigmaK:
         np.testing.assert_array_equal(f.grad(lam), np.ones(8))
         np.testing.assert_allclose(cn.sigma_deleted(lam, 1), np.full(8, 7e50), rtol=1e-15)
         np.testing.assert_allclose(cn.sigma_k(lam, range(1, 3)), [8e50, 28e100], rtol=1e-15)
+
+
+class TestRowBlocks:
+    """The deleted-coordinate recurrence runs on ``_ROW_BLOCK`` points at a
+    time; its readers give the same bits for any block."""
+
+    @staticmethod
+    def results(lam, mu):
+        quotient = make("quotient-root", 6, k=3, l=1)
+        log_sigma = make("log-sigma-k", 6, k=3)
+        return ([cn.sigma_deleted(lam, k) for k in range(6)]
+                + list(quotient.value_grad(lam))
+                + [cn.concavity_probe(quotient, lam, mu), cn.concavity_probe(log_sigma, lam, mu)])
+
+    def test_results_do_not_depend_on_the_block(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        cone = cn.Cone.gamma(3, 6)
+        # 60 points in a (4, 15) batch: one block by default, and eight
+        # blocks of 7 and one of 4 below
+        lam, mu = (sample_cone(cone, 60, rng).reshape(4, 15, 6) for _ in range(2))
+        assert cn._ROW_BLOCK >= 60
+        whole = self.results(lam, mu)
+        monkeypatch.setattr(cn, "_ROW_BLOCK", 7)
+        for got, want in zip(self.results(lam, mu), whole, strict=True):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    def test_log_sigma_k_probe_memory_stays_flat(self):
+        # 20,000 points at n = 6.  The probe's own arrays are a few planes of
+        # 20,000 x 6 doubles (0.96 MB each), under 6 MiB in all; stacking every
+        # deleted vector at once forms 20,000 x 6 x 5 doubles (4.8 MB) and the
+        # four orders of their table on top, about 10 MiB.
+        f = make("log-sigma-k", 6, k=4)
+        rng = np.random.default_rng(42)
+        lam, mu = (rng.uniform(1.0, 2.0, (20_000, 6)) for _ in range(2))
+        tracemalloc.start()
+        try:
+            cn.concavity_probe(f, lam, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestConeMembership:
@@ -412,6 +455,21 @@ class TestCoordinateRayLimits:
         with pytest.raises(cn.ValidationError) as caught:
             cn.c_subsolution_margin(f, np.ones((2, 3)), 0.0, 0)
         assert caught.type is cn.ValidationError
+
+    @pytest.mark.parametrize("i", [True, 1.5, "1", None])
+    def test_non_integral_direction_rejected(self, i):
+        # True and 1.5 used to reach the deleted table and raise a bare IndexError
+        f = make("quotient-root", 3, k=3, l=1)
+        with pytest.raises(cn.ValidationError, match=re.escape(f"direction index i must be an integer, got {i!r}")):
+            cn.c_subsolution_margin(f, np.ones(3), 0.0, i)
+
+    def test_integral_float_and_numpy_directions(self):
+        f = make("quotient-root", 3, k=3, l=1)
+        lam = np.array([1.0, 2.0, 3.0])
+        want = cn.c_subsolution_margin(f, lam, 0.0, 2)
+        for i in (2.0, np.int64(2)):
+            rep = cn.c_subsolution_margin(f, lam, 0.0, i)
+            assert rep == want and type(rep.direction) is int
 
 
 class TestAddistruc:

@@ -38,6 +38,25 @@ class TestGridLayout:
         with pytest.raises(gr.GridError, match=re.escape(f"strip bounds must be finite and satisfy s0 < s1, got {bounds}")):
             gr.ProductGrid(2, ((TAU, TAU),), bounds, (8, 1, 8, 1))
 
+    @pytest.mark.parametrize("res, text", [
+        ((8.9, 1, 8, 1), "axis 0: resolution must be an integer, got 8.9"),  # int() truncated it to 8
+        ((8, True, 8, 1), "axis 1: resolution must be an integer, got True"),
+        ((8, 1, 8, 1.5), "axis 3: resolution must be an integer, got 1.5"),
+    ])
+    def test_rejects_non_integral_resolutions(self, res, text):
+        with pytest.raises(gr.GridError, match=re.escape(text)):
+            gr.ProductGrid(2, ((TAU, TAU),), (0, 1), res)
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_rejects_non_integral_dimension(self, n):
+        with pytest.raises(gr.GridError, match=re.escape(f"n must be an integer, got {n!r}")):
+            gr.ProductGrid(n, ((TAU, TAU),), (0, 1), (8, 1, 8, 1))
+
+    def test_integral_floats_and_numpy_integers_are_ints(self):
+        g = gr.ProductGrid(2.0, ((TAU, TAU),), (0, 1), (8.0, np.int64(1), np.int32(8), 1))
+        assert g.n == 2 and type(g.n) is int
+        assert g.resolutions == (8, 1, 8, 1) and all(type(r) is int for r in g.resolutions)
+
     @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_periods(self, period):
         with pytest.raises(gr.GridError, match="periods"):
