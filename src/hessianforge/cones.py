@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConeDomainError, ValidationError, _first_bad, _integer
+from .errors import _ROW_BLOCK, ConeDomainError, ValidationError, _first_bad, _integer
 
 __all__ = [
     "ConeDomainError",
@@ -56,9 +56,6 @@ __all__ = [
     "gamma_r1_member",
     "c_sigma",
 ]
-
-# Points per block of the deleted-coordinate recurrence (``_deleted_table``).
-_ROW_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------

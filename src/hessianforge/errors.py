@@ -1,10 +1,18 @@
-"""The package's error hierarchy: one ValidationError and its refinements;
-``_integer``, the one check of an integer argument; and ``_first_bad``, the
-one search for the node an error names."""
+"""The package's error hierarchy, one ValidationError and its refinements,
+and the private helpers its modules share: ``_integer``, the integer check of
+``grid`` and ``cones``; ``_first_bad``, the one search for the node an error
+names; and ``_ROW_BLOCK``, the block size of the batched passes."""
 
 import numbers
 
 import numpy as np
+
+
+# Rows per block of the lemma battery (``hermitian.lemma_trial_batch``) and of
+# the deleted-coordinate recurrence (``cones._deleted_table``).  A block's
+# largest transient stays near 1 MiB at n = 6: 4096 bordered 6 x 6 matrices,
+# or 4096 x 6 deleted vectors of length 5, in doubles.
+_ROW_BLOCK = 4096
 
 
 class ValidationError(ValueError):
@@ -33,8 +41,8 @@ def _first_bad(ok):
 
 def _integer(value, name, error=ValidationError):
     """value as an int: an integer or an integral float, not a bool, or
-    ``error`` naming ``name``.  The one check of a dimension, an order, a
-    direction or a grid resolution."""
+    ``error`` naming ``name``.  ``grid`` checks n and each resolution with
+    it, and ``cones`` each dimension, order and direction."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)

@@ -14,12 +14,11 @@ Every spectrum is read from the real symmetric arrowhead matrix with border
 ``|a|``, which has the same eigenvalues as the Hermitian one (see
 ``_spectra``), so the batteries run LAPACK's real solver on half the bytes.
 
-The battery and the scan run in fixed blocks of ``_ROW_BLOCK`` rows: each
-block's thresholds, matrices, spectra and conclusions are formed, reduced
-and dropped before the next, so their memory is O(block) whatever the
-batch.  What stays O(batch) is what a caller hands in or gets back: the
-battery's up-front draws (24 (n-1) bytes per trial, 120 B at n = 6) and the
-scan's corner values and count rows.  Results do not depend on the block.
+The battery runs in fixed blocks of ``_ROW_BLOCK`` trials: each block's
+thresholds, matrices, spectra and conclusions are formed, reduced and
+dropped before the next, so their memory is O(block) whatever the batch.
+What stays O(trials) is the battery's up-front draws (24 (n-1) bytes per
+trial, 120 B at n = 6).  Results do not depend on the block.
 
 All functions are pure and accept batched input where noted.
 """
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import _ROW_BLOCK, ValidationError
 
 __all__ = [
     "ValidationError",
@@ -42,9 +41,6 @@ __all__ = [
 ]
 
 _TRIAL_AMPLITUDE = 2.0
-# Rows per block of the battery and the scan: about 1 MiB of bordered
-# matrices at n = 6.
-_ROW_BLOCK = 4096
 
 
 @dataclass
@@ -262,9 +258,7 @@ def count_stability_scan(spec, aa_grid):
     threshold; the scan refuses the others, naming them.  Rows of the returned
     integer matrix are the component counts for successive corner values; the
     concentration property makes them identical.  Each spectrum comes from
-    the real arrowhead matrix with border ``|spec.a|`` (``_spectra``), solved
-    ``_ROW_BLOCK`` corner values at a time: the matrices and spectra are
-    O(block), the corner values and the returned rows O(corners).
+    the real arrowhead matrix with border ``|spec.a|`` (``_spectra``).
     """
     aa_grid = np.atleast_1d(np.asarray(aa_grid, dtype=float))
     thr = growth_threshold_main(spec.eps, spec.d, spec.a)
@@ -275,13 +269,9 @@ def count_stability_scan(spec, aa_grid):
             f"{thr:.6g}; counts are only stable above it"
         )
     comps = interval_components(spec.d, spec.eps / (2 * spec.n - 3))
-    counts = np.empty((aa_grid.size, len(comps)), dtype=np.intp)
-    for lo in range(0, aa_grid.size, _ROW_BLOCK):
-        aa = aa_grid[lo:lo + _ROW_BLOCK]
-        shape = (aa.size, spec.d.size)
-        eigs = _spectra(np.broadcast_to(spec.d, shape), np.broadcast_to(spec.a, shape), aa)
-        counts[lo:lo + aa.size] = _component_counts(eigs, comps)
-    return counts
+    shape = (aa_grid.size, spec.d.size)
+    eigs = _spectra(np.broadcast_to(spec.d, shape), np.broadcast_to(spec.a, shape), aa_grid)
+    return _component_counts(eigs, comps)
 
 
 def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0):
