@@ -13,7 +13,7 @@ the order ``k`` where the family takes one and n otherwise.  Each check has
 one place: a dimension, an order or a direction is taken as an int, or
 refused, by ``errors._integer``; a cone's kind and order by ``Cone``; and a
 point is turned into a float array, and its length checked, by
-``Cone._margin_table``.
+``Cone._point``.
 
 The deleted sums mu_i = sum_{j != i} lam_j, the image of lam under the
 symmetric matrix Q with zero diagonal and unit off-diagonal entries, are
@@ -30,6 +30,10 @@ Layout rule: sigma tables are computed order-first, each order one
 contiguous plane over the batch, and reductions over a short last axis (a
 min over orders or deleted sums, a sum over coordinates) fold column by
 column in index order, one whole-plane operation per column (``_fold``).
+A function of each entry that only the reduction reads, such as the logs
+that log-ma sums, is applied inside the fold one column at a time, so no
+table of it is formed.  log-ma's cone check is a column fold of lam itself
+(a min), with no sigma table unless it refuses a point.
 """
 
 import math
@@ -81,15 +85,18 @@ def _sigma_table(lam, top):
     return np.moveaxis(e, 0, -1)
 
 
-def _fold(ufunc, table):
+def _fold(ufunc, table, each=None):
     """ufunc folded over the short last axis, one column at a time in index
     order: whole-plane operations where a reduction along the last axis
     would run numpy's slow short-axis loop.  A min is exact; a sum adds in
-    index order (numpy's own sum does too below 8 terms).  A single vector
-    gives a float64 scalar."""
-    out = table[..., 0].copy()
+    index order (numpy's own sum does too below 8 terms).  ``each``, a unary
+    ufunc, is applied to one column at a time before it is folded in, so no
+    table of its values is formed.  A single vector gives a float64 scalar."""
+    first = table[..., 0]
+    out = first.copy() if each is None else np.asarray(each(first))
     for j in range(1, table.shape[-1]):
-        ufunc(out, table[..., j], out=out)
+        column = table[..., j]
+        ufunc(out, column if each is None else each(column), out=out)
     return out[()]
 
 
@@ -190,15 +197,12 @@ class Cone:
     gamma = staticmethod(lambda k, n: Cone("gamma", n, k))
     deleted_sum = staticmethod(lambda n: Cone("deleted-sum", n))
 
-    def _margin_table(self, lam):
-        """(lam, margin, table): the point as a float array, its smallest
-        slack, and the table the slack is read from (batched).
+    def _point(self, lam):
+        """lam as a float array of points of length n along its last axis.
 
         The one place a point is converted and its length checked: a point
         whose last axis is not n long, or that has no axis, is refused with
-        :class:`ValidationError`.  The table is sigma_1..sigma_k of lam for
-        a Garding cone (column j - 1 holds sigma_j) and the deleted sums for
-        the deleted-sum cone.
+        :class:`ValidationError`.
         """
         lam = np.asarray(lam, dtype=float)
         if lam.shape[-1:] != (self.n,):
@@ -206,6 +210,16 @@ class Cone:
                 f"dimension mismatch: {self.ray_description()} has n={self.n}, "
                 f"point has {lam.shape[-1] if lam.ndim else 'shape ()'}"
             )
+        return lam
+
+    def _margin_table(self, lam):
+        """(lam, margin, table): the point as a float array (``_point``), its
+        smallest slack, and the table the slack is read from (batched).
+
+        The table is sigma_1..sigma_k of lam for a Garding cone (column
+        j - 1 holds sigma_j) and the deleted sums for the deleted-sum cone.
+        """
+        lam = self._point(lam)
         if self.kind == "gamma":
             table = sigma_k(lam, range(1, self.k + 1))
         else:
@@ -248,7 +262,8 @@ class ConeFunction:
     order, each stored as an int attribute of that name (n and every order
     go through ``_integer``); ``_value`` and ``_grad``, which run on points
     known to lie in the cone and receive the table the cone check computed
-    (see ``Cone._margin_table``); and
+    (see ``Cone._margin_table``), or None where the family's ``_check``
+    reads lam alone, as log-ma's does; and
     ``_build_cone`` only where the cone is not Gamma_k, with k the order
     ``k`` and n where the family takes none.  ``describe`` and the factory
     read ``family`` and ``orders``.
@@ -329,18 +344,29 @@ class ConeFunction:
 
 
 class LogMA(ConeFunction):
-    """Sum of eigenvalue logarithms on the positive cone."""
+    """Sum of eigenvalue logarithms on the positive cone Gamma_n.
+
+    Gamma_n is the positive orthant: sigma_1..sigma_n are all positive
+    exactly when every lam_i is (Caffarelli-Nirenberg-Spruck, Acta Math.
+    155, 1985).  The check reads that off the coordinates, one whole-plane
+    min per coordinate, and builds the sigma table only to name the
+    inequality of a point it refuses; value and gradient read lam alone and
+    receive no table.  A point whose sigma_n underflows to 0, such as
+    (1e-200, 1e-200), is inside the cone and accepted, while ``margin``,
+    read from the sigma table, gives 0.0 for it.
+    """
 
     family = "log-ma"
     _log_degree = property(lambda self: self.n)
 
     def _check(self, lam):
-        # Value and gradient read lam alone: holding the sigma table through
-        # them would only raise peak memory.
+        lam = self.cone._point(lam)
+        if np.min(_fold(np.minimum, lam), initial=math.inf) > 0.0:  # NaN fails; an empty batch passes
+            return lam, None
         return super()._check(lam)[0], None
 
     def _value(self, lam, table):
-        return _fold(np.add, np.log(lam))
+        return _fold(np.add, lam, np.log)
 
     def _grad(self, lam, table):
         return 1.0 / lam
@@ -398,7 +424,12 @@ class QuotientRoot(ConeFunction):
         el = table[..., self.l - 1, None]
         dk, dl = _deleted_table(lam, (self.k - 1, self.l - 1))
         val = (ek / el) ** (1.0 / (self.k - self.l))
-        return val / (self.k - self.l) * (dk / ek - dl / el)
+        # val / (k - l) * (dk / ek - dl / el), with the difference formed in
+        # place: one (points, n) array besides the deleted planes
+        grad = np.divide(dk, ek)
+        grad -= np.divide(dl, el, out=dl)
+        grad *= val / (self.k - self.l)
+        return grad
 
     def _ray_limit(self, lam, i):
         # The ratio of the slopes of sigma_k and sigma_l along the ray.

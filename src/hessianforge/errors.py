@@ -1,7 +1,7 @@
 """The package's error hierarchy, one ValidationError and its refinements,
-and the private helpers its modules share: ``_integer``, the integer check of
-``grid`` and ``cones``; ``_first_bad``, the one search for the node an error
-names; and ``_ROW_BLOCK``, the block size of the batched passes."""
+and the private helpers its modules share: ``_integer``, the one integer
+check; ``_first_bad``, the one search for the node an error names; and
+``_ROW_BLOCK``, the block size of the batched passes."""
 
 import numbers
 
@@ -39,10 +39,15 @@ def _first_bad(ok):
     return tuple(int(v) for v in np.unravel_index(first, np.shape(ok))), first
 
 
-def _integer(value, name, error=ValidationError):
-    """value as an int: an integer or an integral float, not a bool, or
-    ``error`` naming ``name``.  ``grid`` checks n and each resolution with
-    it, and ``cones`` each dimension, order and direction."""
+def _integer(value, name, error=ValidationError, least=None):
+    """value as an int: an integer or an integral float, not a bool, and not
+    below ``least`` where one is given; otherwise ``error`` naming ``name``.
+    The package's one integer check: ``grid`` checks n and each resolution
+    with it, ``cones`` each dimension, order and direction, and
+    ``hermitian`` the battery's n, trials and seed."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
         raise error(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if least is not None and value < least:
+        raise error(f"{name} must be at least {least}, got {value}")
+    return value

@@ -110,6 +110,18 @@ _EIG_BLOCK = 4096  # nodes per pass of the eigensolve driver _eigh
 _EIG3_GUARD = 10 * np.finfo(float).eps / 1e-12
 
 
+def _entries(value, length, name):
+    """value as a tuple of ``length`` entries, or :class:`GridError` naming
+    the field ``name``: the one length check of ``ProductGrid``'s fields."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        items = None
+    if items is None or len(items) != length:
+        raise GridError(f"{name} must be a sequence of length {length}, got {value!r}")
+    return items
+
+
 @dataclass(frozen=True)
 class ProductGrid:
     """Uniform grid on (torus)^(n-1) x strip.
@@ -123,6 +135,9 @@ class ProductGrid:
         Re w axis always >= 8.  n and each resolution may be an integral
         float or a numpy integer; a bool or a fraction is refused, naming it.
     strip_imag_period : period of Im w (default 2 pi)
+
+    A field, or a period pair, that is not a sequence of the length given
+    above is refused with :class:`GridError` naming it.
     """
 
     n: int
@@ -135,22 +150,20 @@ class ProductGrid:
         object.__setattr__(self, "n", _integer(self.n, "n", GridError))
         if self.n < 2:
             raise GridError("complex dimension n >= 2 required")
-        if len(self.torus_periods) != self.n - 1:
-            raise GridError(f"need {self.n - 1} torus period pairs")
-        periods = tuple((float(a), float(b)) for a, b in self.torus_periods)
+        pairs = _entries(self.torus_periods, self.n - 1, "torus_periods")
+        periods = tuple(tuple(float(p) for p in _entries(pair, 2, f"torus_periods[{i}]"))
+                        for i, pair in enumerate(pairs))
         every = [self.strip_imag_period] + [p for pair in periods for p in pair]
         if not all(math.isfinite(p) and p > 0 for p in every):
             raise GridError(f"periods must be finite and positive, got {periods} and "
                             f"strip_imag_period={self.strip_imag_period}")
         object.__setattr__(self, "torus_periods", periods)
-        s0, s1 = (float(v) for v in self.strip_bounds)
+        s0, s1 = (float(v) for v in _entries(self.strip_bounds, 2, "strip_bounds"))
         if not (math.isfinite(s0) and math.isfinite(s1) and s0 < s1):
             raise GridError(f"strip bounds must be finite and satisfy s0 < s1, got {(s0, s1)}")
         object.__setattr__(self, "strip_bounds", (s0, s1))
         res = tuple(_integer(r, f"axis {a}: resolution", GridError)
-                    for a, r in enumerate(self.resolutions))
-        if len(res) != 2 * self.n:
-            raise GridError(f"need {2 * self.n} resolutions, got {len(res)}")
+                    for a, r in enumerate(_entries(self.resolutions, 2 * self.n, "resolutions")))
         for a, r in enumerate(res):
             if r != 1 and r < MIN_RESOLUTION:
                 raise GridError(

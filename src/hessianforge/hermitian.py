@@ -23,12 +23,11 @@ trial, 120 B at n = 6).  Results do not depend on the block.
 All functions are pure and accept batched input where noted.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _ROW_BLOCK, ValidationError
+from .errors import _ROW_BLOCK, ValidationError, _integer
 
 __all__ = [
     "ValidationError",
@@ -77,15 +76,6 @@ def _finite_positive(value, name):
     if not 0.0 < value < np.inf:  # NaN fails both comparisons
         raise ValidationError(f"{name} must be finite and positive, got {value}")
     return value
-
-
-def _count(value, name, least):
-    """value as an int, refused, as ``name``, unless an integer >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValidationError(f"{name} must be at least {least}, got {value}")
-    return int(value)
 
 
 def bordered_batch(d, a, aa):
@@ -281,8 +271,9 @@ def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0):
     parts) uniform in ``[-2, 2]``, sets the corner to ``aa_factor`` times the
     relevant growth threshold and checks the corresponding conclusion on
     every draw.  The spectra come from the real arrowhead matrices with
-    border ``|a|`` (``_spectra``), so no complex matrix is formed.  ``n``,
-    ``trials`` and ``seed`` must be integers (``seed`` >= 0), and
+    border ``|a|`` (``_spectra``), so no complex matrix is formed.  ``n``
+    (>= 2), ``trials`` (>= 1) and ``seed`` (>= 0) must be integers, checked
+    by ``errors._integer`` (an integral float counts, a bool does not), and
     ``aa_factor`` finite and positive.
 
     All draws are made up front, so the random stream does not depend on
@@ -297,10 +288,10 @@ def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0):
     dict with keys ``trials``, ``violations``, ``worst_deviation``,
     ``worst_corner_excess``.
     """
-    n = _count(n, "n", 2)
-    trials = _count(trials, "trials", 1)
+    n = _integer(n, "n", least=2)
+    trials = _integer(trials, "trials", least=1)
     aa_factor = _finite_positive(aa_factor, "aa_factor")
-    rng = np.random.default_rng(_count(seed, "seed", 0))
+    rng = np.random.default_rng(_integer(seed, "seed", least=0))
     shape = (trials, n - 1)
     d = rng.uniform(-_TRIAL_AMPLITUDE, _TRIAL_AMPLITUDE, shape)
     a = np.empty(shape, dtype=complex)

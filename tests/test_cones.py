@@ -201,6 +201,25 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert peak < 6 * 2**20
 
+    def test_quotient_root_gradient_forms_one_array(self, monkeypatch):
+        # 20,000 points at n = 6, with a block small enough that the deleted
+        # pass's own transient stays under 0.5 MiB.  value_grad then holds
+        # the sigma table (four planes of 20,000 doubles), the value, the
+        # two deleted planes and the gradient (three of 20,000 x 6): 3.5 MiB.
+        # Forming dk / ek and dl / el as two new arrays adds a fourth.
+        monkeypatch.setattr(cn, "_ROW_BLOCK", 1024)
+        f = make("quotient-root", 6, k=3, l=1)
+        n, points = 6, 20_000
+        lam = np.random.default_rng(42).uniform(1.0, 2.0, (points, n))
+        held = 8 * (4 * points + points + 3 * points * n)
+        tracemalloc.start()
+        try:
+            f.value_grad(lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < held + 2**19
+
 
 class TestConeMembership:
     def test_deleted_sum_cone(self):
@@ -947,3 +966,79 @@ class TestAgainstLastAxisFormulas:
             got = make("log-p", n).value(x)
             assert np.all(np.abs(got - np.sum(logs, axis=-1)) <= n * eps * np.sum(np.abs(logs), axis=-1))
             np.testing.assert_array_equal(make("log-ma", n).margin(x), reference_margin(cn.Cone.gamma(n, n), x))
+
+
+class TestLogMAOrthant:
+    """log-ma checks Gamma_n, the positive orthant, on the coordinates."""
+
+    @staticmethod
+    def folded_logs(lam):
+        out = np.log(lam[..., 0])
+        for j in range(1, lam.shape[-1]):
+            out = out + np.log(lam[..., j])
+        return out
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_value_grad_bit_identical(self, n):
+        lam = sample_cone(cn.Cone.gamma(n, n), 60, np.random.default_rng(n))
+        given = {name: x for name, x in layouts(lam, n).items() if name in ("C", "F", "eig_wrt_metric")}
+        assert given["eig_wrt_metric"].strides[-1] > given["eig_wrt_metric"].strides[0]  # plane-first
+        given.update(single=lam[0], empty=np.empty((0, 4, n)))
+        for name, x in given.items():
+            value, grad = make("log-ma", n).value_grad(x)
+            np.testing.assert_array_equal(value, self.folded_logs(x), err_msg=name)
+            np.testing.assert_array_equal(grad, 1.0 / x, err_msg=name)
+            assert value.shape == x.shape[:-1] and grad.shape == x.shape, name
+
+    def test_no_sigma_recurrence_inside_the_cone(self, monkeypatch):
+        calls = []
+        table = cn._sigma_table
+        monkeypatch.setattr(cn, "_sigma_table", lambda *args: calls.append(args) or table(*args))
+        f = make("log-ma", 3)
+        lam = np.exp(np.random.default_rng(1).normal(size=(50, 3)))
+        f.value_grad(lam)
+        f.value(lam)
+        f.grad(lam)
+        assert calls == []
+        lam[7, 1] = -1.0
+        with pytest.raises(cn.ConeDomainError, match=re.escape("at node (7,), flat index 7: sigma_2 = ")):
+            f.value_grad(lam)
+        assert calls  # the table names the inequality of a refused point
+
+    def test_sigma_n_underflow_is_inside(self):
+        # sigma_2 = 1e-400 rounds to 0, so the sigma table reads no slack,
+        # but both coordinates are positive: the point lies in Gamma_2
+        f = make("log-ma", 2)
+        lam = np.array([1e-200, 1e-200])
+        value, grad = f.value_grad(lam)
+        assert value == 2 * np.log(1e-200)
+        np.testing.assert_array_equal(grad, [1e200, 1e200])
+        assert f.margin(lam) == 0.0
+        assert not f.cone.contains(lam)
+        value, grad = f.value_grad(np.stack([lam, np.ones(2)]))
+        np.testing.assert_array_equal(value, [2 * np.log(1e-200), 0.0])
+
+    @pytest.mark.parametrize("point, text", [
+        ([0.0, 1.0], "sigma_2 = 0, not > 0"),
+        ([-0.0, 1.0], "sigma_2 = 0, not > 0"),
+        ([math.inf, -1.0], "sigma_2 = -inf, not > 0"),
+        ([1.0, math.nan], "sigma_1 = nan, not > 0"),
+    ])
+    def test_boundary_points_refused(self, point, text):
+        with pytest.raises(cn.ConeDomainError, match=re.escape(f"point outside Gamma_2: {text}")):
+            make("log-ma", 2).value_grad(point)
+
+    def test_memory_is_the_outputs(self):
+        # 2**16 plane-first points at n = 2: the value and gradient are
+        # 1.5 MiB.  A sigma table (three planes) and its margin on top
+        # reach 2 MiB.
+        n, points = 2, 2**16
+        lam = np.moveaxis(np.exp(np.random.default_rng(3).normal(size=(n, points))), 0, -1)
+        outputs = 8 * (points + points * n)
+        tracemalloc.start()
+        try:
+            make("log-ma", n).value_grad(lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < outputs + 2**18

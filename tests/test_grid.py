@@ -47,6 +47,17 @@ class TestGridLayout:
         with pytest.raises(gr.GridError, match=re.escape(text)):
             gr.ProductGrid(2, ((TAU, TAU),), (0, 1), res)
 
+    @pytest.mark.parametrize("periods, bounds, res, text", [
+        (((TAU, TAU, TAU),), (0, 1), (8, 1, 8, 1),
+         f"torus_periods[0] must be a sequence of length 2, got {(TAU, TAU, TAU)!r}"),
+        ((TAU,), (0, 1), (8, 1, 8, 1), f"torus_periods[0] must be a sequence of length 2, got {TAU!r}"),
+        (((TAU, TAU),), (0, 1, 2), (8, 1, 8, 1), "strip_bounds must be a sequence of length 2, got (0, 1, 2)"),
+        (((TAU, TAU),), (0, 1), 8, "resolutions must be a sequence of length 4, got 8"),
+    ], ids=["pair-of-three", "period-not-a-pair", "three-bounds", "resolutions-not-a-sequence"])
+    def test_rejects_fields_of_the_wrong_length(self, periods, bounds, res, text):
+        with pytest.raises(gr.GridError, match=re.escape(text)):
+            gr.ProductGrid(2, periods, bounds, res)
+
     @pytest.mark.parametrize("n", [2.5, True])
     def test_rejects_non_integral_dimension(self, n):
         with pytest.raises(gr.GridError, match=re.escape(f"n must be an integer, got {n!r}")):

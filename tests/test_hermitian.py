@@ -386,11 +386,18 @@ class TestLemmaProperties:
             hm.lemma_trial_batch(3, 0.1, trials=10, seed=1, aa_factor=factor)
 
     @pytest.mark.parametrize("field, n, trials", [
-        ("n", 3.0, 10), ("n", 2.5, 10), ("n", "3", 10), ("trials", 3, 10.0), ("trials", 3, True),
+        ("n", 2.5, 10), ("n", "3", 10), ("trials", 3, True),
     ])
     def test_rejects_non_integer_counts(self, field, n, trials):
         with pytest.raises(hm.ValidationError, match=f"{field} must be an integer"):
             hm.lemma_trial_batch(n, 0.1, trials=trials, seed=1)
+
+    @pytest.mark.parametrize("n, trials, seed", [(3.0, 10, 1), (3, 10.0, 1), (3, 10, 1.0)])
+    def test_integral_float_counts(self, n, trials, seed):
+        # the one integer check of every dimension, as for grids and cones
+        out = hm.lemma_trial_batch(n, 0.1, trials=trials, seed=seed)
+        assert out == hm.lemma_trial_batch(3, 0.1, trials=10, seed=1)
+        assert type(out["trials"]) is int
 
     def test_numpy_integer_counts(self):
         out = hm.lemma_trial_batch(np.int64(3), 0.1, trials=np.int32(10), seed=1)
