@@ -1,4 +1,8 @@
-"""hessian-forge: fully nonlinear elliptic Dirichlet solves on a torus x strip.
+"""hessian-forge: the layers of a fully nonlinear elliptic operator on a torus x strip.
+
+It checks the bordered-matrix eigenvalue lemmas, evaluates the Garding-cone
+operator families, and assembles complex tensor fields and their per-node
+eigenvalues on the product grid.  It has no Dirichlet solver yet.
 
 Modules
 -------

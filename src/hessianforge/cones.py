@@ -11,9 +11,10 @@ factory and ``describe`` read them), its ``_value`` and ``_grad``, and a
 ``_build_cone`` only where its cone is not the Garding cone Gamma_k, with k
 the order ``k`` where the family takes one and n otherwise.  Each check has
 one place: a dimension, an order or a direction is taken as an int, or
-refused, by ``errors._integer``; a cone's kind and order by ``Cone``; and a
-point is turned into a float array, and its length checked, by
-``Cone._point``.
+refused, by ``errors._integer``; a real scalar (the ray test's c, the
+margin's psi) as a float by ``errors._real``; a cone's kind and order by
+``Cone``; and a point is turned into a float array, and its length
+checked, by ``Cone._point``.
 
 The deleted sums mu_i = sum_{j != i} lam_j, the image of lam under the
 symmetric matrix Q with zero diagonal and unit off-diagonal entries, are
@@ -31,9 +32,9 @@ contiguous plane over the batch, and reductions over a short last axis (a
 min over orders or deleted sums, a sum over coordinates) fold column by
 column in index order, one whole-plane operation per column (``_fold``).
 A function of each entry that only the reduction reads, such as the logs
-that log-ma sums, is applied inside the fold one column at a time, so no
-table of it is formed.  log-ma's cone check is a column fold of lam itself
-(a min), with no sigma table unless it refuses a point.
+that log-ma and log-p sum, is applied inside the fold one column at a
+time, so no table of it is formed.  log-ma's cone check is a column fold
+of lam itself (a min), with no sigma table unless it refuses a point.
 """
 
 import math
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _ROW_BLOCK, ConeDomainError, ValidationError, _first_bad, _integer
+from .errors import _ROW_BLOCK, ConeDomainError, ValidationError, _first_bad, _integer, _real
 
 __all__ = [
     "ConeDomainError",
@@ -453,7 +454,7 @@ class LogDeletedSums(ConeFunction):
         return Cone.deleted_sum(n)
 
     def _value(self, lam, table):
-        return _fold(np.add, np.log(table))
+        return _fold(np.add, table, np.log)
 
     def _grad(self, lam, table):
         return q_inverse(1.0 / table)
@@ -526,7 +527,8 @@ def c_subsolution_margin(f, lam, psi, i):
     """Margin of the relaxed (asymptotic) subsolution condition in direction i.
 
     Evaluates ``lim_t f(lam + t e_i) - psi`` with the family's closed-form
-    limit.  ``lam`` must be a single vector in the cone.
+    limit.  ``lam`` must be a single vector in the cone, and ``psi`` a
+    finite real.
     """
     lam, _ = f._check(lam)
     if lam.shape != (f.n,):
@@ -535,7 +537,7 @@ def c_subsolution_margin(f, lam, psi, i):
     if not 0 <= i < f.n:
         raise ValidationError(f"direction index {i} out of range 0..{f.n - 1}")
     valid, limit = f._ray_limit(lam, i)
-    return MarginReport(direction=i, valid=valid, limit=limit, psi=float(psi))
+    return MarginReport(direction=i, valid=valid, limit=limit, psi=_real(psi, "psi"))
 
 
 def concavity_probe(f, lam, mu):
@@ -573,10 +575,10 @@ def gamma_r1_member(c, cone):
     """Membership of the scalar c in {c : (t,...,t,c) in cone for some t>0}.
 
     Exact: the set is (0, inf) when the cone is the positive orthant (Gamma_n,
-    or the deleted-sum cone at n = 2) and all of R otherwise.  c must be finite.
+    or the deleted-sum cone at n = 2) and all of R otherwise.  c must be a
+    finite real.
     """
-    if not math.isfinite(c):
-        raise ValidationError(f"ray test needs a finite c, got {c}")
+    c = _real(c, "c")
     orthant = cone.k == cone.n if cone.kind == "gamma" else cone.n == 2
     return bool(c > 0) if orthant else True
 

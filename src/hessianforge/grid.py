@@ -18,8 +18,9 @@ vanish.  :class:`Metric` keeps g at such a natural shape, and the quantities
 computed from the metric alone inherit it.  Every such field the module
 takes (g, chi, eta, rho, za, and the h of the metric functions) is checked
 in one place, ``_check_field``, against the grid's shape followed by the
-field's own trailing shape; one that does not broadcast is refused with
-:class:`GridError` naming the field and both shapes.
+field's own trailing shape, on every metric, the flat one included; one
+that does not broadcast is refused with :class:`GridError` naming the
+field and both shapes.
 
 Derivative stencils are second-order centered, with one-sided second-order
 closures on the two boundary slices of the Re w axis.  One kernel,
@@ -72,7 +73,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridError, PositivityError, ValidationError, _first_bad, _integer
+from .errors import _ROW_BLOCK, GridError, PositivityError, ValidationError, _first_bad, _integer, _real
 
 __all__ = [
     "GridError",
@@ -99,7 +100,6 @@ __all__ = [
 
 MIN_RESOLUTION = 8
 HERMITIAN_RTOL = 1e-10  # check_hermitian_field, relative to max(1, max |h|)
-_EIG_BLOCK = 4096  # nodes per pass of the eigensolve driver _eigh
 # The 3x3 closed form loses accuracy as two eigenvalues meet: its errors in
 # the eigenvalues, residuals and orthonormality, relative to the largest
 # entry modulus, grow like C eps / gap, with gap the smallest eigenvalue gap
@@ -137,7 +137,9 @@ class ProductGrid:
     strip_imag_period : period of Im w (default 2 pi)
 
     A field, or a period pair, that is not a sequence of the length given
-    above is refused with :class:`GridError` naming it.
+    above is refused with :class:`GridError` naming it, and so is a period
+    or strip bound that is not a finite real (``errors._real``), or a
+    period that is not positive.  Periods and bounds are stored as floats.
     """
 
     n: int
@@ -151,16 +153,16 @@ class ProductGrid:
         if self.n < 2:
             raise GridError("complex dimension n >= 2 required")
         pairs = _entries(self.torus_periods, self.n - 1, "torus_periods")
-        periods = tuple(tuple(float(p) for p in _entries(pair, 2, f"torus_periods[{i}]"))
+        periods = tuple(tuple(_real(p, f"torus_periods[{i}][{j}]", GridError, positive=True)
+                              for j, p in enumerate(_entries(pair, 2, f"torus_periods[{i}]")))
                         for i, pair in enumerate(pairs))
-        every = [self.strip_imag_period] + [p for pair in periods for p in pair]
-        if not all(math.isfinite(p) and p > 0 for p in every):
-            raise GridError(f"periods must be finite and positive, got {periods} and "
-                            f"strip_imag_period={self.strip_imag_period}")
         object.__setattr__(self, "torus_periods", periods)
-        s0, s1 = (float(v) for v in _entries(self.strip_bounds, 2, "strip_bounds"))
-        if not (math.isfinite(s0) and math.isfinite(s1) and s0 < s1):
-            raise GridError(f"strip bounds must be finite and satisfy s0 < s1, got {(s0, s1)}")
+        object.__setattr__(self, "strip_imag_period",
+                           _real(self.strip_imag_period, "strip_imag_period", GridError, positive=True))
+        s0, s1 = (_real(v, f"strip_bounds[{i}]", GridError)
+                  for i, v in enumerate(_entries(self.strip_bounds, 2, "strip_bounds")))
+        if not s0 < s1:
+            raise GridError(f"strip_bounds must satisfy s0 < s1, got {(s0, s1)}")
         object.__setattr__(self, "strip_bounds", (s0, s1))
         res = tuple(_integer(r, f"axis {a}: resolution", GridError)
                     for a, r in enumerate(_entries(self.resolutions, 2 * self.n, "resolutions")))
@@ -605,9 +607,10 @@ def metric_flat(grid):
 
 
 def metric_conformal(grid, eps):
-    """Conformal metric exp(eps * cos(2 pi x_1 / L)) times the identity."""
+    """Conformal metric exp(eps * cos(2 pi x_1 / L)) times the identity;
+    ``eps`` must be a finite real (``errors._real``)."""
     lx = grid.torus_periods[0][0]
-    rho = eps * np.cos(2 * math.pi * grid.coord_field(0) / lx)
+    rho = _real(eps, "eps") * np.cos(2 * math.pi * grid.coord_field(0) / lx)
     return Metric(grid, np.exp(rho)[..., None, None] * np.eye(grid.n))
 
 
@@ -663,19 +666,17 @@ def gfield(grid, u, chi, eta=None):
     return out
 
 
-def _check_field(grid, h, name, tail, stack=False):
+def _check_field(grid, h, name, tail):
     """Refuse a field h that does not broadcast to ``grid.shape + tail``
     with :class:`GridError` naming the field ``name`` and both shapes: the
     one check of a field's shape, for g in :class:`Metric`, for chi, eta,
-    rho and za in the tensor assemblers, and for h in the metric functions.
-    A field that does not end in ``tail`` is named first: a scalar chi
-    would be added to every entry, not to the diagonal.  With ``stack`` (a
-    flat metric), the leading axes may be any stack."""
+    rho and za in the tensor assemblers, and for h in the metric functions,
+    on every metric.  A field that does not end in ``tail`` is named first:
+    a scalar chi would be added to every entry, not to the diagonal."""
     shape, full = np.shape(h), grid.shape + tail
     if shape[len(shape) - len(tail):] != tail:
         raise GridError(f"{name} of shape {shape} does not end in {tail}")
-    if not stack and (len(shape) > len(full)
-                      or any(a not in (1, b) for a, b in zip(shape[::-1], full[::-1]))):
+    if len(shape) > len(full) or any(a not in (1, b) for a, b in zip(shape[::-1], full[::-1])):
         raise GridError(f"{name} of shape {shape} does not broadcast to the grid's {full}")
 
 
@@ -769,11 +770,10 @@ def trace_wrt_metric(metric, h):
     """tr_omega H = sum g^{i jbar} H_{i jbar} (real for Hermitian H).
 
     On a diagonal metric it is the elementwise sum of g^{i ibar} Re H_{i ibar}.
-    h must end in the metric's (n, n) and, unless the metric is flat,
-    broadcast to ``grid.shape + (n, n)``, or :class:`GridError` names both
-    shapes; with a flat metric its leading axes may be any stack.
+    h must end in the metric's (n, n) and broadcast to
+    ``grid.shape + (n, n)``, or :class:`GridError` names both shapes.
     """
-    _check_field(metric.grid, h, "field", (metric.grid.n,) * 2, stack=metric.is_flat)
+    _check_field(metric.grid, h, "field", (metric.grid.n,) * 2)
     ginv = metric.inverse
     if not metric.is_diagonal:
         return np.einsum("...ji,...ij->...", ginv, h).real
@@ -848,7 +848,7 @@ def _eigh2(h, lam, vec):
     and divided by s = |hd| + r, the modulus of its largest entry:
     (conj c/s, -1) when hd > 0, else (1, -c/s).  A scalar matrix (s = 0)
     gets the identity.  The second eigenvector is (-conj y, conj x) for a
-    first one (x, y).  Temporaries stay under 1 MB per ``_EIG_BLOCK`` nodes.
+    first one (x, y).  Temporaries stay under 1 MB per ``_ROW_BLOCK`` nodes.
     """
     a2 = 0.5 * h[:, 0, 0].real
     d2 = 0.5 * h[:, 1, 1].real
@@ -905,7 +905,7 @@ def _eigh3(h, lam, vec):
     most ``_EIG3_GUARD`` s, or when its longest adjugate column, in units
     where p = 1, is shorter than ``_EIG3_GUARD``, which the gap bound
     implies but rounding might not.  Temporaries stay near 2.5 MB per
-    ``_EIG_BLOCK`` nodes.
+    ``_ROW_BLOCK`` nodes.
     """
     diag = [h[:, i, i].real for i in range(3)]
     off = [h[:, 1, 0], h[:, 2, 0], h[:, 2, 1]]
@@ -979,7 +979,7 @@ def _eigh3(h, lam, vec):
 def _eigh(h, vectors, overwrite=False):
     """Batched Hermitian eigensolve: the one driver, for every n.
 
-    Solves the stack ``_EIG_BLOCK`` nodes at a time, so the temporaries
+    Solves the stack ``_ROW_BLOCK`` nodes at a time, so the temporaries
     stay flat, on (-1, n[, n]) reshapes of h and of the outputs.  The
     eigenvalues (and eigenvectors) are allocated plane-first, so their
     reshapes are views and they are returned as they are, with no final
@@ -1006,8 +1006,8 @@ def _eigh(h, vectors, overwrite=False):
     lam_f = lam.reshape(-1, n)
     vec_f = None if vec is None else vec.reshape(-1, n, n)
     kernel = {2: _eigh2, 3: _eigh3}.get(n)
-    for lo in range(0, flat.shape[0], _EIG_BLOCK):
-        rows = slice(lo, lo + _EIG_BLOCK)
+    for lo in range(0, flat.shape[0], _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
         blk, lam_b = flat[rows], lam_f[rows]
         vec_b = None if vec_f is None else vec_f[rows]
         bad = _non_finite(blk)
@@ -1033,12 +1033,11 @@ def _eigh(h, vectors, overwrite=False):
 def eig_wrt_metric(h, metric, vectors=False):
     """Eigenvalues (ascending) of a Hermitian field relative to the metric.
 
-    h must end in the metric's (n, n) and, unless the metric is flat,
-    broadcast to ``grid.shape + (n, n)``, or :class:`GridError` names both
-    shapes; with a flat metric its leading axes may be any stack.  Unless
-    the metric is exactly the identity, the generalized problem is reduced
-    through ``metric.inv_cholesky``, the per-node L^-1 the metric holds
-    from construction: h becomes L^-1 h L^-H, symmetrized, and an
+    h must end in the metric's (n, n) and broadcast to
+    ``grid.shape + (n, n)``, or :class:`GridError` names both shapes, on
+    every metric.  Unless the metric is exactly the identity, the
+    generalized problem is reduced through ``metric.inv_cholesky``, the
+    per-node L^-1 the metric holds from construction: h becomes L^-1 h L^-H, symmetrized, and an
     eigenvector v of that becomes L^-H v, so returned eigenvectors are
     metric-orthonormal.  For a diagonal metric L^-1 is the diagonal d of
     1/sqrt(g_ii), and both steps are elementwise: h_ij d_i d_j and d_i v_i;
@@ -1063,7 +1062,7 @@ def eig_wrt_metric(h, metric, vectors=False):
     """
     h = np.asarray(h)
     n = metric.grid.n
-    _check_field(metric.grid, h, "field", (n, n), stack=metric.is_flat)
+    _check_field(metric.grid, h, "field", (n, n))
     if metric.is_flat:
         return _eigh(h, vectors)
     linv = metric.inv_cholesky

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _ROW_BLOCK, ValidationError, _integer
+from .errors import _ROW_BLOCK, ValidationError, _integer, _real
 
 __all__ = [
     "ValidationError",
@@ -48,8 +48,9 @@ class BorderedSpec:
 
     ``d`` is real of length n-1, ``a`` is complex of length n-1, ``aa`` is the
     real corner parameter and ``eps`` the concentration tolerance used by the
-    threshold formulas and the count scan.  Each must be finite; a field
-    that is not is refused by name (``d``, ``a`` and ``eps`` by ``_rows``).
+    threshold formulas and the count scan.  Each must be finite, and eps
+    positive; a field that is not is refused by name (``d``, ``a`` and
+    ``eps`` by ``_rows``, ``aa`` by ``errors._real``).
     """
 
     d: np.ndarray
@@ -61,21 +62,11 @@ class BorderedSpec:
         self.eps, self.d, self.a, _ = _rows(self.eps, self.d, self.a)
         if self.d.ndim != 1:
             raise ValidationError(f"d and a must be 1-d, got shape {self.d.shape}")
-        self.aa = float(self.aa)
-        if not np.isfinite(self.aa):
-            raise ValidationError(f"aa must be finite, got {self.aa}")
+        self.aa = _real(self.aa, "aa")
 
     @property
     def n(self):
         return self.d.size + 1
-
-
-def _finite_positive(value, name):
-    """value as a float, refused, as ``name``, unless finite and positive."""
-    value = float(value)
-    if not 0.0 < value < np.inf:  # NaN fails both comparisons
-        raise ValidationError(f"{name} must be finite and positive, got {value}")
-    return value
 
 
 def bordered_batch(d, a, aa):
@@ -125,11 +116,11 @@ def _rows(eps, d, a):
 
     ``d`` becomes a real and ``a`` a complex array, at least 1-d, each row
     along the last axis, and n is the row length plus one.  Refused, each by
-    name with :class:`ValidationError`: ``eps`` that is not finite and
-    positive, ``d`` and ``a`` of different shapes, n < 2, and a NaN or
-    infinite entry of ``d`` or ``a``.
+    name with :class:`ValidationError`: ``eps`` that is not a finite
+    positive real (``errors._real``), ``d`` and ``a`` of different shapes,
+    n < 2, and a NaN or infinite entry of ``d`` or ``a``.
     """
-    eps = _finite_positive(eps, "eps")
+    eps = _real(eps, "eps", positive=True)
     d = np.atleast_1d(np.asarray(d, dtype=float))
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     if d.shape != a.shape:
@@ -218,7 +209,7 @@ def interval_components(d, radius):
     intervals sharing only an endpoint is disconnected).  ``d`` must be
     finite and not empty, and ``radius`` finite and positive.
     """
-    radius = _finite_positive(radius, "radius")
+    radius = _real(radius, "radius", positive=True)
     ds = np.sort(np.asarray(d, dtype=float))
     if ds.size == 0 or not np.all(np.isfinite(ds)):
         raise ValidationError(f"interval centres must be finite and not empty, got {ds}")
@@ -274,7 +265,7 @@ def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0):
     border ``|a|`` (``_spectra``), so no complex matrix is formed.  ``n``
     (>= 2), ``trials`` (>= 1) and ``seed`` (>= 0) must be integers, checked
     by ``errors._integer`` (an integral float counts, a bool does not), and
-    ``aa_factor`` finite and positive.
+    ``aa_factor`` a finite positive real, checked by ``errors._real``.
 
     All draws are made up front, so the random stream does not depend on
     the block.  They are the only O(trials) memory: 24 (n-1) bytes per
@@ -290,7 +281,7 @@ def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0):
     """
     n = _integer(n, "n", least=2)
     trials = _integer(trials, "trials", least=1)
-    aa_factor = _finite_positive(aa_factor, "aa_factor")
+    aa_factor = _real(aa_factor, "aa_factor", positive=True)
     rng = np.random.default_rng(_integer(seed, "seed", least=0))
     shape = (trials, n - 1)
     d = rng.uniform(-_TRIAL_AMPLITUDE, _TRIAL_AMPLITUDE, shape)

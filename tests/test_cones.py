@@ -1042,3 +1042,23 @@ class TestLogMAOrthant:
         finally:
             tracemalloc.stop()
         assert peak < outputs + 2**18
+
+
+class TestLogPColumnLogs:
+    """log-p folds the logs of its deleted sums column by column; its bits
+    are pinned by ``TestAgainstLastAxisFormulas``."""
+
+    def test_value_forms_no_table_of_logs(self):
+        # 2**16 plane-first points at n = 3: the deleted sums are 1.5 MiB
+        # and the value 0.5 MiB, and one column of logs 0.5 MiB more.  A
+        # whole table of logs on top reaches 3.5 MiB.
+        n, points = 3, 2**16
+        lam = np.moveaxis(np.exp(np.random.default_rng(3).normal(size=(n, points))), 0, -1)
+        held = 8 * (points * n + points + points)
+        tracemalloc.start()
+        try:
+            make("log-p", n).value(lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < held + 2**18

@@ -32,10 +32,14 @@ class TestGridLayout:
         with pytest.raises(gr.GridError, match="s0 < s1"):
             gr.ProductGrid(2, ((TAU, TAU),), (1, 0), (8, 1, 8, 1))
 
-    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)])
-    def test_rejects_non_finite_strip_bounds(self, bounds):
+    @pytest.mark.parametrize("bounds, text", [
+        ((0.0, math.inf), "strip_bounds[1] must be finite, got inf"),
+        ((-math.inf, 1.0), "strip_bounds[0] must be finite, got -inf"),
+        ((-math.inf, math.inf), "strip_bounds[0] must be finite, got -inf"),
+    ])
+    def test_rejects_non_finite_strip_bounds(self, bounds, text):
         # an infinite bound gives an infinite spacing and NaN coordinates
-        with pytest.raises(gr.GridError, match=re.escape(f"strip bounds must be finite and satisfy s0 < s1, got {bounds}")):
+        with pytest.raises(gr.GridError, match=re.escape(text)):
             gr.ProductGrid(2, ((TAU, TAU),), bounds, (8, 1, 8, 1))
 
     @pytest.mark.parametrize("res, text", [
@@ -68,13 +72,18 @@ class TestGridLayout:
         assert g.n == 2 and type(g.n) is int
         assert g.resolutions == (8, 1, 8, 1) and all(type(r) is int for r in g.resolutions)
 
+    def test_periods_and_bounds_are_floats(self):
+        g = gr.ProductGrid(2, ((6, np.float32(0.5)),), (np.int64(0), 1), (8, 1, 8, 1), strip_imag_period=3)
+        assert g.torus_periods == ((6.0, 0.5),) and g.strip_bounds == (0.0, 1.0) and g.strip_imag_period == 3.0
+        assert all(type(v) is float for v in (*g.torus_periods[0], *g.strip_bounds, g.strip_imag_period))
+
     @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_periods(self, period):
         with pytest.raises(gr.GridError, match="periods"):
             gr.ProductGrid(2, ((period, TAU),), (0, 1), (8,) * 4)
         with pytest.raises(gr.GridError, match="periods"):
             gr.ProductGrid(2, ((TAU, period),), (0, 1), (8,) * 4)
-        with pytest.raises(gr.GridError, match="periods"):
+        with pytest.raises(gr.GridError, match="strip_imag_period"):
             gr.ProductGrid(2, ((TAU, TAU),), (0, 1), (8,) * 4, strip_imag_period=period)
 
     def test_coords_and_spacing(self):
@@ -608,13 +617,14 @@ class TestEigWrtMetric:
         gr.hat_transform,
     ], ids=["eig", "trace", "hat"])
     @pytest.mark.parametrize("shape", [(3, 2, 2), (7, 2, 2, 2)])
-    def test_field_off_the_grid_refused_unless_the_metric_is_flat(self, call, shape):
+    @pytest.mark.parametrize("make", [gr.metric_flat, lambda g: gr.metric_conformal(g, 0.3)],
+                             ids=["flat", "conformal"])
+    def test_field_off_the_grid_refused_on_every_metric(self, make, call, shape):
         g = make_grid(res=(16, 1, 16, 1))
         h = np.broadcast_to(np.eye(2, dtype=complex), shape)
         message = f"field of shape {shape} does not broadcast to the grid's (16, 1, 16, 1, 2, 2)"
         with pytest.raises(gr.GridError, match=re.escape(message)):
-            call(gr.metric_conformal(g, 0.3), h)
-        call(gr.metric_flat(g), h)  # a flat metric takes any stack
+            call(make(g), h)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("vectors", [True, False], ids=["vectors", "values"])
@@ -716,13 +726,13 @@ class TestClosedFormEigh2:
     @pytest.mark.parametrize("name", list(adversarial_batches()))
     def test_adversarial_batches_against_lapack(self, name):
         h = adversarial_batches()[name]
-        lam, v = gr.eig_wrt_metric(h, FLAT, vectors=True)
+        lam, v = gr._eigh(h, True)
         assert_unit_eigenpairs(h, lam, v)
-        np.testing.assert_array_equal(gr.eig_wrt_metric(h, FLAT), lam)
+        np.testing.assert_array_equal(gr._eigh(h, False), lam)
 
     def test_scalar_matrices_get_the_identity(self):
         h = np.broadcast_to(np.diag([3.0, 3.0]).astype(complex), (5, 2, 2))
-        lam, v = gr.eig_wrt_metric(h, FLAT, vectors=True)
+        lam, v = gr._eigh(h, True)
         np.testing.assert_array_equal(lam, np.full((5, 2), 3.0))
         np.testing.assert_array_equal(v, np.broadcast_to(np.eye(2), v.shape))
 
@@ -736,16 +746,16 @@ class TestClosedFormEigh2:
     def test_read_only_broadcast_input(self):
         h = np.broadcast_to(np.array([[1.0, 2j], [-2j, 0.5]]), (3, 4, 2, 2))
         assert not h.flags.writeable
-        lam, v = gr.eig_wrt_metric(h, FLAT, vectors=True)
+        lam, v = gr._eigh(h, True)
         assert lam.shape == (3, 4, 2) and v.shape == (3, 4, 2, 2)
         np.testing.assert_allclose(lam, np.linalg.eigh(h)[0], rtol=0, atol=1e-14)
         assert_unit_eigenpairs(h, lam, v)
 
     def test_node_count_not_a_multiple_of_the_block(self):
         h = adversarial_batches()["random"]
-        h = np.concatenate([h, h, h])[: 2 * gr._EIG_BLOCK + 17]
-        lam, v = gr.eig_wrt_metric(h, FLAT, vectors=True)
-        assert lam.shape == (2 * gr._EIG_BLOCK + 17, 2)
+        h = np.concatenate([h, h, h])[: 2 * gr._ROW_BLOCK + 17]
+        lam, v = gr._eigh(h, True)
+        assert lam.shape == (2 * gr._ROW_BLOCK + 17, 2)
         np.testing.assert_allclose(lam, np.linalg.eigh(h)[0], rtol=0, atol=1e-12 * np.abs(h).max())
         assert_unit_eigenpairs(h, lam, v)
 
@@ -754,7 +764,7 @@ class TestClosedFormEigh2:
         h = adversarial_batches()["random"].copy()
         h[..., 0, 1] = 1e3 * (rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0]))
         h[..., 0, 0] += 5j
-        lam, v = gr.eig_wrt_metric(h, FLAT, vectors=True)
+        lam, v = gr._eigh(h, True)
         np.testing.assert_allclose(lam, np.linalg.eigh(h)[0], rtol=0, atol=1e-12 * np.abs(h).max())
         assert_unit_eigenpairs(h, lam, v)
 
@@ -869,20 +879,17 @@ class LapackRows:
         return np.concatenate(self.seen) if self.seen else np.zeros((0, 3, 3), dtype=complex)
 
 
-FLAT4 = gr.metric_flat(make_grid(n=4, res=(8, 1, 1, 1, 1, 1, 8, 1)))
-
-
 @pytest.mark.filterwarnings("error")
 class TestLapackEigh:
     """n = 4, where LAPACK solves every block the driver hands it."""
 
     def test_node_count_not_a_multiple_of_the_block(self):
-        h = random_hermitian(np.random.default_rng(41), (2 * gr._EIG_BLOCK + 17,), 4)
-        lam, v = gr.eig_wrt_metric(h, FLAT4, vectors=True)
+        h = random_hermitian(np.random.default_rng(41), (2 * gr._ROW_BLOCK + 17,), 4)
+        lam, v = gr._eigh(h, True)
         ref_lam, ref_v = np.linalg.eigh(h)
         np.testing.assert_array_equal(lam, ref_lam)
         np.testing.assert_array_equal(v, ref_v)
-        np.testing.assert_array_equal(gr.eig_wrt_metric(h, FLAT4), np.linalg.eigvalsh(h))
+        np.testing.assert_array_equal(gr._eigh(h, False), np.linalg.eigvalsh(h))
 
 
 @pytest.mark.filterwarnings("error")
@@ -893,10 +900,10 @@ class TestClosedFormEigh3:
     @pytest.mark.parametrize("name", list(adversarial_batches3()))
     def test_adversarial_batches_against_lapack(self, name):
         h = adversarial_batches3()[name]
-        lam, v = gr.eig_wrt_metric(h, FLAT3, vectors=True)
+        lam, v = gr._eigh(h, True)
         assert_unit_eigenpairs(h, lam, v)
         scale = np.abs(h).max(axis=(-1, -2))[..., None]
-        assert np.all(np.abs(gr.eig_wrt_metric(h, FLAT3) - lam) <= 1e-12 * scale)
+        assert np.all(np.abs(gr._eigh(h, False) - lam) <= 1e-12 * scale)
 
     def test_well_separated_nodes_stay_closed_form(self, monkeypatch):
         batches = adversarial_batches3()
@@ -905,8 +912,8 @@ class TestClosedFormEigh3:
         assert np.all(gap > gr._EIG3_GUARD * np.abs(h).max(axis=(-1, -2)))
         lapack = LapackRows(monkeypatch)
         for scale in (1.0, 1e150, 1e-150):
-            gr.eig_wrt_metric(scale * h, FLAT3, vectors=True)
-            gr.eig_wrt_metric(scale * h, FLAT3)
+            gr._eigh(scale * h, True)
+            gr._eigh(scale * h, False)
         assert len(lapack.rows()) == 0
 
     def test_lapack_sees_exactly_the_guarded_nodes(self, monkeypatch):
@@ -916,7 +923,7 @@ class TestClosedFormEigh3:
         h = np.concatenate([well[:200], degenerate[:3], well[200:], degenerate[3:]])
         for vectors in (True, False):
             lapack = LapackRows(monkeypatch)
-            gr.eig_wrt_metric(h, FLAT3, vectors=vectors)
+            gr._eigh(h, vectors)
             np.testing.assert_array_equal(lapack.rows(), degenerate)
 
     def test_non_finite_nodes_get_nan_without_lapack(self, monkeypatch):
@@ -925,13 +932,13 @@ class TestClosedFormEigh3:
         h[4, 2, 2] = np.inf
         h[6, 2, 1] = complex(-np.inf, np.nan)
         lapack = LapackRows(monkeypatch)
-        lam, v = gr.eig_wrt_metric(h, FLAT3, vectors=True)
+        lam, v = gr._eigh(h, True)
         assert len(lapack.rows()) == 0
         bad = [2, 4, 6]
         assert np.isnan(lam[bad]).all() and np.isnan(v[bad]).all()
         good = [0, 1, 3, 5, 7, 8]
         np.testing.assert_allclose(lam[good], np.broadcast_to([1.0, 2.0, 3.0], (6, 3)), rtol=1e-15)
-        np.testing.assert_array_equal(gr.eig_wrt_metric(h, FLAT3), lam)
+        np.testing.assert_array_equal(gr._eigh(h, False), lam)
 
     def test_single_matrix(self):
         h = np.array([[2.0, 1.0 - 0.5j, 0.3j], [1.0 + 0.5j, -1.0, 0.2], [-0.3j, 0.2, 0.5]])
@@ -943,15 +950,15 @@ class TestClosedFormEigh3:
         h = np.broadcast_to(np.array([[1.0, 2j, 0.5], [-2j, 0.5, 1.0 - 1j], [0.5, 1.0 + 1j, -2.0]]),
                             (3, 4, 3, 3))
         assert not h.flags.writeable
-        lam, v = gr.eig_wrt_metric(h, FLAT3, vectors=True)
+        lam, v = gr._eigh(h, True)
         assert lam.shape == (3, 4, 3) and v.shape == (3, 4, 3, 3)
         assert_unit_eigenpairs(h, lam, v)
 
     def test_node_count_not_a_multiple_of_the_block(self):
         h = adversarial_batches3()["random"]
-        h = np.concatenate([h, h, h])[: 2 * gr._EIG_BLOCK + 17]
-        lam, v = gr.eig_wrt_metric(h, FLAT3, vectors=True)
-        assert lam.shape == (2 * gr._EIG_BLOCK + 17, 3)
+        h = np.concatenate([h, h, h])[: 2 * gr._ROW_BLOCK + 17]
+        lam, v = gr._eigh(h, True)
+        assert lam.shape == (2 * gr._ROW_BLOCK + 17, 3)
         assert_unit_eigenpairs(h, lam, v)
 
     def test_reads_the_lower_triangle_only(self):
@@ -960,7 +967,7 @@ class TestClosedFormEigh3:
         for i, j in ((0, 1), (0, 2), (1, 2)):
             h[..., i, j] = 1e3 * (rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0]))
         h[..., [0, 1, 2], [0, 1, 2]] += 5j
-        lam, v = gr.eig_wrt_metric(h, FLAT3, vectors=True)
+        lam, v = gr._eigh(h, True)
         assert_unit_eigenpairs(h, lam, v)
 
     @pytest.mark.parametrize("make", [
@@ -1716,7 +1723,7 @@ class TestPlaneFirstLayout:
     def test_no_full_size_copy(self, metric_name):
         # A plane-first field reshapes to the driver's (-1, n, n) stack as a
         # view: the scratch beyond the outputs is a few blocks of
-        # _EIG_BLOCK matrices, where one copy of h would be 4 MiB.
+        # _ROW_BLOCK matrices, where one copy of h would be 4 MiB.
         g = make_grid(res=(16, 16, 16, 16))
         metric = self.METRICS[metric_name](g)
         h = gr.complex_hessian(g, np.random.default_rng(73).normal(size=g.shape))
@@ -1727,5 +1734,5 @@ class TestPlaneFirstLayout:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block = gr._EIG_BLOCK * 2 * 2 * 16  # bytes of one block of 2x2 complex matrices
+        block = gr._ROW_BLOCK * 2 * 2 * 16  # bytes of one block of 2x2 complex matrices
         assert peak - sum(o.nbytes for o in out) < 6 * block
