@@ -18,7 +18,8 @@ checked, by ``Cone._point``.
 
 The deleted sums mu_i = sum_{j != i} lam_j, the image of lam under the
 symmetric matrix Q with zero diagonal and unit off-diagonal entries, are
-formed in one place, ``q_inverse``.  Limits along coordinate rays
+tabled in one place, ``q_inverse``; log-p forms each one, S - lam_i with
+S = sum lam, a column at a time instead.  Limits along coordinate rays
 lam + t e_i are closed forms:
 sigma_j(lam + t e_i) = sigma_j(lam) + t sigma_{j-1}(lam without i), and on
 Gamma_k every slope sigma_{j-1}(lam without i), j <= k, is positive, so only
@@ -34,7 +35,9 @@ column in index order, one whole-plane operation per column (``_fold``).
 A function of each entry that only the reduction reads, such as the logs
 that log-ma and log-p sum, is applied inside the fold one column at a
 time, so no table of it is formed.  log-ma's cone check is a column fold
-of lam itself (a min), with no sigma table unless it refuses a point.
+of lam itself (a min), with no sigma table unless it refuses a point, and
+log-p's reads S and max lam, two column folds, with no deleted-sum table
+unless it refuses a point.
 """
 
 import math
@@ -91,8 +94,9 @@ def _fold(ufunc, table, each=None):
     order: whole-plane operations where a reduction along the last axis
     would run numpy's slow short-axis loop.  A min is exact; a sum adds in
     index order (numpy's own sum does too below 8 terms).  ``each``, a unary
-    ufunc, is applied to one column at a time before it is folded in, so no
-    table of its values is formed.  A single vector gives a float64 scalar."""
+    function, is applied to one column at a time before it is folded in, so
+    no table of its values is formed.  A single vector gives a float64
+    scalar."""
     first = table[..., 0]
     out = first.copy() if each is None else np.asarray(each(first))
     for j in range(1, table.shape[-1]):
@@ -262,12 +266,12 @@ class ConeFunction:
     ``orders``, the names of the integer orders it takes, in constructor
     order, each stored as an int attribute of that name (n and every order
     go through ``_integer``); ``_value`` and ``_grad``, which run on points
-    known to lie in the cone and receive the table the cone check computed
-    (see ``Cone._margin_table``), or None where the family's ``_check``
-    reads lam alone, as log-ma's does; and
-    ``_build_cone`` only where the cone is not Gamma_k, with k the order
-    ``k`` and n where the family takes none.  ``describe`` and the factory
-    read ``family`` and ``orders``.
+    known to lie in the cone and receive what the family's ``_check``
+    returns beside lam: the sigma table of ``Cone._margin_table`` by
+    default, None for log-ma, whose check reads lam alone, and S = sum lam
+    for log-p; and ``_build_cone`` only where the cone is not Gamma_k, with
+    k the order ``k`` and n where the family takes none.  ``describe`` and
+    the factory read ``family`` and ``orders``.
 
     Public entry points validate cone membership and raise
     :class:`ConeDomainError` carrying the violated inequality and, for
@@ -444,7 +448,15 @@ class LogDeletedSums(ConeFunction):
     """Sum of logarithms of the deleted sums, on the deleted-sum cone.
 
     The operator of the Monge-Ampere equation for functions whose deleted
-    eigenvalue sums are positive.  Its cone table is the deleted sums.
+    eigenvalue sums are positive.  With S = sum lam, every deleted sum
+    S - lam_i is positive exactly when S - max lam is.  That holds in
+    floating point too: fl(S - x) is monotone in x, so the smallest rounded
+    deleted sum is fl(S - max lam), bit for bit, and a NaN or infinite
+    coordinate makes both fail.  The check therefore folds two columns (a
+    sum and a max) and forms no table; only a refused point is handed to
+    the deleted-sum table, to name its node and inequality.  Value and
+    gradient receive S and form each deleted sum S - lam_j one column at a
+    time, with the same bits as the table.
     """
 
     family = "log-p"
@@ -453,11 +465,25 @@ class LogDeletedSums(ConeFunction):
     def _build_cone(self, n):
         return Cone.deleted_sum(n)
 
-    def _value(self, lam, table):
-        return _fold(np.add, table, np.log)
+    def _check(self, lam):
+        lam = self.cone._point(lam)
+        total = _fold(np.add, lam)
+        if np.min(total - _fold(np.maximum, lam), initial=math.inf) > 0.0:  # NaN fails; an empty batch passes
+            return lam, total
+        return super()._check(lam)[0], total
 
-    def _grad(self, lam, table):
-        return q_inverse(1.0 / table)
+    def _value(self, lam, total):
+        return _fold(np.add, lam, lambda column: np.log(total - column))
+
+    def _grad(self, lam, total):
+        # the reciprocal deleted sums r_j = 1 / (S - lam_j) in the gradient's
+        # own columns, then their deleted sums, sum r - r_j, in place
+        grad = np.empty_like(lam)
+        for j in range(self.n):
+            column = grad[..., j]
+            np.subtract(total, lam[..., j], out=column)
+            np.divide(1.0, column, out=column)
+        return np.subtract(_fold(np.add, grad)[..., None], grad, out=grad)
 
 
 FAMILIES = {f.family: f for f in (LogMA, SigmaKRoot, LogSigmaK, QuotientRoot, LogDeletedSums)}

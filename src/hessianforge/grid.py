@@ -853,7 +853,11 @@ def _eigh2(h, lam, vec):
     a2 = 0.5 * h[:, 0, 0].real
     d2 = 0.5 * h[:, 1, 1].real
     hd = a2 - d2
-    r = np.hypot(hd, np.abs(h[:, 1, 0]))
+    # r as the modulus of hd + i|c|: numpy's complex abs is several times
+    # faster than its hypot, and as safe from overflow and underflow
+    z = np.empty(hd.shape, complex)
+    z.real, z.imag = hd, np.abs(h[:, 1, 0])
+    r = np.abs(z)
     mean = a2 + d2
     np.subtract(mean, r, out=lam[:, 0])
     np.add(mean, r, out=lam[:, 1])

@@ -1049,12 +1049,13 @@ class TestLogPColumnLogs:
     are pinned by ``TestAgainstLastAxisFormulas``."""
 
     def test_value_forms_no_table_of_logs(self):
-        # 2**16 plane-first points at n = 3: the deleted sums are 1.5 MiB
-        # and the value 0.5 MiB, and one column of logs 0.5 MiB more.  A
-        # whole table of logs on top reaches 3.5 MiB.
+        # 2**16 plane-first points at n = 3: S = sum lam and the value are
+        # 0.5 MiB each, and one column's deleted sum and its log 0.5 MiB
+        # each.  A table of deleted sums (1.5 MiB) on top reaches 2.5 MiB,
+        # and a table of logs more.
         n, points = 3, 2**16
         lam = np.moveaxis(np.exp(np.random.default_rng(3).normal(size=(n, points))), 0, -1)
-        held = 8 * (points * n + points + points)
+        held = 8 * (points + points + 2 * points)
         tracemalloc.start()
         try:
             make("log-p", n).value(lam)
@@ -1062,3 +1063,86 @@ class TestLogPColumnLogs:
         finally:
             tracemalloc.stop()
         assert peak < held + 2**18
+
+
+class TestLogPDeletedSums:
+    """log-p checks the deleted-sum cone on S = sum lam and max lam, and
+    forms each deleted sum S - lam_j one column at a time."""
+
+    @staticmethod
+    def reference(x):
+        # the same formulas read off the whole deleted-sum table
+        mu = cn.q_inverse(x)
+        value = np.log(mu[..., 0])
+        for j in range(1, x.shape[-1]):
+            value = value + np.log(mu[..., j])
+        return value, cn.q_inverse(1.0 / mu)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_value_grad_bit_identical(self, n):
+        lam = sample_cone(cn.Cone.deleted_sum(n), 60, np.random.default_rng(n))
+        assert n == 2 or np.any(lam < 0.0)  # P_1 is the orthant; P_{n-1} reaches beyond it
+        given = {name: x for name, x in layouts(lam, n).items() if name in ("C", "F", "eig_wrt_metric")}
+        assert given["eig_wrt_metric"].strides[-1] > given["eig_wrt_metric"].strides[0]  # plane-first
+        given.update(single=lam[0], empty=np.empty((0, 4, n)))
+        f = make("log-p", n)
+        for name, x in given.items():
+            value, grad = self.reference(x)
+            got_value, got_grad = f.value_grad(x)
+            np.testing.assert_array_equal(got_value, value, err_msg=name)
+            np.testing.assert_array_equal(got_grad, grad, err_msg=name)
+            np.testing.assert_array_equal(f.value(x), value, err_msg=name)
+            np.testing.assert_array_equal(f.grad(x), grad, err_msg=name)
+            assert got_value.shape == x.shape[:-1] and got_grad.shape == x.shape, name
+
+    def test_no_deleted_sum_table_inside_the_cone(self, monkeypatch):
+        f = make("log-p", 3)
+        lam = sample_cone(f.cone, 50, np.random.default_rng(1))
+        calls = []
+        table = cn.q_inverse
+        monkeypatch.setattr(cn, "q_inverse", lambda lam: calls.append(lam) or table(lam))
+        f.value_grad(lam)
+        f.value(lam)
+        f.grad(lam)
+        assert calls == []
+        lam[7] = [1.0, 2.0, -3.0]
+        with pytest.raises(cn.ConeDomainError,
+                           match=re.escape("at node (7,), flat index 7: deleted sum 2 = -2, not > 0")):
+            f.value_grad(lam)
+        assert calls  # the table names the inequality of a refused point
+
+    @pytest.mark.parametrize("point, text", [
+        ([0.0, 1.0], "deleted sum 2 = 0, not > 0"),
+        ([-0.0, 1.0], "deleted sum 2 = 0, not > 0"),
+        ([math.inf, 1.0], "deleted sum 1 = nan, not > 0"),
+        ([-math.inf, 1.0], "deleted sum 1 = nan, not > 0"),
+        ([1.0, math.nan], "deleted sum 1 = nan, not > 0"),
+    ])
+    def test_boundary_points_refused(self, point, text):
+        with np.errstate(invalid="ignore"):  # inf - inf in the deleted sums
+            for entry in ("value", "grad", "value_grad"):
+                with pytest.raises(cn.ConeDomainError, match=re.escape(f"point outside P_1: {text}")):
+                    getattr(make("log-p", 2), entry)(point)
+
+    def test_batched_refusal_names_node(self):
+        lam = np.ones((4, 5, 3))
+        lam[2, 3] = [1.0, 1.0, -2.0]
+        lam[3, 1] = np.nan
+        with pytest.raises(cn.ConeDomainError, match=re.escape(
+                "point outside P_2 at node (2, 3), flat index 13: deleted sum 1 = -1, not > 0")):
+            make("log-p", 3).value_grad(lam)
+
+    def test_memory_is_the_outputs_and_two_planes(self):
+        # 2**16 plane-first points at n = 3: the value and gradient are
+        # 2 MiB, and S and the fold of the reciprocals 0.5 MiB each.  A
+        # deleted-sum table (1.5 MiB) on top reaches 3.5 MiB.
+        n, points = 3, 2**16
+        lam = np.moveaxis(np.exp(np.random.default_rng(3).normal(size=(n, points))), 0, -1)
+        outputs = 8 * (points + points * n)
+        tracemalloc.start()
+        try:
+            make("log-p", n).value_grad(lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < outputs + 8 * 2 * points + 2**18
