@@ -7,14 +7,15 @@ cone on which it is elliptic (positive partial derivatives) and concave.
 
 A family is declared once, as a :class:`ConeFunction` subclass: its
 ``family`` name, the integer ``orders`` it takes in constructor order (the
-factory and ``describe`` read them), its ``_value`` and ``_grad``, and a
-``_build_cone`` only where its cone is not the Garding cone Gamma_k, with k
-the order ``k`` where the family takes one and n otherwise.  Each check has
-one place: a dimension, an order or a direction is taken as an int, or
+factory and ``describe`` read them), its ``_value`` and ``_grad``, its
+``_plane`` only where its cone check is not read off the sigma table, and
+a ``_build_cone`` only where its cone is not the Garding cone Gamma_k, with
+k the order ``k`` where the family takes one and n otherwise.  Each check
+has one place: a dimension, an order or a direction is taken as an int, or
 refused, by ``errors._integer``; a real scalar (the ray test's c, the
 margin's psi) as a float by ``errors._real``; a cone's kind and order by
-``Cone``; and a point is turned into a float array, and its length
-checked, by ``Cone._point``.
+``Cone``; a point is turned into a float array, and its length checked, by
+``Cone._point``; and its cone membership by ``ConeFunction._check``.
 
 The deleted sums mu_i = sum_{j != i} lam_j, the image of lam under the
 symmetric matrix Q with zero diagonal and unit off-diagonal entries, are
@@ -34,10 +35,17 @@ min over orders or deleted sums, a sum over coordinates) fold column by
 column in index order, one whole-plane operation per column (``_fold``).
 A function of each entry that only the reduction reads, such as the logs
 that log-ma and log-p sum, is applied inside the fold one column at a
-time, so no table of it is formed.  log-ma's cone check is a column fold
-of lam itself (a min), with no sigma table unless it refuses a point, and
-log-p's reads S and max lam, two column folds, with no deleted-sum table
-unless it refuses a point.
+time, so no table of it is formed.
+
+There is one cone check, ``ConeFunction._check``, for every family.  It
+reads the family's own acceptance plane over the batch and accepts a point
+only where that plane is > 0 and finite, so that NaN, an infinite
+coordinate and an overflow are refused by name, with no RuntimeWarning.
+The plane is the family's rule: the smallest of sigma_1..sigma_k, NaN
+where one overflowed, by default; min lam, NaN where a coordinate is not
+finite, for log-ma, with no sigma table; and S - max lam, two column folds
+with no deleted-sum table, for log-p.  A refused node is named off the
+same plane, and the violated inequality is read off that point alone.
 """
 
 import math
@@ -95,14 +103,29 @@ def _fold(ufunc, table, each=None):
     would run numpy's slow short-axis loop.  A min is exact; a sum adds in
     index order (numpy's own sum does too below 8 terms).  ``each``, a unary
     function, is applied to one column at a time before it is folded in, so
-    no table of its values is formed.  A single vector gives a float64
-    scalar."""
-    first = table[..., 0]
-    out = first.copy() if each is None else np.asarray(each(first))
-    for j in range(1, table.shape[-1]):
-        column = table[..., j]
-        ufunc(out, column if each is None else each(column), out=out)
+    no table of its values is formed.  The result is a new array, never a
+    view of the table.  A single vector gives a float64 scalar."""
+    n = table.shape[-1]
+    column = (lambda j: table[..., j]) if each is None else (lambda j: np.asarray(each(table[..., j])))
+    # the table's first two columns fold into a new array, so neither is
+    # copied; each's first column is new, and the rest fold into it
+    pair = each is None and n > 1
+    out = np.asarray(ufunc(column(0), column(1))) if pair else np.array(column(0), copy=each is None)
+    for j in range(2 if pair else 1, n):
+        ufunc(out, column(j), out=out)
     return out[()]
+
+
+def _finite_min(table):
+    """The smallest entry of the last axis, NaN where the largest is not
+    finite, so that an entry that overflowed is refused with those that are
+    not > 0.  The largest is folded only where the table holds an entry
+    that is not finite; 0 times it is NaN there and 0 elsewhere.  Run under
+    the caller's errstate: 0 times inf is the point."""
+    low = _fold(np.minimum, table)
+    if not np.max(table, initial=0.0) < math.inf:
+        return low + 0.0 * _fold(np.maximum, table)
+    return low
 
 
 def _points(lam, name):
@@ -120,7 +143,7 @@ def sigma_k(lam, k):
     ``k`` may also be a range of orders, read as a view of one recurrence
     run to the highest order read.  A single vector and an integer ``k``
     give a float64 scalar, as ``_fold`` does.  The cone functions read every
-    sigma of lam through here (see ``Cone._margin_table``).
+    sigma of lam through here (see ``Cone._table``).
     """
     lam = _points(lam, "sigma_k")
     n = lam.shape[-1]
@@ -217,38 +240,39 @@ class Cone:
             )
         return lam
 
-    def _margin_table(self, lam):
-        """(lam, margin, table): the point as a float array (``_point``), its
-        smallest slack, and the table the slack is read from (batched).
-
-        The table is sigma_1..sigma_k of lam for a Garding cone (column
-        j - 1 holds sigma_j) and the deleted sums for the deleted-sum cone.
-        """
-        lam = self._point(lam)
+    def _table(self, lam):
+        """The slacks of the float points lam (batched): sigma_1..sigma_k of
+        a Garding cone (column j - 1 holds sigma_j), the deleted sums of the
+        deleted-sum cone.  Callers run it under an errstate that lets a
+        slack overflow or turn NaN silently: such a slack is refused or
+        reported by value, not warned about."""
         if self.kind == "gamma":
-            table = sigma_k(lam, range(1, self.k + 1))
-        else:
-            table = q_inverse(lam)
-        return lam, _fold(np.minimum, table), table
+            return sigma_k(lam, range(1, self.k + 1))
+        return q_inverse(lam)
 
     def margin(self, lam):
-        """Smallest slack among the defining inequalities (batched)."""
-        return self._margin_table(lam)[1]
+        """Smallest slack among the defining inequalities (batched); NaN
+        where a slack is NaN."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _fold(np.minimum, self._table(self._point(lam)))
 
     def contains(self, lam):
         return self.margin(lam) > 0.0
 
     def violated_inequality(self, lam):
-        """Human-readable description of the first failed inequality."""
-        table = self._margin_table(lam)[2]
-        if self.kind == "gamma":
-            for j in range(1, self.k + 1):
-                if not table[..., j - 1].min() > 0:
-                    return f"sigma_{j} = {float(np.min(table[..., j - 1])):.6g}, not > 0"
-        else:
-            i = int(np.argmin(np.min(table.reshape(-1, self.n), axis=0)))
-            return f"deleted sum {i + 1} = {float(table.min()):.6g}, not > 0"
-        return "no violated inequality"
+        """Human-readable description of the first failed inequality: the
+        first sigma_j, or the smallest deleted sum, that is not > 0 (its
+        least value over a batch), and only where none is, the first slack
+        that is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = self._table(self._point(lam))
+        rows = table.reshape(-1, table.shape[-1])
+        low, high = np.min(rows, axis=0), np.max(rows, axis=0)
+        name = "sigma_{}" if self.kind == "gamma" else "deleted sum {}"
+        first = range(len(low)) if self.kind == "gamma" else [int(np.argmin(low))]
+        failed = [f"{name.format(j + 1)} = {low[j]:.6g}, not > 0" for j in first if not low[j] > 0]
+        failed += [f"{name.format(j + 1)} = {v:.6g}, not finite" for j, v in enumerate(high) if not v < math.inf]
+        return (failed + ["no violated inequality"])[0]
 
     def ray_description(self):
         if self.kind == "gamma":
@@ -265,20 +289,23 @@ class ConeFunction:
     A subclass declares a family: ``family``, its name for the factory;
     ``orders``, the names of the integer orders it takes, in constructor
     order, each stored as an int attribute of that name (n and every order
-    go through ``_integer``); ``_value`` and ``_grad``, which run on points
-    known to lie in the cone and receive what the family's ``_check``
-    returns beside lam: the sigma table of ``Cone._margin_table`` by
-    default, None for log-ma, whose check reads lam alone, and S = sum lam
-    for log-p; and ``_build_cone`` only where the cone is not Gamma_k, with
-    k the order ``k`` and n where the family takes none.  ``describe`` and
-    the factory read ``family`` and ``orders``.
+    go through ``_integer``); ``_plane``, which returns the family's
+    acceptance plane over the batch and the data its other hooks read;
+    ``_value`` and ``_grad``, which run on points known to lie in the cone
+    and receive that data beside lam; and ``_build_cone`` only where the
+    cone is not Gamma_k, with k the order ``k`` and n where the family takes
+    none.  ``describe`` and the factory read ``family`` and ``orders``.
 
-    Public entry points validate cone membership and raise
+    The one cone check, ``_check``, asks ``_plane`` for the plane and
+    accepts a point only where its entry is > 0 and finite: a NaN or an
+    overflow is refused like a point outside.  Public entry points raise
     :class:`ConeDomainError` carrying the violated inequality and, for
     batched input, the node (the index in lam's batch shape, a grid node for
-    an eigenvalue field) and flat index of the first point outside.  An
-    empty batch has no point outside: every entry point returns empty arrays
-    of its shape.
+    an eigenvalue field) and flat index of the first refused point, read off
+    the same plane; the inequality is read off that point alone, by
+    ``Cone.violated_inequality``.  Overflow and NaN inside the check raise
+    no warning.  An empty batch has no point outside: every entry point
+    returns empty arrays of its shape.
     """
 
     family = None
@@ -299,6 +326,12 @@ class ConeFunction:
     def _build_cone(self, n):
         return Cone.gamma(getattr(self, "k", n), n)
 
+    def _plane(self, lam):
+        """(plane, table): the smallest of sigma_1..sigma_k, NaN where one
+        overflowed, and the sigma table, which ``_value`` and ``_grad`` read."""
+        table = self.cone._table(lam)
+        return _finite_min(table), table
+
     def _value(self, lam, table):
         raise NotImplementedError
 
@@ -317,18 +350,18 @@ class ConeFunction:
 
     # -- public surface
     def _check(self, lam):
-        """(lam, table): lam as a float array inside the cone, and its table."""
-        lam, margin, table = self.cone._margin_table(lam)
-        if not np.min(margin, initial=math.inf) > 0.0:  # NaN fails; an empty batch passes
-            where, point = "", lam
-            if lam.ndim > 1:
-                node, first = _first_bad(margin > 0.0)
-                where, point = f" at node {node}, flat index {first}", lam[node]
-            raise ConeDomainError(
-                f"point outside {self.cone.ray_description()}{where}: "
-                + self.cone.violated_inequality(point)
-            )
-        return lam, table
+        """(lam, data): lam as a float array inside the cone, and the data
+        of ``_plane`` that ``_value`` and ``_grad`` read."""
+        lam = self.cone._point(lam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plane, data = self._plane(lam)
+            # NaN fails; an empty batch passes
+            if np.min(plane, initial=math.inf) > 0.0 and np.max(plane, initial=0.0) < math.inf:
+                return lam, data
+            node, first = _first_bad((plane > 0.0) & (plane < math.inf))  # node () for one point
+            where = f" at node {node}, flat index {first}" if lam.ndim > 1 else ""
+            raise ConeDomainError(f"point outside {self.cone.ray_description()}{where}: "
+                                  + self.cone.violated_inequality(lam[node]))
 
     def value(self, lam):
         return self._value(*self._check(lam))
@@ -337,8 +370,8 @@ class ConeFunction:
         return self._grad(*self._check(lam))
 
     def value_grad(self, lam):
-        lam, table = self._check(lam)
-        return self._value(lam, table), self._grad(lam, table)
+        lam, data = self._check(lam)
+        return self._value(lam, data), self._grad(lam, data)
 
     def margin(self, lam):
         return self.cone.margin(lam)
@@ -353,10 +386,11 @@ class LogMA(ConeFunction):
 
     Gamma_n is the positive orthant: sigma_1..sigma_n are all positive
     exactly when every lam_i is (Caffarelli-Nirenberg-Spruck, Acta Math.
-    155, 1985).  The check reads that off the coordinates, one whole-plane
-    min per coordinate, and builds the sigma table only to name the
-    inequality of a point it refuses; value and gradient read lam alone and
-    receive no table.  A point whose sigma_n underflows to 0, such as
+    155, 1985).  The acceptance plane reads that off the coordinates, as
+    min lam with a point that has a non-finite coordinate refused, and forms
+    no sigma table; the one check builds one, for the refused point alone,
+    only to name its inequality.  Value and gradient read lam alone and
+    receive no data.  A point whose sigma_n underflows to 0, such as
     (1e-200, 1e-200), is inside the cone and accepted, while ``margin``,
     read from the sigma table, gives 0.0 for it.
     """
@@ -364,11 +398,8 @@ class LogMA(ConeFunction):
     family = "log-ma"
     _log_degree = property(lambda self: self.n)
 
-    def _check(self, lam):
-        lam = self.cone._point(lam)
-        if np.min(_fold(np.minimum, lam), initial=math.inf) > 0.0:  # NaN fails; an empty batch passes
-            return lam, None
-        return super()._check(lam)[0], None
+    def _plane(self, lam):
+        return _finite_min(lam), None
 
     def _value(self, lam, table):
         return _fold(np.add, lam, np.log)
@@ -452,11 +483,12 @@ class LogDeletedSums(ConeFunction):
     S - lam_i is positive exactly when S - max lam is.  That holds in
     floating point too: fl(S - x) is monotone in x, so the smallest rounded
     deleted sum is fl(S - max lam), bit for bit, and a NaN or infinite
-    coordinate makes both fail.  The check therefore folds two columns (a
-    sum and a max) and forms no table; only a refused point is handed to
-    the deleted-sum table, to name its node and inequality.  Value and
-    gradient receive S and form each deleted sum S - lam_j one column at a
-    time, with the same bits as the table.
+    coordinate makes both fail.  The acceptance plane is therefore
+    S - max lam, two column folds (a sum and a max) and no table; a sum S
+    that overflows makes it infinite, and the one check refuses it.  That
+    check forms the deleted-sum table for the refused point alone, to name
+    its inequality.  Value and gradient receive S and form each deleted sum
+    S - lam_j one column at a time, with the same bits as the table.
     """
 
     family = "log-p"
@@ -465,12 +497,9 @@ class LogDeletedSums(ConeFunction):
     def _build_cone(self, n):
         return Cone.deleted_sum(n)
 
-    def _check(self, lam):
-        lam = self.cone._point(lam)
+    def _plane(self, lam):
         total = _fold(np.add, lam)
-        if np.min(total - _fold(np.maximum, lam), initial=math.inf) > 0.0:  # NaN fails; an empty batch passes
-            return lam, total
-        return super()._check(lam)[0], total
+        return total - _fold(np.maximum, lam), total
 
     def _value(self, lam, total):
         return _fold(np.add, lam, lambda column: np.log(total - column))

@@ -1119,10 +1119,9 @@ class TestLogPDeletedSums:
         ([1.0, math.nan], "deleted sum 1 = nan, not > 0"),
     ])
     def test_boundary_points_refused(self, point, text):
-        with np.errstate(invalid="ignore"):  # inf - inf in the deleted sums
-            for entry in ("value", "grad", "value_grad"):
-                with pytest.raises(cn.ConeDomainError, match=re.escape(f"point outside P_1: {text}")):
-                    getattr(make("log-p", 2), entry)(point)
+        for entry in ("value", "grad", "value_grad"):
+            with pytest.raises(cn.ConeDomainError, match=re.escape(f"point outside P_1: {text}")):
+                getattr(make("log-p", 2), entry)(point)
 
     def test_batched_refusal_names_node(self):
         lam = np.ones((4, 5, 3))
@@ -1146,3 +1145,93 @@ class TestLogPDeletedSums:
         finally:
             tracemalloc.stop()
         assert peak < outputs + 8 * 2 * points + 2**18
+
+
+class TestOneConeCheck:
+    """``ConeFunction._check`` is the one cone check of every family.  It
+    accepts a point only where the family's acceptance plane is > 0 and
+    finite, names the first refused node off that plane, and reads the
+    violated inequality off that point alone, with no RuntimeWarning."""
+
+    POINTS = {
+        "+inf": [1.0, math.inf, 1.0],
+        "-inf": [1.0, -math.inf, 1.0],
+        "nan": [1.0, 1.0, math.nan],
+        # sigma_2 and sigma_3 overflow; sum lam does not
+        "products overflow": [1e200, 1e200, 1e200],
+        # sum lam overflows, and so does sigma_1
+        "sum overflows": [1e308, 1e308, 1.0],
+    }
+    REFUSED = [
+        ("log-ma", "+inf", "Gamma_3: sigma_1 = inf, not finite"),
+        ("log-ma", "-inf", "Gamma_3: sigma_1 = -inf, not > 0"),
+        ("log-ma", "nan", "Gamma_3: sigma_1 = nan, not > 0"),
+        ("sigma-k-root", "+inf", "Gamma_3: sigma_1 = inf, not finite"),
+        ("sigma-k-root", "-inf", "Gamma_3: sigma_1 = -inf, not > 0"),
+        ("sigma-k-root", "nan", "Gamma_3: sigma_1 = nan, not > 0"),
+        ("sigma-k-root", "products overflow", "Gamma_3: sigma_2 = inf, not finite"),
+        ("log-sigma-k", "+inf", "Gamma_2: sigma_1 = inf, not finite"),
+        ("log-sigma-k", "-inf", "Gamma_2: sigma_1 = -inf, not > 0"),
+        ("log-sigma-k", "nan", "Gamma_2: sigma_1 = nan, not > 0"),
+        ("log-sigma-k", "products overflow", "Gamma_2: sigma_2 = inf, not finite"),
+        ("quotient-root", "+inf", "Gamma_3: sigma_1 = inf, not finite"),
+        ("quotient-root", "-inf", "Gamma_3: sigma_1 = -inf, not > 0"),
+        ("quotient-root", "nan", "Gamma_3: sigma_1 = nan, not > 0"),
+        ("quotient-root", "products overflow", "Gamma_3: sigma_2 = inf, not finite"),
+        ("log-p", "+inf", "P_2: deleted sum 2 = nan, not > 0"),
+        ("log-p", "-inf", "P_2: deleted sum 2 = nan, not > 0"),
+        ("log-p", "nan", "P_2: deleted sum 1 = nan, not > 0"),
+        ("log-p", "sum overflows", "P_2: deleted sum 1 = inf, not finite"),
+    ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    @pytest.mark.parametrize("entry", ["value", "grad", "value_grad"])
+    @pytest.mark.parametrize("family, point, text", REFUSED)
+    def test_refused_by_name(self, family, point, text, entry, batched):
+        f = make(family, 3, **families_at(3)[family])
+        lam = np.array(self.POINTS[point])
+        cone, inequality = text.split(": ")
+        message = f"point outside {cone}: {inequality}"
+        if batched:
+            batch = np.ones((2, 4, 3))
+            batch[1, 2] = lam
+            lam, message = batch, f"point outside {cone} at node (1, 2), flat index 6: {inequality}"
+        with pytest.raises(cn.ConeDomainError, match="^" + re.escape(message) + "$"):
+            getattr(f, entry)(lam)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family, point", [("log-ma", "products overflow"), ("log-ma", "sum overflows"),
+                                               ("log-p", "products overflow")])
+    def test_own_rule_has_nothing_to_overflow(self, family, point):
+        # log-ma reads lam alone, and log-p reads sum lam: a sigma table
+        # that overflows is no part of their rules
+        f, lam = make(family, 3), np.array(self.POINTS[point])
+        value, grad = f.value_grad(lam)
+        assert np.isfinite(value) and np.isfinite(grad).all()
+        np.testing.assert_array_equal(f.value(np.stack([np.ones(3), lam])), [f.value(np.ones(3)), value])
+
+    def test_refused_node_is_the_familys_own(self):
+        # node 2's sigma_2 underflows to 0, but both coordinates are
+        # positive: log-ma accepts it and refuses node 5
+        lam = np.ones((6, 2))
+        lam[2] = 1e-200
+        lam[5] = (1.0, -1.0)
+        message = "point outside Gamma_2 at node (5,), flat index 5: sigma_1 = 0, not > 0"
+        for entry in ("value", "grad", "value_grad"):
+            with pytest.raises(cn.ConeDomainError, match="^" + re.escape(message) + "$"):
+                getattr(make("log-ma", 2), entry)(lam)
+
+    @pytest.mark.filterwarnings("error")
+    def test_margin_keeps_its_values_without_warning(self):
+        assert np.isnan(cn.Cone.deleted_sum(2).margin([math.inf, 1.0]))
+        np.testing.assert_array_equal(cn.Cone.deleted_sum(3).margin([[math.inf, 1.0, 1.0], [1.0, 2.0, 3.0]]),
+                                      [np.nan, 3.0])
+        # sigma_2 overflows, but the margin is still the smallest slack,
+        # sigma_1, and the point lies in the cone; the function refuses it
+        f = make("sigma-k-root", 3, k=3)
+        assert f.margin(self.POINTS["products overflow"]) == 3e200
+        assert f.cone.contains(self.POINTS["products overflow"])
+
+    def test_no_family_has_a_check_of_its_own(self):
+        assert [name for name, family in cn.FAMILIES.items() if "_check" in vars(family)] == []
