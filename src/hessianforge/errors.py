@@ -10,13 +10,15 @@ import numbers
 import numpy as np
 
 
-# Rows per block of the batched passes: the lemma battery
-# (``hermitian.lemma_trial_batch``), the deleted-coordinate recurrence
-# (``cones._deleted_table``) and the per-node eigensolve (``grid._eigh``).
-# A block's largest transient stays near 1 MiB: 4096 bordered 6 x 6
-# matrices, or 4096 x 6 deleted vectors of length 5, in doubles, or the
-# temporaries of the closed-form 2 x 2 eigensolve; those of the 3 x 3 one
-# stay near 2.5 MiB.
+# Rows per block of the batched passes: the deleted-coordinate recurrence
+# (``cones._deleted_table``) and the per-node eigensolve (``grid._eigh``)
+# run one block at a time on the calling thread.  A block's largest
+# transient stays near 1 MiB: 4096 x 6 deleted vectors of length 5 in
+# doubles, or the temporaries of the closed-form 2 x 2 eigensolve; those
+# of the 3 x 3 one stay near 2.5 MiB.  The lemma batteries and the
+# stability scan (``hermitian._on_two_lanes``) run ranges of a quarter
+# block, two at once on the calling thread and one helper thread, so two
+# ranges of 1024 bordered 6 x 6 matrices, about 0.6 MiB, are in flight.
 _ROW_BLOCK = 4096
 
 

@@ -14,15 +14,24 @@ Every spectrum is read from the real symmetric arrowhead matrix with border
 ``|a|``, which has the same eigenvalues as the Hermitian one (see
 ``_spectra``), so the batteries run LAPACK's real solver on half the bytes.
 
-The battery runs in fixed blocks of ``_ROW_BLOCK`` trials: each block's
-thresholds, matrices, spectra and conclusions are formed, reduced and
-dropped before the next, so their memory is O(block) whatever the batch.
-What stays O(trials) is the battery's up-front draws (24 (n-1) bytes per
-trial, 120 B at n = 6).  Results do not depend on the block.
+The battery and the stability scan run on consecutive row ranges of
+``_ROW_BLOCK // 4`` rows (1024), each taken by whichever of two lanes,
+the calling thread and one helper thread, is free (``_on_two_lanes``):
+LAPACK releases the interpreter lock, so two ranges' eigensolves run at
+once.  Each range's thresholds, matrices, spectra and conclusions (or
+counts) are formed, reduced and dropped before its lane takes the next
+one, so at most two ranges, half a ``_ROW_BLOCK`` of rows, are in flight
+whatever the batch.  What stays O(trials) is the battery's up-front draws
+(24 (n-1) bytes per trial, 120 B at n = 6) and the scan's integer result.
+Results are folded in range order and do not depend on the block or on
+which lane ran a range.
 
 All functions are pure and accept batched input where noted.
 """
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +49,20 @@ __all__ = [
 ]
 
 _TRIAL_AMPLITUDE = 2.0
+
+
+def _new_helper_lane():
+    """Make the helper lane of ``_on_two_lanes``.  Its one thread starts at
+    the first submission, so importing the module starts none.  A forked
+    child makes its own: the parent's thread does not exist there, and
+    work submitted to the parent's executor would never run."""
+    global _helper_lane
+    _helper_lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hermitian-lane")
+
+
+_new_helper_lane()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_helper_lane)
 
 
 @dataclass
@@ -108,6 +131,48 @@ def _spectra(d, a, aa):
     solved instead of the Hermitian one.
     """
     return np.linalg.eigvalsh(bordered_batch(d, np.abs(a), aa))
+
+
+def _on_two_lanes(rows, task):
+    """``[task(lo, hi), ...]`` over consecutive ranges of ``_ROW_BLOCK // 4``
+    of ``rows`` rows, in range order; the one scheduler of the batched
+    callers.
+
+    Two lanes, the calling thread and the helper lane, each take the next
+    range not yet taken until none is left, so at most two tasks are in
+    flight; a call of one range or none runs on the calling thread alone.
+    An exception of either lane stops both from taking more ranges and
+    reaches the caller unchanged once the other lane is idle: no task of a
+    call runs after the call returns or raises.
+    """
+    step = max(1, _ROW_BLOCK // 4)
+    untaken = list(range(0, rows, step))[::-1]  # range starts, popped from the end
+    results = [None] * len(untaken)
+    lock = threading.Lock()
+
+    def lane():
+        while True:
+            with lock:
+                if not untaken:
+                    return
+                lo = untaken.pop()
+            try:
+                results[lo // step] = task(lo, min(lo + step, rows))
+            except BaseException:
+                with lock:
+                    untaken.clear()
+                raise
+
+    if len(results) <= 1:
+        lane()
+        return results
+    helper = _helper_lane.submit(lane)
+    try:
+        lane()
+    finally:
+        wait([helper])
+    helper.result()
+    return results
 
 
 def _rows(eps, d, a):
@@ -235,13 +300,22 @@ def _component_counts(eigs, comps):
 def count_stability_scan(spec, aa_grid):
     """Per-component eigenvalue counts for each corner value in ``aa_grid``.
 
-    Every grid entry must be finite and at or above the main growth
-    threshold; the scan refuses the others, naming them.  Rows of the returned
-    integer matrix are the component counts for successive corner values; the
-    concentration property makes them identical.  Each spectrum comes from
-    the real arrowhead matrix with border ``|spec.a|`` (``_spectra``).
+    ``aa_grid`` is a corner value or a 1-d array of them; each must be
+    finite and at or above the main growth threshold, and the scan refuses
+    the others, naming them.  Rows of the returned integer matrix are the
+    component counts for successive corner values; the concentration
+    property makes them identical.  Each spectrum comes from the real
+    arrowhead matrix with border ``|spec.a|`` (``_spectra``).
+
+    The corners are solved ``_ROW_BLOCK // 4`` at a time, two ranges at
+    once on the calling thread and the helper lane (``_on_two_lanes``), and
+    each range's counts are written into the preallocated result.  Beyond
+    that result (8 bytes per corner and component), two ranges' matrices
+    and spectra are the memory in flight.
     """
     aa_grid = np.atleast_1d(np.asarray(aa_grid, dtype=float))
+    if aa_grid.ndim != 1:
+        raise ValidationError(f"aa_grid must be a scalar or 1-d, got shape {aa_grid.shape}")
     thr = growth_threshold_main(spec.eps, spec.d, spec.a)
     bad = aa_grid[~(np.isfinite(aa_grid) & (aa_grid >= thr))]
     if bad.size:
@@ -250,9 +324,15 @@ def count_stability_scan(spec, aa_grid):
             f"{thr:.6g}; counts are only stable above it"
         )
     comps = interval_components(spec.d, spec.eps / (2 * spec.n - 3))
-    shape = (aa_grid.size, spec.d.size)
-    eigs = _spectra(np.broadcast_to(spec.d, shape), np.broadcast_to(spec.a, shape), aa_grid)
-    return _component_counts(eigs, comps)
+    counts = np.empty((aa_grid.size, len(comps)), dtype=np.intp)
+
+    def block(lo, hi):
+        shape = (hi - lo, spec.d.size)
+        eigs = _spectra(np.broadcast_to(spec.d, shape), np.broadcast_to(spec.a, shape), aa_grid[lo:hi])
+        counts[lo:hi] = _component_counts(eigs, comps)
+
+    _on_two_lanes(aa_grid.size, block)
+    return counts
 
 
 def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0):
@@ -265,14 +345,17 @@ def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0):
     border ``|a|`` (``_spectra``), so no complex matrix is formed.  ``n``
     (>= 2), ``trials`` (>= 1) and ``seed`` (>= 0) must be integers, checked
     by ``errors._integer`` (an integral float counts, a bool does not), and
-    ``aa_factor`` a finite positive real, checked by ``errors._real``.
+    ``eps`` and ``aa_factor`` finite positive reals, checked by
+    ``errors._real``; all are checked before anything is drawn.
 
     All draws are made up front, so the random stream does not depend on
     the block.  They are the only O(trials) memory: 24 (n-1) bytes per
     trial, and 8 (n-1) more while a part of ``a`` is drawn.
-    Threshold, spectra, sorted diagonal and conclusion then run on
-    ``_ROW_BLOCK`` trials at a time, O(block) each, and the violations and
-    the two worst values are folded across blocks.
+    Threshold, spectra, sorted diagonal and conclusion then run on ranges
+    of ``_ROW_BLOCK // 4`` trials, two at once on the calling thread and
+    the helper lane (``_on_two_lanes``), so two ranges' temporaries are the
+    memory in flight; the violations and the two worst values are folded
+    in range order.
 
     Returns
     -------
@@ -280,6 +363,7 @@ def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0):
     ``worst_corner_excess``.
     """
     n = _integer(n, "n", least=2)
+    eps = _real(eps, "eps", positive=True)
     trials = _integer(trials, "trials", least=1)
     aa_factor = _real(aa_factor, "aa_factor", positive=True)
     rng = np.random.default_rng(_integer(seed, "seed", least=0))
@@ -289,9 +373,9 @@ def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0):
     a.real = rng.uniform(-_TRIAL_AMPLITUDE, _TRIAL_AMPLITUDE, shape)
     a.imag = rng.uniform(-_TRIAL_AMPLITUDE, _TRIAL_AMPLITUDE, shape)
     threshold = growth_threshold_refined if refined else growth_threshold_main
-    violations, worst_dev, worst_corner = 0, [], []
-    for lo in range(0, trials, _ROW_BLOCK):
-        d_blk, a_blk = d[lo:lo + _ROW_BLOCK], a[lo:lo + _ROW_BLOCK]
+
+    def block(lo, hi):
+        d_blk, a_blk = d[lo:hi], a[lo:hi]
         aa = aa_factor * threshold(eps, d_blk, a_blk)
         eigs = _spectra(d_blk, a_blk, aa)
         ds = np.sort(d_blk, axis=1)
@@ -300,12 +384,12 @@ def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0):
             dev, _, ok = _refined_conclusion(eps, ds, small, corner)
         else:
             dev, ok = _main_conclusion(eps, ds, small, corner)
-        violations += int(np.count_nonzero(~ok))
-        worst_dev.append(dev.max())
-        worst_corner.append(corner.max())
+        return int(np.count_nonzero(~ok)), dev.max(), corner.max()
+
+    violations, worst_dev, worst_corner = zip(*_on_two_lanes(trials, block))
     return {
         "trials": int(trials),
-        "violations": violations,
+        "violations": sum(violations),
         "worst_deviation": float(np.max(worst_dev)),
         "worst_corner_excess": float(np.max(worst_corner)),
     }

@@ -1,6 +1,14 @@
 """Bordered-matrix eigenvalue concentration: oracles, lemmas, properties."""
 import math
+import os
+import re
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -275,6 +283,13 @@ class TestCountStability:
         with pytest.raises(hm.ValidationError, match=rf"corner values \[{corner}\] .*threshold"):
             hm.count_stability_scan(spec, [thr, corner])
 
+    @pytest.mark.parametrize("shape", [(3, 4), (2000, 2)])
+    def test_refuses_a_grid_of_more_axes(self, shape):
+        spec = hm.BorderedSpec([0.0, 5.0], [1.0, 1.0], 0.0, 0.5)
+        thr = hm.growth_threshold_main(0.5, spec.d, spec.a)
+        with pytest.raises(hm.ValidationError, match=re.escape(f"aa_grid must be a scalar or 1-d, got shape {shape}")):
+            hm.count_stability_scan(spec, np.full(shape, 2 * thr))
+
     def test_counts_constant_along_rays(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
@@ -293,6 +308,24 @@ class TestCountStability:
             ref = [component_counts(spec, conclusions(hm.BorderedSpec(spec.d, spec.a, aa, spec.eps))[0])
                    for aa in aa_grid]
             np.testing.assert_array_equal(rows, ref)
+
+    def test_long_scan_memory_stays_flat(self):
+        # 100,000 corners solved at once would form 27 MiB of bordered 6 x 6
+        # matrices; the counts are written range by range into the result
+        spec = rand_spec(np.random.default_rng(5), 6, 0.2)
+        aa_grid = spec.aa * np.linspace(1.0, 50.0, 100_000)
+        tracemalloc.start()
+        try:
+            rows = hm.count_stability_scan(spec, aa_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes + 3 * 2**20
+        assert rows.shape == (100_000, len(hm.interval_components(spec.d, 0.2 / 9)))
+        assert (rows == rows[0]).all()
+        for j in (0, 1023, 1024, 2047, 2048, 50_000, 99_999):
+            ref = component_counts(spec, conclusions(hm.BorderedSpec(spec.d, spec.a, aa_grid[j], spec.eps))[0])
+            np.testing.assert_array_equal(rows[j], ref)
 
 
 class TestRowBlocks:
@@ -322,6 +355,124 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 20_000 * 120 + 3 * 2**20
+
+
+class InlineLane:
+    """A stand-in for the helper lane's executor that runs each task at
+    submission, so the helper lane takes every range before the caller."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
+class TestTwoLanes:
+    """Row ranges are taken by the calling thread and one helper thread;
+    results, errors and threads are those of one lane."""
+
+    @staticmethod
+    def results(spec):
+        return (
+            hm.lemma_trial_batch(6, 0.1, 5_000, seed=7),
+            hm.lemma_trial_batch(6, 0.1, 5_000, seed=7, aa_factor=0.03),
+            hm.lemma_trial_batch(6, 0.1, 5_000, seed=8, refined=True),
+            hm.lemma_trial_batch(6, 0.1, 5_000, seed=8, refined=True, aa_factor=0.03),
+            hm.count_stability_scan(spec, spec.aa * np.linspace(1.0, 9.0, 3_000)).tolist(),
+        )
+
+    def test_results_do_not_depend_on_the_lane(self, monkeypatch):
+        spec = rand_spec(np.random.default_rng(4), 6, 0.2)
+        two_lanes = self.results(spec)
+        assert two_lanes[1]["violations"] > 0 and two_lanes[3]["violations"] > 0
+        monkeypatch.setattr(hm, "_helper_lane", InlineLane())
+        assert self.results(spec) == two_lanes
+        monkeypatch.setattr(hm, "_ROW_BLOCK", 10**9)  # one range, on the caller alone
+        assert self.results(spec) == two_lanes
+
+    @pytest.mark.parametrize("lane", ["helper", "caller"])
+    def test_an_error_reaches_the_caller_after_both_lanes_stop(self, lane, monkeypatch):
+        # the first task of ``lane`` raises once the other lane has started a
+        # task, which sleeps before it finishes
+        ref = hm.lemma_trial_batch(6, 0.1, 5_000, seed=3, refined=True)
+        spectra, caller = hm._spectra, threading.get_ident()
+        err = RuntimeError(f"{lane} lane failed")
+        started, raised, running, lock = threading.Event(), threading.Event(), [0], threading.Lock()
+
+        def spy(d, a, aa):
+            with lock:
+                running[0] += 1
+            try:
+                if (threading.get_ident() == caller) == (lane == "caller"):
+                    if not raised.is_set():
+                        raised.set()
+                        assert started.wait(10)
+                        raise err
+                else:
+                    started.set()
+                    time.sleep(0.05)
+                return spectra(d, a, aa)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(hm, "_spectra", spy)
+        with pytest.raises(RuntimeError) as info:
+            hm.lemma_trial_batch(6, 0.1, 5_000, seed=3, refined=True)
+        assert info.value is err
+        assert running[0] == 0  # no task of the call still in _spectra
+        monkeypatch.undo()
+        assert hm.lemma_trial_batch(6, 0.1, 5_000, seed=3, refined=True) == ref
+
+    def test_one_helper_thread_at_most(self):
+        before = threading.active_count()
+        spec = rand_spec(np.random.default_rng(6), 6, 0.2)
+        for _ in range(4):
+            self.results(spec)
+        assert threading.active_count() <= before + 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_a_forked_child_has_its_own_helper(self):
+        # the parent's helper thread is running; in the child it does not exist
+        ref = hm.lemma_trial_batch(6, 0.1, 5_000, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # a fork with threads
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(30)  # a child whose ranges never run ends here
+                code = 0 if hm.lemma_trial_batch(6, 0.1, 5_000, seed=3) == ref else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_concurrent_callers_share_the_helper(self, monkeypatch):
+        # more caller threads than cores, switching often, on many small
+        # ranges: a range lost or taken twice changes a result
+        monkeypatch.setattr(hm, "_ROW_BLOCK", 64)
+        ref = [hm.lemma_trial_batch(6, 0.1, 3_000, seed, aa_factor=0.03) for seed in range(4)]
+        got = [None] * 4
+
+        def caller(seed):
+            got[seed] = hm.lemma_trial_batch(6, 0.1, 3_000, seed, aa_factor=0.03)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == ref
 
 
 class TestRealArrowhead:
@@ -384,6 +535,18 @@ class TestLemmaProperties:
     def test_rejects_bad_aa_factor(self, factor):
         with pytest.raises(hm.ValidationError, match="aa_factor must be finite and positive"):
             hm.lemma_trial_batch(3, 0.1, trials=10, seed=1, aa_factor=factor)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, True])
+    def test_rejects_bad_eps_before_drawing(self, eps):
+        # 10**7 trials at n = 6 would draw 1.2 GB before the first threshold
+        tracemalloc.start()
+        try:
+            with pytest.raises(hm.ValidationError, match="eps must be"):
+                hm.lemma_trial_batch(6, eps, trials=10**7, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("field, n, trials", [
         ("n", 2.5, 10), ("n", "3", 10), ("trials", 3, True),
