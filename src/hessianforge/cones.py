@@ -28,7 +28,11 @@ the quotient family has a finite limit, the ratio of two slopes.  Along
 the diagonal ray every family is 1-homogeneous or logarithmic, so the
 level c with f(c, ..., c) = sigma is a closed form too.
 
-Everything here is pure and accepts batched input along leading axes.
+Everything here is pure and accepts batched input along leading axes, and
+runs on the calling thread, but for ``concavity_probe``: it runs ranges of
+``2 * _ROW_BLOCK`` points (8192) on two lanes, the calling thread and one
+helper thread (``errors._on_two_lanes``), two ranges' evaluations in
+flight.  ``value_grad`` and the other entry points run on one thread.
 Layout rule: sigma tables are computed order-first, each order one
 contiguous plane over the batch, and reductions over a short last axis (a
 min over orders or deleted sums, a sum over coordinates) fold column by
@@ -53,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _ROW_BLOCK, ConeDomainError, ValidationError, _first_bad, _integer, _real
+from .errors import _ROW_BLOCK, ConeDomainError, ValidationError, _first_bad, _integer, _on_two_lanes, _real
 
 __all__ = [
     "ConeDomainError",
@@ -175,6 +179,7 @@ def _deleted_table(lam, orders):
         table = _sigma_table(rows[lo:lo + _ROW_BLOCK, deleted], max(orders))
         for plane, j in zip(out, orders):
             plane[lo:lo + _ROW_BLOCK] = table[..., j]
+        del table  # so the next block's vectors and table form without it
     return out.reshape((len(orders),) + lam.shape)
 
 
@@ -595,16 +600,57 @@ def c_subsolution_margin(f, lam, psi, i):
     return MarginReport(direction=i, valid=valid, limit=limit, psi=_real(psi, "psi"))
 
 
+def _slack(f, lam, mu):
+    """The probe's slack on one batch: ``value_grad(lam)``, ``value(mu)``
+    and the fold.  g (lam - mu) is formed in place in the difference, the
+    same bits with one (points, n) temporary: numpy reuses the difference
+    of ``g * (lam - mu)`` only from 256 KiB up, so a smaller range, such
+    as a ragged tail, formed two."""
+    flam, g = f.value_grad(lam)
+    fmu = f.value(mu)
+    diff = np.subtract(lam, mu, dtype=float)
+    diff *= g
+    return flam - fmu - _fold(np.add, diff)
+
+
 def concavity_probe(f, lam, mu):
     """Slack of the supporting-hyperplane inequality at lam against mu.
 
     Returns ``f(lam) - f(mu) - sum_i f_i(lam)(lam_i - mu_i)``, which
     concavity keeps nonnegative up to rounding (>= -1e-9 is the tested
     bound; a linear family gives exactly zero).
+
+    A batch of lam and mu of one shape is cut, in flat order, into ranges of
+    ``2 * _ROW_BLOCK`` points (8192, read at call time), and each range's
+    ``value_grad(lam)``, ``value(mu)`` and fold run on whichever of two
+    lanes, the calling thread and one helper thread
+    (``errors._on_two_lanes``), is free; numpy's loops release the
+    interpreter lock, so two ranges run at once.  Each range writes its
+    slacks into one preallocated result, so the result is the same bits as
+    one pass over the batch.  Two ranges' evaluations are in flight, under
+    3 MiB each at n = 6 for the families with a sigma table, besides the
+    result and a copy of a batch that cannot be viewed as rows (a Fortran
+    or plane-first one).  A batch of one range or less, or lam and mu of
+    different shapes, run on the calling thread in one pass.  If a range is refused, the whole batch is
+    run again on the calling thread, so the :class:`ConeDomainError` names
+    the same node, flat index and inequality as one pass does: lam's
+    first refused point, and mu's only where lam has none.
     """
-    flam, g = f.value_grad(lam)
-    fmu = f.value(mu)
-    return flam - fmu - _fold(np.add, g * np.subtract(lam, mu, dtype=float))
+    lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
+    step = 2 * _ROW_BLOCK
+    if lam.ndim < 2 or lam.shape != mu.shape or lam.shape[-1] != f.n or lam.size <= step * f.n:
+        return _slack(f, lam, mu)
+    lam_rows, mu_rows = lam.reshape(-1, f.n), mu.reshape(-1, f.n)
+    out = np.empty(len(lam_rows))
+
+    def task(lo, hi):
+        out[lo:hi] = _slack(f, lam_rows[lo:hi], mu_rows[lo:hi])
+
+    try:
+        _on_two_lanes(len(out), step, task)
+    except ConeDomainError:
+        return _slack(f, lam, mu)
+    return out.reshape(lam.shape[:-1])
 
 
 def gamma_infinity_member(lam_prime, cone):

@@ -1,24 +1,44 @@
 """The package's error hierarchy, one ValidationError and its refinements,
 and the private helpers its modules share: ``_integer``, the one integer
 check; ``_real``, the one check of a real scalar; ``_first_bad``, the one
-search for the node an error names; and ``_ROW_BLOCK``, the block size of
-the batched passes."""
+search for the node an error names; ``_ROW_BLOCK``, the block size of the
+batched passes; and ``_on_two_lanes``, the one scheduler that runs a
+batched pass on two threads.
 
+``_on_two_lanes`` runs consecutive row ranges of a length its caller
+passes on two lanes, the calling thread and one helper thread, so that
+numpy's and LAPACK's loops, which release the interpreter lock, run two at
+once.  Its callers are the lemma batteries and the stability scan
+(``hermitian``; ranges of ``_ROW_BLOCK // 4`` = 1024 rows) and the
+concavity probe (``cones.concavity_probe``; ranges of ``2 * _ROW_BLOCK`` =
+8192 points).  At most two ranges are in flight, one per lane, and each
+caller says what one range holds.  Everything else in the package runs on
+the calling thread alone."""
+
+import contextvars
 import math
 import numbers
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
 
 # Rows per block of the batched passes: the deleted-coordinate recurrence
 # (``cones._deleted_table``) and the per-node eigensolve (``grid._eigh``)
-# run one block at a time on the calling thread.  A block's largest
+# run one block at a time on the thread that calls them.  A block's largest
 # transient stays near 1 MiB: 4096 x 6 deleted vectors of length 5 in
 # doubles, or the temporaries of the closed-form 2 x 2 eigensolve; those
-# of the 3 x 3 one stay near 2.5 MiB.  The lemma batteries and the
-# stability scan (``hermitian._on_two_lanes``) run ranges of a quarter
-# block, two at once on the calling thread and one helper thread, so two
-# ranges of 1024 bordered 6 x 6 matrices, about 0.6 MiB, are in flight.
+# of the 3 x 3 one stay near 2.5 MiB.  Two callers run ranges of it on two
+# lanes (``_on_two_lanes``), read at call time.  The lemma batteries and
+# the stability scan run ranges of a quarter block, so two ranges of 1024
+# bordered 6 x 6 matrices, about 0.6 MiB, are in flight.  The concavity
+# probe runs ranges of two blocks, 8192 points, so two ranges' cone
+# evaluations are in flight.  At n = 6 a range's peak is under 3 MiB (2.4
+# to 2.8 MiB traced for the families with a sigma table), most of it one
+# block's deleted vectors and their table; its gradient and lam - mu are
+# 0.4 MiB each.
 _ROW_BLOCK = 4096
 
 
@@ -73,3 +93,61 @@ def _real(value, name, error=ValidationError, positive=False):
     if not math.isfinite(value) or (positive and value <= 0.0):
         raise error(f"{name} must be finite{' and positive' if positive else ''}, got {value!r}")
     return value
+
+
+def _new_helper_lane():
+    """Make the helper lane of ``_on_two_lanes``.  Its one thread starts at
+    the first submission, so importing the package starts none.  A forked
+    child makes its own: the parent's thread does not exist there, and
+    work submitted to the parent's executor would never run."""
+    global _helper_lane
+    _helper_lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hessianforge-lane")
+
+
+_new_helper_lane()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_helper_lane)
+
+
+def _on_two_lanes(rows, step, task):
+    """``[task(lo, hi), ...]`` over consecutive ranges of ``max(1, step)``
+    of ``rows`` rows, in range order; the one scheduler of the batched
+    callers, which pass the range length ``step``.
+
+    Two lanes, the calling thread and the helper lane, each take the next
+    range not yet taken until none is left, so at most two tasks are in
+    flight; a call of one range or none runs on the calling thread alone.
+    An exception of either lane stops both from taking more ranges and
+    reaches the caller unchanged once the other lane is idle: no task of a
+    call runs after the call returns or raises.  The helper runs its ranges
+    in a copy of the caller's context, so numpy's floating-point error
+    state (``np.errstate``, a context variable) holds on both lanes.
+    """
+    step = max(1, step)
+    untaken = list(range(0, rows, step))[::-1]  # range starts, popped from the end
+    results = [None] * len(untaken)
+    lock = threading.Lock()
+
+    def lane():
+        while True:
+            with lock:
+                if not untaken:
+                    return
+                lo = untaken.pop()
+            try:
+                results[lo // step] = task(lo, min(lo + step, rows))
+            except BaseException:
+                with lock:
+                    untaken.clear()
+                raise
+
+    if len(results) <= 1:
+        lane()
+        return results
+    helper = _helper_lane.submit(contextvars.copy_context().run, lane)
+    try:
+        lane()
+    finally:
+        wait([helper])
+    helper.result()
+    return results

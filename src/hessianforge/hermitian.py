@@ -15,13 +15,14 @@ Every spectrum is read from the real symmetric arrowhead matrix with border
 ``_spectra``), so the batteries run LAPACK's real solver on half the bytes.
 
 The battery and the stability scan run on consecutive row ranges of
-``_ROW_BLOCK // 4`` rows (1024), each taken by whichever of two lanes,
-the calling thread and one helper thread, is free (``_on_two_lanes``):
-LAPACK releases the interpreter lock, so two ranges' eigensolves run at
-once.  Each range's thresholds, matrices, spectra and conclusions (or
-counts) are formed, reduced and dropped before its lane takes the next
-one, so at most two ranges, half a ``_ROW_BLOCK`` of rows, are in flight
-whatever the batch.  What stays O(trials) is the battery's up-front draws
+``_ROW_BLOCK // 4`` rows (1024, read at call time), each taken by
+whichever of two lanes, the calling thread and one helper thread, is free
+(``errors._on_two_lanes``): LAPACK releases the interpreter lock, so two
+ranges' eigensolves run at once.  Nothing else here runs on the helper.
+Each range's thresholds, matrices, spectra and conclusions (or counts)
+are formed, reduced and dropped before its lane takes the next one, so at
+most two ranges, half a ``_ROW_BLOCK`` of rows, are in flight whatever
+the batch.  What stays O(trials) is the battery's up-front draws
 (24 (n-1) bytes per trial, 120 B at n = 6) and the scan's integer result.
 Results are folded in range order and do not depend on the block or on
 which lane ran a range.
@@ -29,14 +30,11 @@ which lane ran a range.
 All functions are pure and accept batched input where noted.
 """
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _ROW_BLOCK, ValidationError, _integer, _real
+from .errors import _ROW_BLOCK, ValidationError, _integer, _on_two_lanes, _real
 
 __all__ = [
     "ValidationError",
@@ -49,20 +47,6 @@ __all__ = [
 ]
 
 _TRIAL_AMPLITUDE = 2.0
-
-
-def _new_helper_lane():
-    """Make the helper lane of ``_on_two_lanes``.  Its one thread starts at
-    the first submission, so importing the module starts none.  A forked
-    child makes its own: the parent's thread does not exist there, and
-    work submitted to the parent's executor would never run."""
-    global _helper_lane
-    _helper_lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hermitian-lane")
-
-
-_new_helper_lane()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_helper_lane)
 
 
 @dataclass
@@ -131,48 +115,6 @@ def _spectra(d, a, aa):
     solved instead of the Hermitian one.
     """
     return np.linalg.eigvalsh(bordered_batch(d, np.abs(a), aa))
-
-
-def _on_two_lanes(rows, task):
-    """``[task(lo, hi), ...]`` over consecutive ranges of ``_ROW_BLOCK // 4``
-    of ``rows`` rows, in range order; the one scheduler of the batched
-    callers.
-
-    Two lanes, the calling thread and the helper lane, each take the next
-    range not yet taken until none is left, so at most two tasks are in
-    flight; a call of one range or none runs on the calling thread alone.
-    An exception of either lane stops both from taking more ranges and
-    reaches the caller unchanged once the other lane is idle: no task of a
-    call runs after the call returns or raises.
-    """
-    step = max(1, _ROW_BLOCK // 4)
-    untaken = list(range(0, rows, step))[::-1]  # range starts, popped from the end
-    results = [None] * len(untaken)
-    lock = threading.Lock()
-
-    def lane():
-        while True:
-            with lock:
-                if not untaken:
-                    return
-                lo = untaken.pop()
-            try:
-                results[lo // step] = task(lo, min(lo + step, rows))
-            except BaseException:
-                with lock:
-                    untaken.clear()
-                raise
-
-    if len(results) <= 1:
-        lane()
-        return results
-    helper = _helper_lane.submit(lane)
-    try:
-        lane()
-    finally:
-        wait([helper])
-    helper.result()
-    return results
 
 
 def _rows(eps, d, a):
@@ -301,17 +243,18 @@ def count_stability_scan(spec, aa_grid):
     """Per-component eigenvalue counts for each corner value in ``aa_grid``.
 
     ``aa_grid`` is a corner value or a 1-d array of them; each must be
-    finite and at or above the main growth threshold, and the scan refuses
-    the others, naming them.  Rows of the returned integer matrix are the
+    finite and at or above the main growth threshold.  The scan refuses the
+    others with one bounded message: the threshold, the first five refused
+    corners and, where there are more, how many.  Rows of the returned integer matrix are the
     component counts for successive corner values; the concentration
     property makes them identical.  Each spectrum comes from the real
     arrowhead matrix with border ``|spec.a|`` (``_spectra``).
 
     The corners are solved ``_ROW_BLOCK // 4`` at a time, two ranges at
-    once on the calling thread and the helper lane (``_on_two_lanes``), and
-    each range's counts are written into the preallocated result.  Beyond
-    that result (8 bytes per corner and component), two ranges' matrices
-    and spectra are the memory in flight.
+    once on the calling thread and the helper lane
+    (``errors._on_two_lanes``), and each range's counts are written into
+    the preallocated result.  Beyond that result (8 bytes per corner and
+    component), two ranges' matrices and spectra are the memory in flight.
     """
     aa_grid = np.atleast_1d(np.asarray(aa_grid, dtype=float))
     if aa_grid.ndim != 1:
@@ -319,8 +262,9 @@ def count_stability_scan(spec, aa_grid):
     thr = growth_threshold_main(spec.eps, spec.d, spec.a)
     bad = aa_grid[~(np.isfinite(aa_grid) & (aa_grid >= thr))]
     if bad.size:
+        shown = f"{bad[:5].tolist()}" + (f" (the first 5 of {bad.size})" if bad.size > 5 else "")
         raise ValidationError(
-            f"corner values {bad.tolist()} are not finite or lie below the growth threshold "
+            f"corner values {shown} are not finite or lie below the growth threshold "
             f"{thr:.6g}; counts are only stable above it"
         )
     comps = interval_components(spec.d, spec.eps / (2 * spec.n - 3))
@@ -331,7 +275,7 @@ def count_stability_scan(spec, aa_grid):
         eigs = _spectra(np.broadcast_to(spec.d, shape), np.broadcast_to(spec.a, shape), aa_grid[lo:hi])
         counts[lo:hi] = _component_counts(eigs, comps)
 
-    _on_two_lanes(aa_grid.size, block)
+    _on_two_lanes(aa_grid.size, _ROW_BLOCK // 4, block)
     return counts
 
 
@@ -353,9 +297,9 @@ def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0):
     trial, and 8 (n-1) more while a part of ``a`` is drawn.
     Threshold, spectra, sorted diagonal and conclusion then run on ranges
     of ``_ROW_BLOCK // 4`` trials, two at once on the calling thread and
-    the helper lane (``_on_two_lanes``), so two ranges' temporaries are the
-    memory in flight; the violations and the two worst values are folded
-    in range order.
+    the helper lane (``errors._on_two_lanes``), so two ranges' temporaries
+    are the memory in flight; the violations and the two worst values are
+    folded in range order.
 
     Returns
     -------
@@ -386,7 +330,7 @@ def lemma_trial_batch(n, eps, trials, seed, refined=False, aa_factor=1.0):
             dev, ok = _main_conclusion(eps, ds, small, corner)
         return int(np.count_nonzero(~ok)), dev.max(), corner.max()
 
-    violations, worst_dev, worst_corner = zip(*_on_two_lanes(trials, block))
+    violations, worst_dev, worst_corner = zip(*_on_two_lanes(trials, _ROW_BLOCK // 4, block))
     return {
         "trials": int(trials),
         "violations": sum(violations),

@@ -1,13 +1,18 @@
 """Cone functions, Garding cones, deleted sums and diagonal levels."""
 import math
+import os
 import re
+import signal
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from test_hermitian import InlineLane
 
 from hessianforge import cones as cn
+from hessianforge import errors as er
 from hessianforge import grid as gr
 from hessianforge import hermitian as hm
 
@@ -1235,3 +1240,120 @@ class TestOneConeCheck:
 
     def test_no_family_has_a_check_of_its_own(self):
         assert [name for name, family in cn.FAMILIES.items() if "_check" in vars(family)] == []
+
+
+class TestProbeLanes:
+    """``concavity_probe`` cuts its flattened batch into ranges of
+    ``2 * _ROW_BLOCK`` points, taken by the calling thread and one helper
+    thread; its slacks, errors and threads are those of one pass."""
+
+    BLOCK = 8  # ranges of 16 points: 60 points are three ranges and a tail of 12
+
+    @staticmethod
+    def pairs(f, n, count=60):
+        lam, mu = sample_pairs(f.cone, count, np.random.default_rng(100 + n))
+        mus = layouts(mu, n)
+        return {name: (x, mus[name][..., ::-1]) for name, x in layouts(lam, n).items()}
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_slacks_do_not_depend_on_the_lane_or_the_range(self, family, n, monkeypatch):
+        f = make(family, n, **families_at(n)[family])
+        for name, (lam, mu) in self.pairs(f, n).items():
+            assert lam.size >= 3 * 2 * self.BLOCK * n + n, name
+            monkeypatch.setattr(cn, "_ROW_BLOCK", 10**9)  # one range, on the caller alone
+            one_pass = cn.concavity_probe(f, lam, mu)
+            monkeypatch.setattr(cn, "_ROW_BLOCK", self.BLOCK)
+            two_lanes = cn.concavity_probe(f, lam, mu)
+            with monkeypatch.context() as patch:
+                patch.setattr(er, "_helper_lane", InlineLane())
+                helper_first = cn.concavity_probe(f, lam, mu)
+            for got in (one_pass, two_lanes, helper_first):
+                assert got.shape == lam.shape[:-1], name
+                np.testing.assert_array_equal(got, reference_probe(f, lam, mu), err_msg=name)
+
+    def test_ranges_cover_the_batch_once(self, monkeypatch):
+        f = make("quotient-root", 6, k=3, l=1)
+        lam, mu = self.pairs(f, 6)["C"]
+        sizes, slack = [], cn._slack
+        monkeypatch.setattr(cn, "_slack", lambda f, lam, mu: sizes.append(len(lam)) or slack(f, lam, mu))
+        monkeypatch.setattr(cn, "_ROW_BLOCK", self.BLOCK)
+        cn.concavity_probe(f, lam, mu)
+        assert sorted(sizes) == [12, 16, 16, 16]
+
+    @pytest.mark.parametrize("refused", [("lam", 50), ("mu", 50), ("lam", 50, "mu", 5)],
+                             ids=["lam", "mu", "lam-after-mu"])
+    @pytest.mark.parametrize("helper", ["inline", "thread"])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_a_refused_range_raises_the_one_pass_message(self, family, helper, refused, monkeypatch):
+        # the inline helper takes every range; the thread takes some.  A
+        # point refused in lam names lam's node even where mu has an
+        # earlier refused point, in a range a lane took first
+        f = make(family, 3, **families_at(3)[family])
+        points = dict(zip(("lam", "mu"), (x.copy() for x in self.pairs(f, 3)["C"])))
+        for which, node in zip(refused[::2], refused[1::2]):
+            points[which][node] = -1.0
+        lam, mu = points["lam"], points["mu"]
+        with pytest.raises(cn.ConeDomainError) as one_pass:
+            f.value_grad(lam) if refused[0] == "lam" else f.value(mu)
+        monkeypatch.setattr(cn, "_ROW_BLOCK", self.BLOCK)
+        if helper == "inline":
+            monkeypatch.setattr(er, "_helper_lane", InlineLane())
+        with pytest.raises(cn.ConeDomainError) as lanes:
+            cn.concavity_probe(f, lam, mu)
+        assert str(lanes.value) == str(one_pass.value)
+        assert f"at node ({refused[1]},), flat index {refused[1]}: " in str(lanes.value)
+
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_single_vector_and_empty_batch(self, family, monkeypatch):
+        monkeypatch.setattr(cn, "_ROW_BLOCK", 1)
+        f = make(family, 3, **families_at(3)[family])
+        lam = 1.0 + np.arange(3) / 3
+        assert type(cn.concavity_probe(f, lam, lam[::-1])) is np.float64
+        for batch in [(0,), (3, 0)]:
+            empty = np.empty(batch + (3,))
+            assert cn.concavity_probe(f, empty, empty).shape == batch
+
+    def test_probe_memory_stays_within_two_ranges(self):
+        # 100,000 points at n = 6.  One pass held each family's full-size
+        # planes, 13.8 to 19.1 MiB; with ranges, the result (0.8 MB) and two
+        # ranges' evaluations, under 3 MiB each, are in flight.
+        rng = np.random.default_rng(43)
+        lam, mu = (rng.uniform(1.0, 2.0, (100_000, 6)) for _ in range(2))
+        for f in (make("sigma-k-root", 6, k=3), make("quotient-root", 6, k=3, l=1), make("log-sigma-k", 6, k=4)):
+            tracemalloc.start()
+            try:
+                slack = cn.concavity_probe(f, lam, mu)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < slack.nbytes + 6 * 2**20, f.describe()
+
+    def test_one_helper_thread_at_most(self, monkeypatch):
+        monkeypatch.setattr(cn, "_ROW_BLOCK", self.BLOCK)
+        before = threading.active_count()
+        for family in FAMILY_NAMES:
+            f = make(family, 3, **families_at(3)[family])
+            for lam, mu in self.pairs(f, 3).values():
+                cn.concavity_probe(f, lam, mu)
+        assert threading.active_count() <= before + 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_a_forked_child_runs_a_probe(self, monkeypatch):
+        # the parent's helper thread is running; in the child it does not exist
+        monkeypatch.setattr(cn, "_ROW_BLOCK", self.BLOCK)
+        f = make("log-sigma-k", 6, k=4)
+        lam, mu = self.pairs(f, 6)["C"]
+        ref = cn.concavity_probe(f, lam, mu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # a fork with threads
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(30)  # a child whose ranges never run ends here
+                code = 0 if np.array_equal(cn.concavity_probe(f, lam, mu), ref) else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0

@@ -13,6 +13,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+from hessianforge import errors as er
 from hessianforge import hermitian as hm
 
 
@@ -309,6 +310,20 @@ class TestCountStability:
                    for aa in aa_grid]
             np.testing.assert_array_equal(rows, ref)
 
+    def test_refusal_message_stays_bounded(self):
+        # 100,000 refused corners: the message names the threshold, the
+        # first five and their count, not every one
+        spec = hm.BorderedSpec([0.0, 5.0], [1.0, 1.0], 0.0, 0.5)
+        thr = hm.growth_threshold_main(0.5, spec.d, spec.a)
+        corners = np.concatenate([[thr, -1.5], np.arange(100_000.0) - 1e6])
+        with pytest.raises(hm.ValidationError) as info:
+            hm.count_stability_scan(spec, corners)
+        message = str(info.value)
+        assert len(message) < 1_000
+        assert message.startswith("corner values [-1.5, -1000000.0, -999999.0, -999998.0, -999997.0] "
+                                  "(the first 5 of 100001) ")
+        assert f"threshold {thr:.6g}" in message
+
     def test_long_scan_memory_stays_flat(self):
         # 100,000 corners solved at once would form 27 MiB of bordered 6 x 6
         # matrices; the counts are written range by range into the result
@@ -358,8 +373,9 @@ class TestRowBlocks:
 
 
 class InlineLane:
-    """A stand-in for the helper lane's executor that runs each task at
-    submission, so the helper lane takes every range before the caller."""
+    """A stand-in for the helper lane's executor (``errors._helper_lane``)
+    that runs each task at submission, so the helper lane takes every range
+    before the caller."""
 
     def submit(self, fn, *args):
         future = Future()
@@ -388,7 +404,7 @@ class TestTwoLanes:
         spec = rand_spec(np.random.default_rng(4), 6, 0.2)
         two_lanes = self.results(spec)
         assert two_lanes[1]["violations"] > 0 and two_lanes[3]["violations"] > 0
-        monkeypatch.setattr(hm, "_helper_lane", InlineLane())
+        monkeypatch.setattr(er, "_helper_lane", InlineLane())
         assert self.results(spec) == two_lanes
         monkeypatch.setattr(hm, "_ROW_BLOCK", 10**9)  # one range, on the caller alone
         assert self.results(spec) == two_lanes
@@ -426,6 +442,21 @@ class TestTwoLanes:
         assert running[0] == 0  # no task of the call still in _spectra
         monkeypatch.undo()
         assert hm.lemma_trial_batch(6, 0.1, 5_000, seed=3, refined=True) == ref
+
+    def test_the_helper_keeps_the_callers_errstate(self):
+        # the caller holds its range until the helper has run one
+        caller, ran, seen = threading.get_ident(), threading.Event(), []
+
+        def task(lo, hi):
+            if threading.get_ident() == caller:
+                assert ran.wait(10)
+            else:
+                seen.append(np.geterr()["over"])
+                ran.set()
+
+        with np.errstate(over="ignore"):
+            er._on_two_lanes(2, 1, task)
+        assert seen == ["ignore"]
 
     def test_one_helper_thread_at_most(self):
         before = threading.active_count()
