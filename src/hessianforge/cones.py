@@ -14,8 +14,10 @@ k the order ``k`` where the family takes one and n otherwise.  Each check
 has one place: a dimension, an order or a direction is taken as an int, or
 refused, by ``errors._integer``; a real scalar (the ray test's c, the
 margin's psi) as a float by ``errors._real``; a cone's kind and order by
-``Cone``; a point is turned into a float array, and its length checked, by
-``Cone._point``; and its cone membership by ``ConeFunction._check``.
+``Cone``; a point is turned into a float array by ``_floats``, which
+refuses input that is not an array of numbers (a string, a ragged
+sequence, a None) by name, and its length is checked by ``Cone._point``;
+and its cone membership by ``ConeFunction._check``.
 
 The deleted sums mu_i = sum_{j != i} lam_j, the image of lam under the
 symmetric matrix Q with zero diagonal and unit off-diagonal entries, are
@@ -53,6 +55,8 @@ same plane, and the violated inequality is read off that point alone.
 """
 
 import math
+import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,10 +136,27 @@ def _finite_min(table):
     return low
 
 
+def _floats(lam, name):
+    """lam as a float array, the same array when it is one: the one
+    conversion of points.  Input that is not an array of numbers (a string,
+    a ragged sequence, a sequence holding None) is refused with
+    :class:`ValidationError` naming ``name`` and the input."""
+    try:
+        arr = np.asarray(lam)
+        if arr.dtype == object and all(isinstance(x, numbers.Real) for x in arr.flat):
+            arr = arr.astype(float)  # such as ints beyond int64
+        if arr.dtype.kind in "biufc":
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):  # a ragged sequence, say
+        pass
+    raise ValidationError(f"{name} needs an array of numbers, got {reprlib.repr(lam)}")
+
+
 def _points(lam, name):
-    """lam as a float array of points along its last axis; a 0-d input is
-    refused with :class:`ValidationError` naming the function ``name``."""
-    lam = np.asarray(lam, dtype=float)
+    """lam as a float array of points along its last axis (``_floats``); a
+    0-d input is refused with :class:`ValidationError` naming the function
+    ``name``."""
+    lam = _floats(lam, name)
     if lam.ndim == 0:
         raise ValidationError(f"{name} needs points along a last axis, got shape ()")
     return lam
@@ -233,11 +254,12 @@ class Cone:
     def _point(self, lam):
         """lam as a float array of points of length n along its last axis.
 
-        The one place a point is converted and its length checked: a point
-        whose last axis is not n long, or that has no axis, is refused with
+        The one place a point is converted (``_floats``) and its length
+        checked: a point that is not an array of numbers, whose last axis is
+        not n long, or that has no axis, is refused with
         :class:`ValidationError`.
         """
-        lam = np.asarray(lam, dtype=float)
+        lam = _floats(lam, f"a point of {self.ray_description()}")
         if lam.shape[-1:] != (self.n,):
             raise ValidationError(
                 f"dimension mismatch: {self.ray_description()} has n={self.n}, "
@@ -636,7 +658,8 @@ def concavity_probe(f, lam, mu):
     the same node, flat index and inequality as one pass does: lam's
     first refused point, and mu's only where lam has none.
     """
-    lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
+    name = f"a point of {f.cone.ray_description()}"
+    lam, mu = _floats(lam, name), _floats(mu, name)
     step = 2 * _ROW_BLOCK
     if lam.ndim < 2 or lam.shape != mu.shape or lam.shape[-1] != f.n or lam.size <= step * f.n:
         return _slack(f, lam, mu)

@@ -9,11 +9,12 @@ batched pass on two threads.
 passes on two lanes, the calling thread and one helper thread, so that
 numpy's and LAPACK's loops, which release the interpreter lock, run two at
 once.  Its callers are the lemma batteries and the stability scan
-(``hermitian``; ranges of ``_ROW_BLOCK // 4`` = 1024 rows) and the
-concavity probe (``cones.concavity_probe``; ranges of ``2 * _ROW_BLOCK`` =
-8192 points).  At most two ranges are in flight, one per lane, and each
-caller says what one range holds.  Everything else in the package runs on
-the calling thread alone."""
+(``hermitian``; ranges of ``_ROW_BLOCK // 4`` = 1024 rows), the concavity
+probe (``cones.concavity_probe``; ranges of ``2 * _ROW_BLOCK`` = 8192
+points) and the per-node eigensolve (``grid._eigh``; ranges of
+``4 * _ROW_BLOCK`` = 16,384 nodes).  At most two ranges are in flight, one
+per lane, and each caller says what one range holds.  Everything else in
+the package runs on the calling thread alone."""
 
 import contextvars
 import math
@@ -26,11 +27,9 @@ import numpy as np
 
 
 # Rows per block of the batched passes: the deleted-coordinate recurrence
-# (``cones._deleted_table``) and the per-node eigensolve (``grid._eigh``)
-# run one block at a time on the thread that calls them.  A block's largest
-# transient stays near 1 MiB: 4096 x 6 deleted vectors of length 5 in
-# doubles, or the temporaries of the closed-form 2 x 2 eigensolve; those
-# of the 3 x 3 one stay near 2.5 MiB.  Two callers run ranges of it on two
+# (``cones._deleted_table``) runs one block at a time on the thread that
+# calls it, and its largest transient stays near 1 MiB: 4096 x 6 deleted
+# vectors of length 5 in doubles.  Three callers run ranges of it on two
 # lanes (``_on_two_lanes``), read at call time.  The lemma batteries and
 # the stability scan run ranges of a quarter block, so two ranges of 1024
 # bordered 6 x 6 matrices, about 0.6 MiB, are in flight.  The concavity
@@ -38,7 +37,12 @@ import numpy as np
 # evaluations are in flight.  At n = 6 a range's peak is under 3 MiB (2.4
 # to 2.8 MiB traced for the families with a sigma table), most of it one
 # block's deleted vectors and their table; its gradient and lam - mu are
-# 0.4 MiB each.
+# 0.4 MiB each.  The per-node eigensolve (``grid._eigh``) runs ranges of
+# four blocks, 16,384 nodes: shorter ones hand the interpreter lock from
+# lane to lane at every numpy call and ran slower on two lanes than on
+# one.  A range's closed-form temporaries are about 2 MiB at n = 2 and 5
+# MiB at n = 3, plus its 1 or 2.25 MiB copy of the reduced matrix on a
+# metric that is not flat.
 _ROW_BLOCK = 4096
 
 

@@ -49,12 +49,17 @@ dropped.  The torsion term's planes depend on the metric alone, and
 multiples of omega are elementwise.
 
 The per-node eigenproblems of :func:`eig_wrt_metric` all go through one
-blocked driver, :func:`_eigh`: closed forms at n = 2 and n = 3, and LAPACK's
+driver, :func:`_eigh`: closed forms at n = 2 and n = 3, and LAPACK's
 ``eigh`` at every other n and at the n = 3 nodes whose eigenvalues nearly
 coincide, where the closed form would miss a 1e-12 relative target.  On
 every n and metric, a node with a NaN or infinite entry gets NaN eigenpairs
 without a warning.  A diagonal metric (flat, conformal and product metrics
-all are) reduces them elementwise.
+all are) reduces them elementwise.  The driver is the module's one pass on
+two lanes: it cuts the node stack into ranges of ``4 * _ROW_BLOCK`` =
+16,384 nodes, which the calling thread and one helper thread solve
+(``errors._on_two_lanes``), each into its own slice of the outputs, so the
+results are the bits of one pass.  The metric reduction, the
+back-transform and everything else here run on the calling thread.
 
 Layout rule: every Hermitian field and every eigen output this module
 allocates (the assembled tensor fields, :func:`hat_transform`, the reduced
@@ -73,7 +78,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _ROW_BLOCK, GridError, PositivityError, ValidationError, _first_bad, _integer, _real
+from .errors import (_ROW_BLOCK, GridError, PositivityError, ValidationError, _first_bad, _integer, _on_two_lanes,
+                     _real)
 
 __all__ = [
     "GridError",
@@ -848,7 +854,8 @@ def _eigh2(h, lam, vec):
     and divided by s = |hd| + r, the modulus of its largest entry:
     (conj c/s, -1) when hd > 0, else (1, -c/s).  A scalar matrix (s = 0)
     gets the identity.  The second eigenvector is (-conj y, conj x) for a
-    first one (x, y).  Temporaries stay under 1 MB per ``_ROW_BLOCK`` nodes.
+    first one (x, y).  Temporaries stay near 2 MiB on a range of
+    ``4 * _ROW_BLOCK`` nodes, the stack :func:`_eigh` hands it.
     """
     a2 = 0.5 * h[:, 0, 0].real
     d2 = 0.5 * h[:, 1, 1].real
@@ -908,8 +915,11 @@ def _eigh3(h, lam, vec):
     A node is returned for LAPACK when its smallest eigenvalue gap is at
     most ``_EIG3_GUARD`` s, or when its longest adjugate column, in units
     where p = 1, is shorter than ``_EIG3_GUARD``, which the gap bound
-    implies but rounding might not.  Temporaries stay near 2.5 MB per
-    ``_ROW_BLOCK`` nodes.
+    implies but rounding might not.
+
+    Temporaries stay near 5 MiB on a range of ``4 * _ROW_BLOCK`` nodes, the
+    stack :func:`_eigh` hands it: each intermediate is dropped after its
+    last read.
     """
     diag = [h[:, i, i].real for i in range(3)]
     off = [h[:, 1, 0], h[:, 2, 0], h[:, 2, 1]]
@@ -922,9 +932,11 @@ def _eigh3(h, lam, vec):
     inv = 1.0 / scale
     a0, a1, a2 = (x * inv for x in diag)
     e10, e20, e21 = (x * inv for x in off)
+    del inv
     tr = a0 + a1 + a2
     mean = tr / 3.0
     b0, b1, b2 = a0 - mean, a1 - mean, a2 - mean
+    del a0, a1, a2
     n10, n20, n21 = (np.square(x.real) + np.square(x.imag) for x in (e10, e20, e21))
     p = np.sqrt((b0 * b0 + b1 * b1 + b2 * b2) / 6.0 + (n10 + n20 + n21) / 3.0)
     # B / p has eigenvalues 2 cos(phi + 2 pi j/3).  With p < _EIG3_GUARD
@@ -937,18 +949,24 @@ def _eigh3(h, lam, vec):
     ip *= ip
     for x in (n10, n20, n21):
         x *= ip
+    del ip
     q = e10 * e21
     det = b0 * (b1 * b2 - n21) - b1 * n20 - b2 * n10
     det += 2.0 * (q.real * e20.real + q.imag * e20.imag)
     phi = np.arccos(np.clip(0.5 * det, -1.0, 1.0)) / 3.0
+    del det
     beta_lo = 2.0 * np.cos(phi + 2.0 * math.pi / 3.0)
     beta_hi = 2.0 * np.cos(phi)
+    del phi
     lam_lo = mean + p * beta_lo
     lam_hi = mean + p * beta_hi
+    del mean, p
     lam_mid = np.clip(tr - lam_lo - lam_hi, lam_lo, lam_hi)
+    del tr
     redo |= np.minimum(lam_mid - lam_lo, lam_hi - lam_mid) <= _EIG3_GUARD
     for j, x in enumerate((lam_lo, lam_mid, lam_hi)):
         np.multiply(x, scale, out=lam[:, j])
+    del scale, lam_lo, lam_mid, lam_hi
     if vec is None:
         return redo
     ends = []
@@ -958,19 +976,28 @@ def _eigh3(h, lam, vec):
         # triangle; column k is (J00, J10, J20), (conj J10, J11, J21)
         # or (conj J20, conj J21, J22)
         j00, j11, j22 = d1 * d2 - n21, d0 * d2 - n20, d0 * d1 - n10
-        j10 = e20 * np.conj(e21) - d2 * e10
+        # an explicit multiply: from 256 KiB (16,384 complex nodes) numpy
+        # may reuse an operator's temporary operand as its output, with the
+        # operands swapped, which changes the bits of a complex product
+        j10 = np.multiply(e20, np.conj(e21)) - d2 * e10
         j20 = q - d1 * e20
         j21 = np.conj(e10) * e20 - d0 * e21
+        del d0, d1, d2
         w0, w1, w2 = np.abs(j00), np.abs(j11), np.abs(j22)
         k0 = (w0 >= w1) & (w0 >= w2)
         k1 = ~k0 & (w1 >= w2)
+        del w0, w1, w2
         col = (np.where(k0, j00, np.where(k1, np.conj(j10), np.conj(j20))),
                np.where(k0, j10, np.where(k1, j11, np.conj(j21))),
                np.where(k0, j20, np.where(k1, j21, j22)))
+        del j00, j11, j22, j10, j20, j21, k0, k1
         norm2 = sum(np.square(c.real) + np.square(c.imag) for c in col)
         redo |= norm2 < _EIG3_GUARD * _EIG3_GUARD
         unit = 1.0 / np.sqrt(np.maximum(norm2, np.finfo(float).tiny))
-        ends.append([c * unit for c in col])
+        del norm2
+        for c in col:
+            c *= unit
+        ends.append(col)
     (u0, u1, u2), (v0, v1, v2) = ends
     vec[:, 0, 0], vec[:, 1, 0], vec[:, 2, 0] = u0, u1, u2
     vec[:, 0, 2], vec[:, 1, 2], vec[:, 2, 2] = v0, v1, v2
@@ -983,22 +1010,31 @@ def _eigh3(h, lam, vec):
 def _eigh(h, vectors, overwrite=False):
     """Batched Hermitian eigensolve: the one driver, for every n.
 
-    Solves the stack ``_ROW_BLOCK`` nodes at a time, so the temporaries
-    stay flat, on (-1, n[, n]) reshapes of h and of the outputs.  The
-    eigenvalues (and eigenvectors) are allocated plane-first, so their
+    Cuts the stack, on (-1, n[, n]) reshapes of h and of the outputs, into
+    ranges of ``4 * _ROW_BLOCK`` = 16,384 nodes (read at call time) and
+    solves them on two lanes, the calling thread and one helper thread
+    (``errors._on_two_lanes``).  Each range writes only its own slice of
+    the preallocated outputs, so the results are the bits of one pass over
+    ``_ROW_BLOCK``-node blocks, whichever lane took a range.  Two ranges'
+    temporaries are in flight, about 2 MiB each at n = 2 and 5 MiB at
+    n = 3, plus each range's copy under ``overwrite``; shorter ranges ran
+    slower on two lanes than on one, as each numpy call handed the
+    interpreter lock to the other lane.
+
+    The eigenvalues (and eigenvectors) are allocated plane-first, so their
     reshapes are views and they are returned as they are, with no final
     copy; h's reshape is a view too when its batch axes merge, as those of
     a plane-first or C-ordered field do.  The closed forms :func:`_eigh2`
     and :func:`_eigh3` write into the output slices they are handed and
     return the nodes they leave to LAPACK's ``eigh``, which solves whole
-    blocks at every other n.  A node with a NaN or infinite entry in the
+    ranges at every other n.  A node with a NaN or infinite entry in the
     lower triangle or real diagonal, the entries all of them read, gets NaN
     eigenpairs without a warning: its kernel sees zeros in its place, and
     LAPACK never sees it.
 
     ``overwrite`` (with ``vectors``) writes the eigenvectors over h, a
     complex array the caller gives up, whose batch axes must merge into a
-    view; they are returned as h itself.  Each block is then copied before
+    view; they are returned as h itself.  Each range is then copied before
     it is solved, in its own memory order, so no kernel's input aliases its
     output and the kernels still read contiguous planes.
     """
@@ -1010,10 +1046,10 @@ def _eigh(h, vectors, overwrite=False):
     lam_f = lam.reshape(-1, n)
     vec_f = None if vec is None else vec.reshape(-1, n, n)
     kernel = {2: _eigh2, 3: _eigh3}.get(n)
-    for lo in range(0, flat.shape[0], _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        blk, lam_b = flat[rows], lam_f[rows]
-        vec_b = None if vec_f is None else vec_f[rows]
+
+    def solve(lo, hi):
+        blk, lam_b = flat[lo:hi], lam_f[lo:hi]
+        vec_b = None if vec_f is None else vec_f[lo:hi]
         bad = _non_finite(blk)
         skip = bad.any()
         if skip or overwrite:
@@ -1031,6 +1067,8 @@ def _eigh(h, vectors, overwrite=False):
             lam_b[bad] = np.nan
             if vectors:
                 vec_b[bad] = np.nan
+
+    _on_two_lanes(flat.shape[0], 4 * _ROW_BLOCK, solve)
     return (lam, vec) if vectors else lam
 
 
@@ -1051,11 +1089,14 @@ def eig_wrt_metric(h, metric, vectors=False):
     or not: closed forms at n = 2 and n = 3, and LAPACK's ``eigh`` at
     near-degenerate n = 3 nodes and at every other n.  All read only the
     lower triangle and real diagonal of the reduced matrix, a private
-    plane-first array that the eigenvectors overwrite, one copied block at
+    plane-first array that the eigenvectors overwrite, one copied range at
     a time; h itself is never written.  The eigenvalues and eigenvectors
     are returned plane-first on every metric (see the module docstring):
     the diagonal back-transform scales the eigenvectors in place, and the
-    general one writes its matmul into a plane-first output.
+    general one writes its matmul into a plane-first output.  Only the
+    eigensolve runs on two lanes, in ranges of ``4 * _ROW_BLOCK`` nodes;
+    the reduction and the back-transform run on the calling thread, and
+    the scratch beyond the outputs is two ranges' (see :func:`_eigh`).
 
     Non-finite policy: a node with a NaN or infinite entry among those read
     gets NaN eigenvalues and eigenvectors, the others are solved as if it

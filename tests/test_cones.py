@@ -768,6 +768,60 @@ class TestPointLength:
         assert caught.type is cn.ValidationError
 
 
+class TestPointNumbers:
+    """Every entry point refuses a point that is not an array of numbers
+    with ValidationError naming the cone and the input, not with numpy's
+    error or as a cone violation; a float array is read as it is."""
+
+    def refused(self, entry, lam, name):
+        with pytest.raises(cn.ValidationError, match=re.escape(f"{name} needs an array of numbers, got ")) as caught:
+            entry(lam)
+        assert caught.type is cn.ValidationError
+        return str(caught.value)
+
+    @pytest.mark.parametrize("entry", TestPointLength.ENTRY_POINTS)
+    @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
+    def test_a_string_is_refused(self, family, kw, entry):
+        f = make(family, 3, **kw)
+        message = self.refused(lambda lam: TestPointLength.ENTRY_POINTS[entry](f, lam), "abc",
+                               f"a point of {f.cone.ray_description()}")
+        assert message.endswith("got 'abc'")
+
+    @pytest.mark.parametrize("entry", TestPointLength.ENTRY_POINTS)
+    @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
+    def test_a_ragged_sequence_is_refused(self, family, kw, entry):
+        f = make(family, 3, **kw)
+        message = self.refused(lambda lam: TestPointLength.ENTRY_POINTS[entry](f, lam), [[1.0, 2.0, 3.0], [3.0]],
+                               f"a point of {f.cone.ray_description()}")
+        assert message.endswith("got [[1.0, 2.0, 3.0], [3.0]]")
+
+    @pytest.mark.parametrize("entry", TestPointLength.ENTRY_POINTS)
+    @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
+    def test_none_is_refused_as_input_not_as_a_cone_violation(self, family, kw, entry):
+        f = make(family, 3, **kw)
+        message = self.refused(lambda lam: TestPointLength.ENTRY_POINTS[entry](f, lam), [1.0, None, 2.0],
+                               f"a point of {f.cone.ray_description()}")
+        assert message.endswith("got [1.0, None, 2.0]")
+
+    @pytest.mark.parametrize("name, call", [
+        ("sigma_k", lambda x: cn.sigma_k(x, 1)),
+        ("sigma_deleted", lambda x: cn.sigma_deleted(x, 0)),
+        ("q_inverse", lambda x: cn.q_inverse(x)),
+    ])
+    @pytest.mark.parametrize("lam", ["abc", [[1.0, 2.0], [3.0]], [1.0, None]], ids=["string", "ragged", "None"])
+    def test_the_polynomials_refuse_them_too(self, name, call, lam):
+        self.refused(call, lam, name)
+
+    def test_a_float_array_is_not_copied_and_numbers_are_converted(self):
+        cone = cn.Cone.gamma(2, 3)
+        lam = np.ones((4, 3))
+        assert cone._point(lam) is lam
+        for point in ([1, 2, 3], [True, 2.0, 3], np.array([1, 2, 3], dtype=object), [10**30, 1, 2]):
+            got = cone._point(point)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, np.asarray(point, dtype=float))
+
+
 # ---------------------------------------------------------------------------
 # whole-plane layout: return types, empty batches, and the formulas it replaced
 

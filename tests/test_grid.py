@@ -1,13 +1,20 @@
 """Discretized product manifold: stencils, tensors, metric eigenproblems."""
 import math
+import os
 import re
+import signal
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from test_hermitian import InlineLane
 
 from hessianforge import cones as cn
+from hessianforge import errors as er
 from hessianforge import grid as gr
 from hessianforge.errors import ValidationError
 
@@ -752,10 +759,11 @@ class TestClosedFormEigh2:
         assert_unit_eigenpairs(h, lam, v)
 
     def test_node_count_not_a_multiple_of_the_block(self):
+        # two 4-block ranges and a tail of 17 nodes
         h = adversarial_batches()["random"]
-        h = np.concatenate([h, h, h])[: 2 * gr._ROW_BLOCK + 17]
+        h = np.concatenate([h] * 9)[: 8 * gr._ROW_BLOCK + 17]
         lam, v = gr._eigh(h, True)
-        assert lam.shape == (2 * gr._ROW_BLOCK + 17, 2)
+        assert lam.shape == (8 * gr._ROW_BLOCK + 17, 2)
         np.testing.assert_allclose(lam, np.linalg.eigh(h)[0], rtol=0, atol=1e-12 * np.abs(h).max())
         assert_unit_eigenpairs(h, lam, v)
 
@@ -799,9 +807,11 @@ class TestClosedFormEigh2:
         gr.eig_wrt_metric(h, flat)
 
     def test_scratch_memory_stays_flat(self):
-        # The blocked kernel allocates its outputs plus well under 1 MiB; a
-        # kernel vectorised over all 65,536 nodes at once needs about 11 MiB.
-        g = make_grid(res=(16, 16, 16, 16))
+        # The driver allocates its outputs plus two 16,384-node ranges'
+        # temporaries in flight, about 2 MiB each; one copy of h is 16 MiB
+        # on these 262,144 nodes, and a kernel vectorised over all of them
+        # at once needs about 32 MiB.
+        g = make_grid(res=(32, 16, 32, 16))
         a = np.random.default_rng(24).normal(size=g.shape + (2, 2)) + 0j
         h = a + np.swapaxes(a, -1, -2)
         metric = gr.metric_flat(g)
@@ -811,7 +821,7 @@ class TestClosedFormEigh2:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - sum(o.nbytes for o in out) < 2 * 2**20
+        assert peak - sum(o.nbytes for o in out) < 2 * 3 * 2**20
 
 
 def adversarial_batches3():
@@ -884,7 +894,8 @@ class TestLapackEigh:
     """n = 4, where LAPACK solves every block the driver hands it."""
 
     def test_node_count_not_a_multiple_of_the_block(self):
-        h = random_hermitian(np.random.default_rng(41), (2 * gr._ROW_BLOCK + 17,), 4)
+        # two 4-block ranges and a tail of 17 nodes
+        h = random_hermitian(np.random.default_rng(41), (8 * gr._ROW_BLOCK + 17,), 4)
         lam, v = gr._eigh(h, True)
         ref_lam, ref_v = np.linalg.eigh(h)
         np.testing.assert_array_equal(lam, ref_lam)
@@ -955,10 +966,11 @@ class TestClosedFormEigh3:
         assert_unit_eigenpairs(h, lam, v)
 
     def test_node_count_not_a_multiple_of_the_block(self):
+        # two 4-block ranges and a tail of 17 nodes
         h = adversarial_batches3()["random"]
-        h = np.concatenate([h, h, h])[: 2 * gr._ROW_BLOCK + 17]
+        h = np.concatenate([h] * 11)[: 8 * gr._ROW_BLOCK + 17]
         lam, v = gr._eigh(h, True)
-        assert lam.shape == (2 * gr._ROW_BLOCK + 17, 3)
+        assert lam.shape == (8 * gr._ROW_BLOCK + 17, 3)
         assert_unit_eigenpairs(h, lam, v)
 
     def test_reads_the_lower_triangle_only(self):
@@ -996,14 +1008,17 @@ class TestClosedFormEigh3:
         return peak - sum(o.nbytes for o in out)
 
     def test_scratch_memory_stays_flat(self):
-        # The blocked kernel allocates its outputs plus about 2.5 MiB; a
-        # kernel vectorised over all 65,536 nodes at once needs about 35 MiB.
-        g = make_grid(n=3, res=(16, 1, 16, 16, 16, 1))
+        # The driver allocates its outputs plus two 16,384-node ranges'
+        # temporaries in flight, about 5 MiB each, and with a metric each
+        # range's 2.25 MiB copy of the reduced matrix; one copy of h is 36
+        # MiB on these 262,144 nodes, and a kernel vectorised over all of
+        # them at once needs about 140 MiB.
+        g = make_grid(n=3, res=(8, 8, 8, 8, 8, 8))
         h = random_hermitian(np.random.default_rng(34), g.shape, 3)
-        assert self.scratch_bytes(h, gr.metric_flat(g)) < 4 * 2**20
-        # With a metric, the eigenvectors overwrite the reduced matrix (9 MiB
-        # here) instead of taking a second array of that size.
-        assert self.scratch_bytes(h, gr.metric_conformal(g, 0.3)) < 4 * 2**20
+        assert self.scratch_bytes(h, gr.metric_flat(g)) <= 16 * 2**20
+        # With a metric, the eigenvectors overwrite the reduced matrix
+        # instead of taking a second array of that size.
+        assert self.scratch_bytes(h, gr.metric_conformal(g, 0.3)) <= 16 * 2**20
 
 
 class TestGauduchonFields:
@@ -1722,17 +1737,158 @@ class TestPlaneFirstLayout:
     @pytest.mark.parametrize("metric_name", ["flat", "conformal"])
     def test_no_full_size_copy(self, metric_name):
         # A plane-first field reshapes to the driver's (-1, n, n) stack as a
-        # view: the scratch beyond the outputs is a few blocks of
-        # _ROW_BLOCK matrices, where one copy of h would be 4 MiB.
-        g = make_grid(res=(16, 16, 16, 16))
+        # view: the scratch beyond the outputs is two ranges in flight, each
+        # a few range-sized stacks of matrices (its copy under the metric's
+        # overwrite and its kernel's temporaries), where one copy of h would
+        # be 16 MiB.
+        g = make_grid(res=(32, 16, 32, 16))
         metric = self.METRICS[metric_name](g)
         h = gr.complex_hessian(g, np.random.default_rng(73).normal(size=g.shape))
-        assert is_plane_first(h) and h.nbytes == 4 * 2**20
+        assert is_plane_first(h) and h.nbytes == 16 * 2**20
         tracemalloc.start()
         try:
             out = gr.eig_wrt_metric(h, metric, vectors=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block = gr._ROW_BLOCK * 2 * 2 * 16  # bytes of one block of 2x2 complex matrices
-        assert peak - sum(o.nbytes for o in out) < 6 * block
+        stack = 4 * gr._ROW_BLOCK * 2 * 2 * 16  # bytes of one range of 2x2 complex matrices
+        assert peak - sum(o.nbytes for o in out) < 2 * 4 * stack
+
+
+def _block_loop(rows, step, task):
+    """A stand-in for ``errors._on_two_lanes`` that runs one
+    ``_ROW_BLOCK``-node block at a time on the calling thread, whatever the
+    range length it is given."""
+    return [task(lo, min(lo + gr._ROW_BLOCK, rows)) for lo in range(0, rows, gr._ROW_BLOCK)]
+
+
+@pytest.mark.filterwarnings("error")
+class TestEighLanes:
+    """``_eigh`` cuts the node stack into ranges of ``4 * _ROW_BLOCK`` nodes,
+    taken by the calling thread and one helper thread; its eigenpairs, NaN
+    nodes and threads are those of one pass over ``_ROW_BLOCK``-node blocks."""
+
+    METRICS = TestPlaneFirstLayout.METRICS
+    NON_FINITE = {5: np.nan, 40_000: np.inf, 40_001: -np.inf}  # ranges 0 and 2
+    DEGENERATE = [20_000, 20_001, 50_620, 50_624]  # range 1 and the tail
+    # LAPACK solves every node at n = 4, so its runs are few
+    CASES = [(n, metric_name, vectors) for n in (2, 3) for metric_name in ("flat", "conformal", "general")
+             for vectors in (True, False)]
+    CASES += [(4, "flat", True), (4, "conformal", False)]
+
+    @classmethod
+    def case(cls, n, metric_name):
+        """A grid of 15 ** 4 = 50,625 nodes, three ranges and a tail of
+        1,473, its metric, and a random field on it that is the
+        metric times 2 at the nodes of ``DEGENERATE`` and has an entry of
+        ``NON_FINITE`` in its lower triangle at each of those nodes."""
+        g = make_grid(n=n, res=(15, 15) + (1, 1) * (n - 2) + (15, 15))
+        step = 4 * gr._ROW_BLOCK
+        assert g.num_nodes > 3 * step and g.num_nodes % gr._ROW_BLOCK
+        metric = cls.METRICS[metric_name](g)
+        h = random_hermitian(np.random.default_rng([n, len(metric_name)]), g.shape, n)
+        flat = h.reshape(-1, n, n)
+        flat[cls.DEGENERATE] = 2.0 * metric.matrix().reshape(-1, n, n)[cls.DEGENERATE]
+        for node, entry in cls.NON_FINITE.items():
+            flat[node, n - 1, 0] = entry
+        return g, metric, h
+
+    @staticmethod
+    def runs(h, metric, vectors, monkeypatch):
+        """The outputs of two lanes, of a helper lane that takes every range,
+        and of the block loop."""
+        out = {"two lanes": gr.eig_wrt_metric(h, metric, vectors)}
+        with monkeypatch.context() as patch:
+            patch.setattr(er, "_helper_lane", InlineLane())
+            out["helper first"] = gr.eig_wrt_metric(h, metric, vectors)
+        with monkeypatch.context() as patch:
+            patch.setattr(gr, "_on_two_lanes", _block_loop)
+            out["blocks"] = gr.eig_wrt_metric(h, metric, vectors)
+        return {name: x if vectors else (x,) for name, x in out.items()}
+
+    @pytest.mark.parametrize("n, metric_name, vectors", CASES,
+                             ids=[f"n{n}-{m}-{'vectors' if v else 'values'}" for n, m, v in CASES])
+    def test_outputs_do_not_depend_on_the_lane_or_the_range(self, n, metric_name, vectors, monkeypatch):
+        g, metric, h = self.case(n, metric_name)
+        lapack = LapackRows(monkeypatch)
+        out = self.runs(h, metric, vectors, monkeypatch)
+        # LAPACK solves the near-degenerate n = 3 nodes, in range 1 and the
+        # tail, and every finite node at n = 4, once per run
+        solved = {2: 0, 3: len(self.DEGENERATE), 4: g.num_nodes - len(self.NON_FINITE)}[n]
+        assert len(lapack.rows()) == 3 * solved
+        ref = out.pop("blocks")
+        for name, got in out.items():
+            for x, want in zip(got, ref):
+                assert is_plane_first(x, x.ndim - len(g.shape))
+                np.testing.assert_array_equal(x, want, err_msg=name)
+        bad = np.zeros(g.num_nodes, bool)
+        bad[list(self.NON_FINITE)] = True
+        for x in ref:
+            x = x.reshape(g.num_nodes, -1)
+            assert np.isnan(x[bad]).all() and np.isfinite(x[~bad]).all()
+        lam = ref[0].reshape(-1, n)
+        np.testing.assert_allclose(lam[self.DEGENERATE], 2.0, rtol=1e-12)
+
+    def test_ranges_cover_the_stack_once(self, monkeypatch):
+        g, metric, h = self.case(3, "conformal")
+        sizes, kernel = [], gr._eigh3
+        monkeypatch.setattr(gr, "_eigh3", lambda blk, lam, vec: sizes.append(len(blk)) or kernel(blk, lam, vec))
+        gr.eig_wrt_metric(h, metric, vectors=True)
+        step = 4 * gr._ROW_BLOCK
+        assert sorted(sizes) == [g.num_nodes % step] + [step] * (g.num_nodes // step)
+
+    def test_one_helper_thread_at_most(self):
+        before = threading.active_count()
+        for n in (2, 3):
+            g, metric, h = self.case(n, "flat")
+            gr.eig_wrt_metric(h, metric, vectors=True)
+            gr.eig_wrt_metric(h, metric)
+        assert threading.active_count() <= before + 1
+
+    def test_concurrent_callers_share_the_helper(self, monkeypatch):
+        # more caller threads than cores, switching often, on many small
+        # ranges: a range lost, taken twice or written into another
+        # caller's outputs changes a result
+        monkeypatch.setattr(gr, "_ROW_BLOCK", 16)  # 64-node ranges
+        g = make_grid(n=3, res=(8, 1, 8, 1, 8, 8))
+        metric = gr.metric_conformal(g, 0.3)
+        fields = [random_hermitian(np.random.default_rng(80 + k), g.shape, 3) for k in range(4)]
+        ref = [gr.eig_wrt_metric(h, metric, vectors=True) for h in fields]
+        got = [None] * 4
+
+        def caller(k):
+            got[k] = gr.eig_wrt_metric(fields[k], metric, vectors=True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for out, want in zip(got, ref):
+            for x, y in zip(out, want):
+                np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_a_forked_child_runs_eig_wrt_metric(self):
+        # the parent's helper thread is running; in the child it does not exist
+        g, metric, h = self.case(3, "conformal")
+        ref = gr.eig_wrt_metric(h, metric, vectors=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # a fork with threads
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(30)  # a child whose ranges never run ends here
+                out = gr.eig_wrt_metric(h, metric, vectors=True)
+                code = 0 if all(np.array_equal(x, y, equal_nan=True) for x, y in zip(out, ref)) else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
