@@ -51,7 +51,12 @@ The plane is the family's rule: the smallest of sigma_1..sigma_k, NaN
 where one overflowed, by default; min lam, NaN where a coordinate is not
 finite, for log-ma, with no sigma table; and S - max lam, two column folds
 with no deleted-sum table, for log-p.  A refused node is named off the
-same plane, and the violated inequality is read off that point alone.
+same plane, and the violated inequality is read off that point alone.  A
+point inside the cone can still overflow an output (1/lam_1 at
+lam_1 = 5e-324, a deleted sum past 1.8e308), so ``value``, ``grad`` and
+``value_grad`` form their outputs with overflow warnings off and fold each
+into one sum; an output that is not finite everywhere is refused by name,
+at its first such node.
 """
 
 import math
@@ -331,8 +336,11 @@ class ConeFunction:
     an eigenvalue field) and flat index of the first refused point, read off
     the same plane; the inequality is read off that point alone, by
     ``Cone.violated_inequality``.  Overflow and NaN inside the check raise
-    no warning.  An empty batch has no point outside: every entry point
-    returns empty arrays of its shape.
+    no warning.  A value or gradient that is not finite at a point the
+    check accepts is refused with :class:`ConeDomainError` too, naming the
+    output and, for batched input, its first such node (``_outputs``).  An
+    empty batch has no point outside: every entry point returns empty arrays
+    of its shape.
     """
 
     family = None
@@ -390,15 +398,41 @@ class ConeFunction:
             raise ConeDomainError(f"point outside {self.cone.ray_description()}{where}: "
                                   + self.cone.violated_inequality(lam[node]))
 
+    def _outputs(self, lam, names):
+        """The outputs ``names`` ("value", "grad") at the points lam, which
+        pass the one cone check first.  They are formed with overflow,
+        division by zero and invalid values silenced, and each is then
+        folded into one sum, which a NaN or infinite entry makes non-finite:
+        an output that is not finite everywhere is refused with
+        :class:`ConeDomainError` naming it and its first such node, as a
+        point inside the cone can still overflow one (1/lam_1 at
+        lam_1 = 5e-324, a deleted sum past 1.8e308).  A sum that overflows
+        from finite entries alone is let through by an entrywise test."""
+        lam, data = self._check(lam)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            outputs = tuple(getattr(self, "_" + name)(lam, data) for name in names)
+            for name, x in zip(names, outputs):
+                if math.isfinite(np.sum(x)):
+                    continue
+                ok = np.isfinite(x)
+                if ok.ndim == lam.ndim:  # a gradient: one row per point
+                    ok = ok.all(axis=-1)
+                if ok.all():
+                    continue
+                node, first = _first_bad(ok)
+                where = f" at node {node}, flat index {first}" if lam.ndim > 1 else ""
+                raise ConeDomainError(f"{self.describe()} {'gradient' if name == 'grad' else name}{where} "
+                                      f"is not finite: {x[node]}")
+        return outputs
+
     def value(self, lam):
-        return self._value(*self._check(lam))
+        return self._outputs(lam, ("value",))[0]
 
     def grad(self, lam):
-        return self._grad(*self._check(lam))
+        return self._outputs(lam, ("grad",))[0]
 
     def value_grad(self, lam):
-        lam, data = self._check(lam)
-        return self._value(lam, data), self._grad(lam, data)
+        return self._outputs(lam, ("value", "grad"))
 
     def margin(self, lam):
         return self.cone.margin(lam)

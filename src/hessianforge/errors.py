@@ -11,10 +11,14 @@ numpy's and LAPACK's loops, which release the interpreter lock, run two at
 once.  Its callers are the lemma batteries and the stability scan
 (``hermitian``; ranges of ``_ROW_BLOCK // 4`` = 1024 rows), the concavity
 probe (``cones.concavity_probe``; ranges of ``2 * _ROW_BLOCK`` = 8192
-points) and the per-node eigensolve (``grid._eigh``; ranges of
-``4 * _ROW_BLOCK`` = 16,384 nodes).  At most two ranges are in flight, one
-per lane, and each caller says what one range holds.  Everything else in
-the package runs on the calling thread alone."""
+points), the per-node eigensolve (``grid._eigh``; ranges of
+``4 * _ROW_BLOCK`` = 16,384 nodes) and the tensor assembly
+(``grid._assemble`` and ``grid.hat_transform``; ranges of whole rows of
+grid axis 0, at least ``16 * _ROW_BLOCK`` = 65,536 nodes).  At most two
+ranges are in flight, one per lane, and each caller says what one range
+holds.  A process that may use one CPU alone runs every range on the
+calling thread.  Everything else in the package runs on the calling
+thread alone."""
 
 import contextvars
 import math
@@ -42,7 +46,12 @@ import numpy as np
 # lane to lane at every numpy call and ran slower on two lanes than on
 # one.  A range's closed-form temporaries are about 2 MiB at n = 2 and 5
 # MiB at n = 3, plus its 1 or 2.25 MiB copy of the reduced matrix on a
-# metric that is not flat.
+# metric that is not flat.  The tensor assembly (``grid._assemble``) and
+# ``grid.hat_transform`` run ranges of the fewest whole rows of grid axis 0
+# that hold sixteen blocks, 65,536 nodes: two rows of the 8^6 grid, four of
+# the 32 x 32 x 32 x 16 one.  A range allocates no full-size array; its
+# scratch is its own rows of the result's lower planes and a few
+# range-sized planes, about 0.5 MiB each.
 _ROW_BLOCK = 4096
 
 
@@ -113,6 +122,13 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_helper_lane)
 
 
+def _one_cpu():
+    """Whether this process may run on one CPU alone, read at each call;
+    False where the platform cannot tell."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return affinity is not None and len(affinity(0)) == 1
+
+
 def _on_two_lanes(rows, step, task):
     """``[task(lo, hi), ...]`` over consecutive ranges of ``max(1, step)``
     of ``rows`` rows, in range order; the one scheduler of the batched
@@ -120,7 +136,10 @@ def _on_two_lanes(rows, step, task):
 
     Two lanes, the calling thread and the helper lane, each take the next
     range not yet taken until none is left, so at most two tasks are in
-    flight; a call of one range or none runs on the calling thread alone.
+    flight; a call of one range or none, and every call of a process that
+    may use one CPU alone (``os.sched_getaffinity``, where the platform has
+    it), runs on the calling thread alone, as two lanes on one CPU only
+    take turns.
     An exception of either lane stops both from taking more ranges and
     reaches the caller unchanged once the other lane is idle: no task of a
     call runs after the call returns or raises.  The helper runs its ranges
@@ -145,7 +164,7 @@ def _on_two_lanes(rows, step, task):
                     untaken.clear()
                 raise
 
-    if len(results) <= 1:
+    if len(results) <= 1 or _one_cpu():
         lane()
         return results
     helper = _helper_lane.submit(contextvars.copy_context().run, lane)

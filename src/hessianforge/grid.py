@@ -39,14 +39,23 @@ once and shares it between the mixed Hessian stencils and the first-order
 terms.  The scales 1/(2h), 1/h^2 and the Hessian's 1/4 are folded into one
 coefficient per product: a float per Hessian stencil, and each coefficient
 field of a first-order term divided by 2h at its natural shape.  Each real
-and imaginary plane of the upper triangle is combined in two scratch
-buffers and written once into the (..., n, n) result; the lower triangle is
-one conjugate of it.  A first-order term, such as the torsion term Z(du) or
-the eta coupling of :func:`gfield`, enters as real coefficient fields on
-the first derivatives, one list per plane, with identically zero fields
+and imaginary plane of the upper triangle is combined in two scratch buffers
+and written once into the (..., n, n) result; the lower triangle is one
+conjugate of it.  A first-order term, such as the torsion term Z(du) or the
+eta coupling of :func:`gfield`, enters as real coefficient fields on the
+first derivatives, one list per plane, with identically zero fields
 dropped.  The torsion term's planes depend on the metric alone, and
 :class:`Metric` builds them once.  On a diagonal metric the traces and the
 multiples of omega are elementwise.
+
+The assembler runs on two lanes, the calling thread and one helper thread
+(``errors._on_two_lanes``), over ranges of whole rows of grid axis 0, which
+is always periodic, of at least ``16 * _ROW_BLOCK`` = 65,536 nodes: one pass
+fills the first differences, and a second assembles each range's rows of
+every plane and runs the caller's per-node tail on them (``+= chi`` in
+:func:`gfield`, chihat in :func:`gauduchon_fields`).  :func:`hat_transform`
+runs the same ranges.  No range allocates a full-size array: its scratch is
+its own rows of the result's lower planes.
 
 The per-node eigenproblems of :func:`eig_wrt_metric` all go through one
 driver, :func:`_eigh`: closed forms at n = 2 and n = 3, and LAPACK's
@@ -54,12 +63,12 @@ driver, :func:`_eigh`: closed forms at n = 2 and n = 3, and LAPACK's
 coincide, where the closed form would miss a 1e-12 relative target.  On
 every n and metric, a node with a NaN or infinite entry gets NaN eigenpairs
 without a warning.  A diagonal metric (flat, conformal and product metrics
-all are) reduces them elementwise.  The driver is the module's one pass on
-two lanes: it cuts the node stack into ranges of ``4 * _ROW_BLOCK`` =
-16,384 nodes, which the calling thread and one helper thread solve
-(``errors._on_two_lanes``), each into its own slice of the outputs, so the
-results are the bits of one pass.  The metric reduction, the
-back-transform and everything else here run on the calling thread.
+all are) reduces them elementwise.  The driver cuts the node stack into
+ranges of ``4 * _ROW_BLOCK`` = 16,384 nodes, which the two lanes solve,
+each into its own slice of the outputs.  Every lane pass here writes only
+its own rows or nodes, so its results are the bits of one pass.  The
+metric reduction, the back-transform and everything else here run on the
+calling thread.
 
 Layout rule: every Hermitian field and every eigen output this module
 allocates (the assembled tensor fields, :func:`hat_transform`, the reduced
@@ -262,9 +271,10 @@ def _field(grid, u):
     return np.ascontiguousarray(u, np.result_type(u.dtype, 1.0))
 
 
-def _diff(grid, u, axis, order, out=None):
+def _diff(grid, u, axis, order, out=None, lo=0, hi=None):
     """The unscaled first (``order`` 1) or second (2) difference of u along
-    ``axis``, written into ``out`` (an array of u's shape and dtype) or a
+    ``axis`` on the rows [lo, hi) of axis 0 (all of them by default),
+    written into ``out`` (an array of those rows' shape and u's dtype) or a
     fresh one, and returned: the one stencil kernel.
 
     Along an axis of stride s in the C-contiguous flattened field, the
@@ -272,11 +282,15 @@ def _diff(grid, u, axis, order, out=None):
     u[k + s] - 2 u[k] + u[k - s].  Where that shift crosses an end plane,
     the value is wrong, and the two end planes are then rewritten: wrapped
     around on a periodic axis, closed one-sided to second order on Re w.
-    The order of operations is that of the roll stencils, so d1 and d2,
-    this difference divided by 2h or h^2, match them bit for bit.  Zero on
-    a length-1 axis; a length other than 1 or the grid's resolution, and an
-    axis outside 0..2n-1, raise :class:`GridError`.  u may carry trailing
-    (n, n) axes.
+    Along every axis but 0 this runs on the rows' slab u[lo:hi], itself
+    C-contiguous.  Along axis 0, which is periodic (Re w is axis 2n-2 >= 2),
+    the rows inside the slab are one shifted subtraction that reads the
+    neighbouring rows, and rows 0 and R-1 wrap around where the range holds
+    them.  The order of operations is that of the roll stencils, so d1 and
+    d2, this difference divided by 2h or h^2, match them bit for bit, and
+    so do the rows of any range.  Zero on a length-1 axis; a length other
+    than 1 or the grid's resolution, and an axis outside 0..2n-1, raise
+    :class:`GridError`.  u may carry trailing (n, n) axes.
     """
     if axis not in range(2 * grid.n):
         raise GridError(f"axis {axis} out of range 0..{2 * grid.n - 1}")
@@ -284,11 +298,26 @@ def _diff(grid, u, axis, order, out=None):
     length, res = u.shape[axis], grid.resolutions[axis]
     if length not in (1, res):
         raise GridError(f"axis {axis}: field has length {length} where the grid has {res}")
+    hi = u.shape[0] if hi is None else hi
     if out is None:
-        out = np.empty_like(u)
+        out = np.empty((hi - lo,) + u.shape[1:], u.dtype)
     if length == 1:
         out[...] = 0
         return out
+    if axis == 0:
+        a, b = max(lo, 1), min(hi, length - 1)  # the rows whose neighbours do not wrap
+        rows = [(slice(a - lo, b - lo), slice(a + 1, b + 1), slice(a, b), slice(a - 1, b - 1))] if a < b else []
+        rows += [(k - lo, (k + 1) % length, k, k - 1) for k in (0, length - 1) if lo <= k < hi]
+        for dst, nxt, at, prv in rows:
+            if order == 1:
+                np.subtract(u[nxt], u[prv], out=out[dst])
+            else:
+                inner = out[dst]
+                np.multiply(u[at], 2, out=inner)
+                np.subtract(u[nxt], inner, out=inner)
+                inner += u[prv]
+        return out
+    u = u[lo:hi]
     s = math.prod(u.shape[axis + 1:])
     f, o = u.reshape(-1), out.reshape(-1)
     v, w = np.moveaxis(u, axis, 0), np.moveaxis(out, axis, 0)
@@ -408,7 +437,21 @@ def _torsion_planes(metric, za):
     return _planes(za), _planes(wa)
 
 
-def _assemble(grid, u, planes=(), weight=None, hessian=True, lead=()):
+def _range_rows(batch):
+    """Whole rows of axis 0 per range of the lane passes over a batch of
+    shape ``batch``: the fewest that hold ``16 * _ROW_BLOCK`` = 65,536
+    nodes, read at call time."""
+    return -(-16 * _ROW_BLOCK // max(1, math.prod(batch[1:])))
+
+
+def _rows(x, lo, hi, ndim):
+    """The rows [lo, hi) along the grid's axis 0 of a field x that has all
+    ``ndim`` axes and varies along axis 0; otherwise x itself, which
+    broadcasts along that axis."""
+    return x[lo:hi] if np.ndim(x) == ndim and np.shape(x)[0] > 1 else x
+
+
+def _assemble(grid, u, planes=(), weight=None, hessian=True, lead=(), tail=None):
     """The complex Hessian of u (unless ``hessian`` is False) plus the
     first-order term given by ``planes`` (see :func:`_planes`), times
     ``weight`` when one is given: the one assembler of the tensor fields.
@@ -422,19 +465,31 @@ def _assemble(grid, u, planes=(), weight=None, hessian=True, lead=()):
     Hessian's 1/4 into one float per second difference; 1/(2h) twice and
     1/4 into one float per stencil pair of a mixed term; and 1/(2h) into
     each coefficient field of the first-order term, at its natural shape.
-    Each first difference of u is formed once, on first use, and shared by
-    the mixed stencils and the coefficient fields.
+    Each first difference of u is formed once and shared by the mixed
+    stencils and the coefficient fields.
+
+    The work runs in two passes on two lanes, the calling thread and one
+    helper thread (``errors._on_two_lanes``), over ranges of whole rows of
+    axis 0 that hold at least ``16 * _ROW_BLOCK`` = 65,536 nodes (read at
+    call time); a batch of one such range, such as one whose axis 0 has
+    length 1, runs on the calling thread alone.  The first pass fills the
+    first differences, allocated once on the calling thread, range by
+    range; the second assembles each range's rows of every plane and then
+    runs ``tail(lo, hi, rows)``, the caller's per-node work on those rows
+    of the result, if one is given.  Each range writes only its own rows,
+    and a stencil along axis 0 reads its neighbours from whole fields, so
+    the result is the bits of one pass, whichever lane took a range.
 
     Each real and imaginary plane of the upper triangle is combined with
-    ``out=`` in two scratch buffers, the two halves of the memory of the
-    lower plane (j, i), and a stencil is written straight into the buffer
-    it is scaled in, so no scratch is allocated: on a large grid every
-    fresh page costs a fault.  The plane is then written once; a diagonal
-    entry, a quarter-Laplacian in one complex coordinate, as one complex
-    plane with zero imaginary part.  The lower plane is then one conjugate
-    of the upper, which is exact because stencils along distinct axes
-    commute.  An axis along which u has length 1 is never differentiated,
-    since all it would add is zero.
+    ``out=`` in two scratch buffers, the two halves of the range's rows of
+    the lower plane (j, i), and a stencil is written straight into the
+    buffer it is scaled in: a range allocates no full-size array, and on a
+    large grid every fresh page costs a fault.  The plane is then written
+    once; a diagonal entry, a quarter-Laplacian in one complex coordinate,
+    as one complex plane with zero imaginary part.  The lower plane is then
+    one conjugate of the upper, which is exact because stencils along
+    distinct axes commute.  An axis along which u has length 1 is never
+    differentiated, since all it would add is zero.
     """
     n = grid.n
     u = _field(grid, u)
@@ -451,62 +506,83 @@ def _assemble(grid, u, planes=(), weight=None, hessian=True, lead=()):
         shapes.append(np.shape(weight))
     batch = np.broadcast_shapes(u.shape, lead, *shapes)
     out = _plane_first(batch, (n, n))
-    firsts = {}
-
-    def first(axis):
-        if axis not in firsts:
-            firsts[axis] = _diff(grid, u, axis, 1)
-        return firsts[axis]
+    step = _range_rows(batch)
+    entries = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     def stencils(i, j, part):
-        """(field, axis, order, coefficient) of each stencil of the
-        Hessian's plane: the unscaled difference of the field along axis."""
+        """(first, axis, order, coefficient) of each stencil of the
+        Hessian's plane: the unscaled difference along axis of u, where
+        ``first`` is None, or of u's first difference along ``first``."""
         if not hessian:
             return []
         xi, yi, xj, yj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
         if i == j:
-            return [(u, axis, 2, 0.25 / (h[axis] * h[axis])) for axis in (xi, yi) if live[axis]]
+            return [(None, axis, 2, 0.25 / (h[axis] * h[axis])) for axis in (xi, yi) if live[axis]]
         pairs = ((xi, xj, 1), (yi, yj, 1)) if part == 0 else ((xi, yj, 1), (yi, xj, -1))
-        return [(first(inner), outer, 1, sign * 0.0625 / (h[outer] * h[inner]))
+        return [(inner, outer, 1, sign * 0.0625 / (h[outer] * h[inner]))
                 for outer, inner, sign in pairs if live[outer] and live[inner]]
 
-    def combine(products, acc, tmp, started):
+    used = {first for i, j in entries for part in range(1 + (i < j)) for first, *_ in stencils(i, j, part)}
+    used |= {axis for fields in terms.values() for axis, _ in fields}
+    firsts = {axis: np.empty_like(u) for axis in sorted(used - {None})}
+
+    def difference(lo, hi):
+        for axis, first in firsts.items():
+            _diff(grid, u, axis, 1, first[lo:hi], lo, hi)
+
+    def combine(products, acc, tmp, started, lo, hi):
         """Add the products into ``acc``, which holds a partial sum only
         when ``started``; returns whether it now does.  A stencil is
         written straight into the buffer it is scaled in when the shapes
         and dtypes agree."""
         for x, axis, order, c in products:
             dst = tmp if started else acc
-            if axis is not None:
-                direct = x.shape == dst.shape and x.dtype == dst.dtype
-                x = _diff(grid, x, axis, order, dst if direct else None)
-            np.multiply(x, c, out=dst)
+            if axis is None:
+                x = _rows(x, lo, hi, len(batch))
+            else:
+                # the range's rows, or x's one row where x is constant along axis 0
+                a, b = (lo, hi) if x.shape[0] > 1 else (0, 1)
+                direct = (b - a,) + x.shape[1:] == dst.shape and x.dtype == dst.dtype
+                x = _diff(grid, x, axis, order, dst if direct else None, a, b)
+            np.multiply(x, _rows(c, lo, hi, len(batch)), out=dst)
             if started:
                 np.add(acc, tmp, out=acc)
             started = True
         return started
 
-    # the scratch of entry (i, j) is the lower plane (j, i), free until the
-    # conjugate fills it; the diagonal, done first, borrows (1, 0)
+    # the scratch of entry (i, j) is the range's rows of the lower plane
+    # (j, i), free until the conjugate fills them; the diagonal, done
+    # first, borrows (1, 0)
     lower = np.moveaxis(out, (-2, -1), (0, 1))
-    for i, j in [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]:
-        memory = lower[(j, i) if i < j else (1, 0)].reshape(-1).view(float)
-        acc, tmp = memory.reshape((2,) + batch)
-        for part in range(1 + (i < j)):
-            fields = [(first(axis), None, 1, c) for axis, c in terms.get((i, j, part), ())]
-            started = False
-            if weight is not None and fields:
-                started = combine(fields, acc, tmp, started)
-                np.multiply(acc, weight, out=acc)
-                fields = []
-            started = combine(stencils(i, j, part) + fields, acc, tmp, started)
-            plane = acc if started else 0.0
-            if i == j:
-                out[..., i, i] = plane
-            else:
-                (out.real, out.imag)[part][..., i, j] = plane
-        if i < j:
-            np.conjugate(out[..., i, j], out=out[..., j, i])
+
+    def assemble(lo, hi):
+        rows = out[lo:hi]
+        for i, j in entries:
+            memory = lower[(j, i) if i < j else (1, 0)][lo:hi].reshape(-1).view(float)
+            acc, tmp = memory.reshape((2, hi - lo) + batch[1:])
+            for part in range(1 + (i < j)):
+                fields = [(firsts[axis], None, 1, c) for axis, c in terms.get((i, j, part), ())]
+                started = False
+                if weight is not None and fields:
+                    started = combine(fields, acc, tmp, started, lo, hi)
+                    np.multiply(acc, _rows(weight, lo, hi, len(batch)), out=acc)
+                    fields = []
+                products = [(u if first is None else firsts[first], axis, order, c)
+                            for first, axis, order, c in stencils(i, j, part)]
+                started = combine(products + fields, acc, tmp, started, lo, hi)
+                plane = acc if started else 0.0
+                if i == j:
+                    rows[..., i, i] = plane
+                else:
+                    (rows.real, rows.imag)[part][..., i, j] = plane
+            if i < j:
+                np.conjugate(rows[..., i, j], out=rows[..., j, i])
+        if tail is not None:
+            tail(lo, hi, rows)
+
+    if firsts:
+        _on_two_lanes(u.shape[0], step, difference)
+    _on_two_lanes(batch[0], step, assemble)
     return out
 
 
@@ -667,9 +743,15 @@ def gfield(grid, u, chi, eta=None):
         _check_field(grid, eta, "eta", (grid.n,))
         eta = np.asarray(eta, dtype=complex)
         planes = _planes(np.eye(grid.n)[:, :, None] * np.conj(eta)[..., None, None, :])
-    out = _assemble(grid, u, planes, lead=np.shape(chi)[:-2])
-    out += chi
-    return out
+    chi = np.asarray(chi)
+
+    def add_chi(lo, hi, rows):
+        part = _rows(chi, lo, hi, 2 * grid.n + 2)
+        for i in range(grid.n):
+            for j in range(grid.n):
+                np.add(rows[..., i, j], part[..., i, j], out=rows[..., i, j])
+
+    return _assemble(grid, u, planes, lead=chi.shape[:-2], tail=add_chi)
 
 
 def _check_field(grid, h, name, tail):
@@ -763,13 +845,43 @@ def z_tensor(grid, metric, u, za=None):
     return _assemble(grid, u, planes, hessian=False)
 
 
-def _add_metric_multiple(h, s, metric):
-    """h += s g in place; on a diagonal metric only the real diagonal."""
-    if metric.is_diagonal:
-        for i in range(metric.grid.n):
-            h.real[..., i, i] += s * metric.g[..., i, i].real
-    else:
-        h += s[..., None, None] * metric.g
+def _trace(ginv, h, diagonal):
+    """sum g^{i jbar} H_{i jbar}, real, from the inverse metric ``ginv``;
+    on a diagonal metric the elementwise sum of g^{i ibar} Re H_{i ibar}."""
+    if not diagonal:
+        return np.einsum("...ji,...ij->...", ginv, h).real
+    tr = ginv[..., 0, 0].real * h[..., 0, 0].real
+    for i in range(1, h.shape[-1]):
+        tr += ginv[..., i, i].real * h[..., i, i].real
+    return tr
+
+
+def _hat(metric, h, out, lo, hi, per=1, add=False):
+    """The rows [lo, hi) of (tr_omega H / per) g - H, along the grid's axis
+    0, written into ``out``, which holds those rows, or with ``add`` added
+    to it: the one hat/trace helper, which :func:`hat_transform` and the
+    chihat of :func:`gauduchon_fields` run range by range.  Each entry
+    plane is done on its own, -H written (or subtracted) first and the
+    multiple of g added after; on a diagonal metric only to the real
+    diagonal.  A plane-first ``out`` then takes each step as one contiguous
+    run, where a step over all n^2 planes of a range at once would go
+    through numpy's iteration buffers."""
+    ndim = 2 * metric.grid.n + 2
+    h, ginv, g = (_rows(x, lo, hi, ndim) for x in (h, metric.inverse, metric.g))
+    tr = _trace(ginv, h, metric.is_diagonal)
+    if per != 1:
+        tr = tr / per
+    for i in range(metric.grid.n):
+        for j in range(metric.grid.n):
+            entry = out[..., i, j]
+            if add:
+                np.subtract(entry, h[..., i, j], out=entry)
+            else:
+                np.negative(h[..., i, j], out=entry)
+            if not metric.is_diagonal:
+                np.add(entry, tr * g[..., i, j], out=entry)
+            elif i == j:
+                np.add(entry.real, tr * g[..., i, i].real, out=entry.real)
 
 
 def trace_wrt_metric(metric, h):
@@ -780,26 +892,24 @@ def trace_wrt_metric(metric, h):
     ``grid.shape + (n, n)``, or :class:`GridError` names both shapes.
     """
     _check_field(metric.grid, h, "field", (metric.grid.n,) * 2)
-    ginv = metric.inverse
-    if not metric.is_diagonal:
-        return np.einsum("...ji,...ij->...", ginv, h).real
-    tr = ginv[..., 0, 0].real * h[..., 0, 0].real
-    for i in range(1, metric.grid.n):
-        tr += ginv[..., i, i].real * h[..., i, i].real
-    return tr
+    return _trace(metric.inverse, h, metric.is_diagonal)
 
 
 def hat_transform(metric, h):
     """(tr_omega H) g - H; exchanges the two forms of the deleted-sum equation.
 
     On a diagonal metric it is -H with (tr_omega H) g_ii added to the
-    diagonal.  h is checked as for :func:`trace_wrt_metric`.
+    diagonal.  h is checked as for :func:`trace_wrt_metric`.  The result is
+    allocated plane-first, and its ranges of whole rows of axis 0, at least
+    ``16 * _ROW_BLOCK`` nodes each, run on two lanes
+    (``errors._on_two_lanes``), each into its own rows; a range allocates
+    no full-size array, and the result is the bits of one pass.
     """
-    tr = trace_wrt_metric(metric, h)
+    _check_field(metric.grid, h, "field", (metric.grid.n,) * 2)
+    h = np.asarray(h)
     n = metric.grid.n
-    out = _plane_first(np.broadcast_shapes(np.shape(h)[:-2], metric.g.shape[:-2]), (n, n))
-    np.negative(h, out=out)
-    _add_metric_multiple(out, tr, metric)
+    out = _plane_first(np.broadcast_shapes(h.shape[:-2], metric.g.shape[:-2]), (n, n))
+    _on_two_lanes(out.shape[0], _range_rows(out.shape[:-2]), lambda lo, hi: _hat(metric, h, out[lo:hi], lo, hi))
     return out
 
 
@@ -816,17 +926,25 @@ def gauduchon_fields(grid, u, chi, rho, metric):
     rho W/(n-1) come from one :func:`_assemble` call: the first derivatives
     of u are formed once and shared, and W/(n-1) enters through the W
     planes of ``metric.torsion_planes``, weighted by rho.  chihat is added
-    after, and U is the :func:`hat_transform` of the g-form.  On a diagonal
-    metric the traces and the multiples of omega are elementwise.  ``chi``
-    is checked as in :func:`gfield`, and ``rho``, a scalar field, must
-    broadcast to ``grid.shape``.
+    in each range of that call, as its tail, and U is the
+    :func:`hat_transform` of the g-form; both run on two lanes in ranges of
+    whole rows of axis 0, at least ``16 * _ROW_BLOCK`` nodes each, through
+    the one hat/trace helper, and no range allocates a full-size array.
+    Both forms have the broadcast shape of u, chi, rho, the W planes and
+    the metric.  On a diagonal metric the traces and the multiples of omega
+    are elementwise.  ``chi`` is checked as in :func:`gfield`, and ``rho``,
+    a scalar field, must broadcast to ``grid.shape``.
     """
     _check_grid(grid, metric)
     _check_field(grid, chi, "chi", (grid.n, grid.n))
     _check_field(grid, rho, "rho", ())
-    g_form = _assemble(grid, u, metric.torsion_planes[1], weight=rho, lead=np.shape(chi)[:-2])
-    g_form -= chi
-    _add_metric_multiple(g_form, trace_wrt_metric(metric, chi) / (grid.n - 1), metric)
+    chi = np.asarray(chi)
+
+    def chihat(lo, hi, rows):
+        _hat(metric, chi, rows, lo, hi, per=grid.n - 1, add=True)
+
+    lead = np.broadcast_shapes(chi.shape[:-2], metric.g.shape[:-2])
+    g_form = _assemble(grid, u, metric.torsion_planes[1], weight=rho, lead=lead, tail=chihat)
     return hat_transform(metric, g_form), g_form
 
 

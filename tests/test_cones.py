@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from test_hermitian import InlineLane
+from test_hermitian import InlineLane, two_cpus  # noqa: F401 (a fixture)
 
 from hessianforge import cones as cn
 from hessianforge import errors as er
@@ -1296,6 +1296,46 @@ class TestOneConeCheck:
         assert [name for name, family in cn.FAMILIES.items() if "_check" in vars(family)] == []
 
 
+class TestFiniteOutputs:
+    """A point inside the cone can still overflow an output: ``value``,
+    ``grad`` and ``value_grad`` refuse an output that is not finite with
+    :class:`ConeDomainError` naming it and its node, with no RuntimeWarning,
+    and return every finite one."""
+
+    # points the one cone check accepts, and the outputs that overflow there
+    CASES = [
+        ("log-ma", {}, [5e-324, 1.0, 1.0], "gradient"),  # 1/lam_1
+        ("log-sigma-k", {"k": 3}, [5e-324, 1.0, 1.0], "gradient"),  # sigma_2(1, 1)/sigma_3
+        ("log-p", {}, [-1.4e308, 1.5e308, 1.5e308], "value"),  # the deleted sum S - lam_1
+    ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    @pytest.mark.parametrize("entry", ["value", "grad", "value_grad"])
+    @pytest.mark.parametrize("family, kw, point, bad", CASES, ids=[case[0] for case in CASES])
+    def test_refused_by_name(self, family, kw, point, bad, entry, batched):
+        f = make(family, 3, **kw)
+        lam, where = np.array(point), ""
+        if batched:
+            lam = np.ones((2, 4, 3))
+            lam[1, 2] = point
+            where = " at node (1, 2), flat index 6"
+        if bad in {"value": ("value",), "grad": ("gradient",), "value_grad": ("value", "gradient")}[entry]:
+            message = f"{f.describe()} {bad}{where} is not finite: "
+            with pytest.raises(cn.ConeDomainError, match="^" + re.escape(message)):
+                getattr(f, entry)(lam)
+        else:
+            assert np.isfinite(getattr(f, entry)(lam)).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_sum_that_overflows_from_finite_entries_is_accepted(self):
+        # each gradient entry is 1e308; their sum overflows, the entries do not
+        value, grad = make("log-ma", 2).value_grad(np.full((2, 2), 1e-308))
+        np.testing.assert_array_equal(grad, np.full((2, 2), 1e308))
+        assert np.isfinite(value).all()
+
+
+@pytest.mark.usefixtures("two_cpus")
 class TestProbeLanes:
     """``concavity_probe`` cuts its flattened batch into ranges of
     ``2 * _ROW_BLOCK`` points, taken by the calling thread and one helper

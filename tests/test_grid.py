@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from test_hermitian import InlineLane
+from test_hermitian import InlineLane, NoHelper, two_cpus  # noqa: F401 (a fixture)
 
 from hessianforge import cones as cn
 from hessianforge import errors as er
@@ -1029,6 +1029,19 @@ class TestGauduchonFields:
         with pytest.raises(gr.GridError, match=re.escape(message)):
             gr.gauduchon_fields(g, np.zeros(g.shape), np.eye(2), np.ones(shape), gr.metric_conformal(g, 0.3))
 
+    def test_metric_wider_than_u_chi_and_rho(self):
+        # at n = 2 the conformal metric has no W planes, so only the metric
+        # varies along x_1: both forms take its shape
+        g = make_grid(res=(8, 1, 8, 1))
+        metric = gr.metric_conformal(g, 0.3)
+        u = np.random.default_rng(8).normal(size=(1, 1, 8, 1))
+        u_form, g_form = gr.gauduchon_fields(g, u, np.eye(2), 0.5, metric)
+        assert u_form.shape == g_form.shape == g.shape + (2, 2)
+        dense_u = np.broadcast_to(u, g.shape)
+        want = gr.gauduchon_fields(g, dense_u, np.broadcast_to(np.eye(2), g.shape + (2, 2)), 0.5, metric)
+        np.testing.assert_array_equal(u_form, want[0])
+        np.testing.assert_array_equal(g_form, want[1])
+
     def test_flat_identity_case(self):
         # u = 0, rho = 0, chi = I: U = I and the companion form is I/(n-1)
         g = make_grid(n=3, res=(8, 1, 8, 1, 8, 1))
@@ -1601,9 +1614,9 @@ class TestAssembler:
         calls = []
         kernel = gr._diff
 
-        def diff(grid, field, axis, order, out=None):
+        def diff(grid, field, axis, order, *out_and_rows):
             calls.append((order, field is u, axis))
-            return kernel(grid, field, axis, order, out)
+            return kernel(grid, field, axis, order, *out_and_rows)
 
         monkeypatch.setattr(gr, "_diff", diff)
         return calls
@@ -1763,6 +1776,7 @@ def _block_loop(rows, step, task):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.usefixtures("two_cpus")
 class TestEighLanes:
     """``_eigh`` cuts the node stack into ranges of ``4 * _ROW_BLOCK`` nodes,
     taken by the calling thread and one helper thread; its eigenpairs, NaN
@@ -1892,3 +1906,130 @@ class TestEighLanes:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.usefixtures("two_cpus")
+class TestAssembleLanes:
+    """``_assemble``, the tails of :func:`gfield` and
+    :func:`gauduchon_fields`, and :func:`hat_transform` run ranges of whole
+    rows of axis 0, at least ``16 * _ROW_BLOCK`` nodes each, on the calling
+    thread and one helper thread; their fields, memory and threads are those
+    of one pass."""
+
+    # _ROW_BLOCK 32 makes ranges of one row of 512 or 576 nodes; 48 makes
+    # ranges of two rows and a tail of row 8, whose neighbours wrap
+    BLOCKS = [32, 48]
+    METRICS = {**TestPlaneFirstLayout.METRICS, "product": lambda g: gr.metric_product(g, product_profile)}
+
+    @staticmethod
+    def grid(n):
+        """Nine rows along axis 0, of 576 nodes at n = 2 and 512 at n = 3."""
+        return make_grid(n=n, res=(9, 8, 9, 8) if n == 2 else (9, 8, 8, 1, 8, 1))
+
+    @classmethod
+    def fields(cls, case):
+        """The outputs of one case on a random u, constant along axis 0 in
+        the cases whose name says so, while chi, eta or rho vary there."""
+        n = 2 if case in ("complex_hessian", "gfield-eta", "gfield-u-const") else 3
+        g = cls.grid(n)
+        rng = np.random.default_rng([n, len(case)])
+        const = case.endswith("u-const")
+        u = rng.normal(size=((1,) if const else (9,)) + g.shape[1:])
+        x0 = np.cos(g.coord_field(0))
+        if case == "complex_hessian":
+            return (gr.complex_hessian(g, u),)
+        if case.startswith("gfield"):
+            chi = (2.0 + x0)[..., None, None] * np.eye(n) + 0j
+            eta = (1.0 + 0.2 * x0)[..., None] * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            return (gr.gfield(g, u, chi, eta=eta),)
+        metric = cls.METRICS[case.split("-")[1]](g)
+        if case.startswith("z_tensor"):
+            return (gr.z_tensor(g, metric, u, za=gr.z_coefficients(g, metric)),)
+        chi = 3.0 * metric.matrix() if case != "gauduchon-flat-u-const" else (2.0 + x0)[..., None, None] * np.eye(3)
+        rho = 0.5 + g.sigma_hat() + 0.1 * x0
+        u_form, g_form = gr.gauduchon_fields(g, u, chi, rho, metric)
+        return u_form, g_form, gr.hat_transform(metric, random_hermitian(rng, g.shape, 3))
+
+    CASES = ["complex_hessian", "gfield-eta", "gfield-u-const", "z_tensor-conformal", "gauduchon-flat",
+             "gauduchon-conformal", "gauduchon-product", "gauduchon-general", "gauduchon-flat-u-const",
+             "gauduchon-conformal-u-const"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_fields_do_not_depend_on_the_lane_or_the_range(self, case, monkeypatch):
+        one_pass = self.fields(case)
+        for block in self.BLOCKS:
+            monkeypatch.setattr(gr, "_ROW_BLOCK", block)
+            runs = {"two lanes": self.fields(case)}
+            with monkeypatch.context() as patch:
+                patch.setattr(er, "_helper_lane", InlineLane())
+                runs["helper first"] = self.fields(case)
+            with monkeypatch.context() as patch:
+                patch.setattr(gr, "_on_two_lanes", _block_loop)
+                runs["blocks"] = self.fields(case)
+            for name, got in runs.items():
+                for x, want in zip(got, one_pass, strict=True):
+                    assert x.shape == want.shape and is_plane_first(x), f"{name}, block {block}"
+                    np.testing.assert_array_equal(x, want, err_msg=f"{name}, block {block}")
+
+    def test_ranges_cover_the_rows_once(self, monkeypatch):
+        # every pass of the conformal gauduchon_fields: the first
+        # differences, the assembly with its chihat tail, and the hat
+        monkeypatch.setattr(gr, "_ROW_BLOCK", 48)
+        scheduler, passes = gr._on_two_lanes, []
+
+        def recording(rows, step, task):
+            seen = []
+            passes.append(seen)
+            return scheduler(rows, step, lambda lo, hi: seen.append((lo, hi)) or task(lo, hi))
+
+        monkeypatch.setattr(gr, "_on_two_lanes", recording)
+        self.fields("gauduchon-conformal")
+        ranges = [(0, 2), (2, 4), (4, 6), (6, 8), (8, 9)]
+        # the last pass is the random field's hat_transform
+        assert [sorted(seen) for seen in passes] == [ranges] * 4
+
+    def test_one_cpu_runs_on_the_caller_alone(self, monkeypatch):
+        monkeypatch.setattr(gr, "_ROW_BLOCK", 32)
+        two_lanes = [self.fields(case) for case in ("complex_hessian", "gauduchon-general")]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(er, "_helper_lane", NoHelper())
+        one_cpu = [self.fields(case) for case in ("complex_hessian", "gauduchon-general")]
+        for got, want in zip(one_cpu, two_lanes):
+            for x, y in zip(got, want, strict=True):
+                np.testing.assert_array_equal(x, y)
+
+    # the first differences each call keeps at its peak: along x_1 and y_1
+    # for the Hessian at n = 2; gauduchon_fields peaks in its
+    # hat_transform, once they are freed
+    FIRSTS = {"complex_hessian": 2, "gauduchon_fields": 0}
+
+    @pytest.mark.parametrize("call", list(FIRSTS))
+    def test_no_full_size_scratch(self, call, monkeypatch):
+        # ranges of one row, 2,048 nodes, where one full-size float plane
+        # is 256 KiB: the scratch beyond the outputs and the first
+        # differences is a few range-sized planes per lane
+        monkeypatch.setattr(gr, "_ROW_BLOCK", 128)
+        n = 3 if call == "gauduchon_fields" else 2
+        g = make_grid(n=n, res=(16, 8, 32, 8) if n == 2 else (16, 8, 8, 1, 32, 1))
+        metric = gr.metric_conformal(g, 0.3)
+        u = np.random.default_rng(90).normal(size=g.shape)
+        chi, rho = 3.0 * metric.matrix(), 0.5 * g.sigma_hat()
+        run = {"complex_hessian": lambda: (gr.complex_hessian(g, u),),
+               "gauduchon_fields": lambda: gr.gauduchon_fields(g, u, chi, rho, metric)}[call]
+        run()
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        plane = 2048 * 8  # bytes of one range's float plane
+        assert peak - sum(x.nbytes for x in out) - self.FIRSTS[call] * u.nbytes < 8 * plane
+
+    def test_one_helper_thread_at_most(self, monkeypatch):
+        monkeypatch.setattr(gr, "_ROW_BLOCK", 32)
+        before = threading.active_count()
+        for case in ("complex_hessian", "gauduchon-conformal"):
+            self.fields(case)
+        assert threading.active_count() <= before + 1

@@ -386,6 +386,22 @@ class InlineLane:
         return future
 
 
+class NoHelper:
+    """A stand-in for the helper lane's executor that refuses every task."""
+
+    def submit(self, fn, *args):
+        raise AssertionError("a range was handed to the helper lane")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The process may use two CPUs, so that ``errors._on_two_lanes`` runs
+    its helper lane even when the tests are pinned to one
+    (``taskset -c 0``), where it would run every range on the caller."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.mark.usefixtures("two_cpus")
 class TestTwoLanes:
     """Row ranges are taken by the calling thread and one helper thread;
     results, errors and threads are those of one lane."""
@@ -408,6 +424,16 @@ class TestTwoLanes:
         assert self.results(spec) == two_lanes
         monkeypatch.setattr(hm, "_ROW_BLOCK", 10**9)  # one range, on the caller alone
         assert self.results(spec) == two_lanes
+
+    def test_one_cpu_runs_every_range_on_the_caller(self, monkeypatch):
+        spec = rand_spec(np.random.default_rng(4), 6, 0.2)
+        two_lanes = self.results(spec)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(er, "_helper_lane", NoHelper())
+        assert self.results(spec) == two_lanes
+        threads = set()
+        er._on_two_lanes(8, 1, lambda lo, hi: threads.add(threading.get_ident()))
+        assert threads == {threading.get_ident()}
 
     @pytest.mark.parametrize("lane", ["helper", "caller"])
     def test_an_error_reaches_the_caller_after_both_lanes_stop(self, lane, monkeypatch):
