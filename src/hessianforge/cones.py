@@ -56,7 +56,8 @@ point inside the cone can still overflow an output (1/lam_1 at
 lam_1 = 5e-324, a deleted sum past 1.8e308), so ``value``, ``grad`` and
 ``value_grad`` form their outputs with overflow warnings off and fold each
 into one sum; an output that is not finite everywhere is refused by name,
-at its first such node.
+at its first such node.  log-p's ``grad`` alone, which an overflowed
+deleted sum would enter as 1/inf = 0, is refused wherever its value is.
 """
 
 import math
@@ -139,6 +140,15 @@ def _finite_min(table):
     if not np.max(table, initial=0.0) < math.inf:
         return low + 0.0 * _fold(np.maximum, table)
     return low
+
+
+def _refused(ok, lam):
+    """(node, where) of the first False entry of ``ok`` over the batch of
+    the points lam: the node, () for one point, and the text that names it
+    in an error, " at node (...), flat index k" for batched input and empty
+    for one point."""
+    node, first = _first_bad(ok)
+    return node, f" at node {node}, flat index {first}" if lam.ndim > 1 else ""
 
 
 def _floats(lam, name):
@@ -393,8 +403,7 @@ class ConeFunction:
             # NaN fails; an empty batch passes
             if np.min(plane, initial=math.inf) > 0.0 and np.max(plane, initial=0.0) < math.inf:
                 return lam, data
-            node, first = _first_bad((plane > 0.0) & (plane < math.inf))  # node () for one point
-            where = f" at node {node}, flat index {first}" if lam.ndim > 1 else ""
+            node, where = _refused((plane > 0.0) & (plane < math.inf), lam)
             raise ConeDomainError(f"point outside {self.cone.ray_description()}{where}: "
                                   + self.cone.violated_inequality(lam[node]))
 
@@ -419,8 +428,7 @@ class ConeFunction:
                     ok = ok.all(axis=-1)
                 if ok.all():
                     continue
-                node, first = _first_bad(ok)
-                where = f" at node {node}, flat index {first}" if lam.ndim > 1 else ""
+                node, where = _refused(ok, lam)
                 raise ConeDomainError(f"{self.describe()} {'gradient' if name == 'grad' else name}{where} "
                                       f"is not finite: {x[node]}")
         return outputs
@@ -564,6 +572,22 @@ class LogDeletedSums(ConeFunction):
 
     def _value(self, lam, total):
         return _fold(np.add, lam, lambda column: np.log(total - column))
+
+    def grad(self, lam):
+        """The gradient, refused where ``value`` is: a deleted sum past
+        1.8e308 overflows to inf and makes the value infinite, but would
+        enter the gradient as 1/inf = 0, finite and wrong.  The largest
+        deleted sum, S - min lam, is checked here alone, after the gradient;
+        ``value_grad`` refuses such a point through its value."""
+        grad = super().grad(lam)
+        lam = np.asarray(lam, dtype=float)
+        with np.errstate(over="ignore"):
+            ok = _fold(np.add, lam) - _fold(np.minimum, lam) < math.inf
+        if not np.all(ok):
+            node, where = _refused(ok, lam)
+            raise ConeDomainError(f"{self.describe()} gradient{where} is not finite: "
+                                  f"deleted sum {int(np.argmin(lam[node])) + 1} = inf")
+        return grad
 
     def _grad(self, lam, total):
         # the reciprocal deleted sums r_j = 1 / (S - lam_j) in the gradient's

@@ -11,14 +11,16 @@ numpy's and LAPACK's loops, which release the interpreter lock, run two at
 once.  Its callers are the lemma batteries and the stability scan
 (``hermitian``; ranges of ``_ROW_BLOCK // 4`` = 1024 rows), the concavity
 probe (``cones.concavity_probe``; ranges of ``2 * _ROW_BLOCK`` = 8192
-points), the per-node eigensolve (``grid._eigh``; ranges of
-``4 * _ROW_BLOCK`` = 16,384 nodes) and the tensor assembly
+points), the per-node eigensolve with its metric reduction and
+back-transform (``grid._eigh``; slabs of whole rows of the leading grid
+axes, at most ``4 * _ROW_BLOCK`` = 16,384 nodes) and the tensor assembly
 (``grid._assemble`` and ``grid.hat_transform``; ranges of whole rows of
 grid axis 0, at least ``16 * _ROW_BLOCK`` = 65,536 nodes).  At most two
 ranges are in flight, one per lane, and each caller says what one range
 holds.  A process that may use one CPU alone runs every range on the
-calling thread.  Everything else in the package runs on the calling
-thread alone."""
+calling thread, and a call made from inside a lane runs every range on
+that lane.  Everything else in the package runs on the calling thread
+alone."""
 
 import contextvars
 import math
@@ -41,12 +43,14 @@ import numpy as np
 # evaluations are in flight.  At n = 6 a range's peak is under 3 MiB (2.4
 # to 2.8 MiB traced for the families with a sigma table), most of it one
 # block's deleted vectors and their table; its gradient and lam - mu are
-# 0.4 MiB each.  The per-node eigensolve (``grid._eigh``) runs ranges of
-# four blocks, 16,384 nodes: shorter ones hand the interpreter lock from
-# lane to lane at every numpy call and ran slower on two lanes than on
-# one.  A range's closed-form temporaries are about 2 MiB at n = 2 and 5
-# MiB at n = 3, plus its 1 or 2.25 MiB copy of the reduced matrix on a
-# metric that is not flat.  The tensor assembly (``grid._assemble``) and
+# 0.4 MiB each.  The per-node eigensolve (``grid._eigh``) runs slabs of
+# whole rows of the leading grid axes that hold at most four blocks, 16,384
+# nodes: shorter ones hand the interpreter lock from lane to lane at every
+# numpy call and ran slower on two lanes than on one, and longer ones
+# outgrow the scratch bound.  A slab's closed-form temporaries are about 2
+# MiB at n = 2 and 5 MiB at n = 3, plus, on a metric that is not flat, its
+# 1 or 2.25 MiB reduced matrix (and on a dense metric its eigenvectors
+# before the back-transform).  The tensor assembly (``grid._assemble``) and
 # ``grid.hat_transform`` run ranges of the fewest whole rows of grid axis 0
 # that hold sixteen blocks, 65,536 nodes: two rows of the 8^6 grid, four of
 # the 32 x 32 x 32 x 16 one.  A range allocates no full-size array; its
@@ -122,6 +126,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_helper_lane)
 
 
+# Whether the running code is a task of ``_on_two_lanes``, on either lane:
+# a call made there runs on that lane alone, as the helper lane, busy with
+# the outer call, would never take a range of the inner one.
+_in_lane = contextvars.ContextVar("hessianforge_in_lane", default=False)
+
+
 def _one_cpu():
     """Whether this process may run on one CPU alone, read at each call;
     False where the platform cannot tell."""
@@ -139,7 +149,9 @@ def _on_two_lanes(rows, step, task):
     flight; a call of one range or none, and every call of a process that
     may use one CPU alone (``os.sched_getaffinity``, where the platform has
     it), runs on the calling thread alone, as two lanes on one CPU only
-    take turns.
+    take turns.  So does a call that a task makes, on whichever lane runs
+    that task: the helper lane is busy with the outer call, and a range
+    handed to it would wait behind the task that waits for it.
     An exception of either lane stops both from taking more ranges and
     reaches the caller unchanged once the other lane is idle: no task of a
     call runs after the call returns or raises.  The helper runs its ranges
@@ -152,19 +164,23 @@ def _on_two_lanes(rows, step, task):
     lock = threading.Lock()
 
     def lane():
-        while True:
-            with lock:
-                if not untaken:
-                    return
-                lo = untaken.pop()
-            try:
-                results[lo // step] = task(lo, min(lo + step, rows))
-            except BaseException:
+        inside = _in_lane.set(True)
+        try:
+            while True:
                 with lock:
-                    untaken.clear()
-                raise
+                    if not untaken:
+                        return
+                    lo = untaken.pop()
+                try:
+                    results[lo // step] = task(lo, min(lo + step, rows))
+                except BaseException:
+                    with lock:
+                        untaken.clear()
+                    raise
+        finally:
+            _in_lane.reset(inside)
 
-    if len(results) <= 1 or _one_cpu():
+    if len(results) <= 1 or _one_cpu() or _in_lane.get():
         lane()
         return results
     helper = _helper_lane.submit(contextvars.copy_context().run, lane)

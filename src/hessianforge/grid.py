@@ -63,21 +63,23 @@ driver, :func:`_eigh`: closed forms at n = 2 and n = 3, and LAPACK's
 coincide, where the closed form would miss a 1e-12 relative target.  On
 every n and metric, a node with a NaN or infinite entry gets NaN eigenpairs
 without a warning.  A diagonal metric (flat, conformal and product metrics
-all are) reduces them elementwise.  The driver cuts the node stack into
-ranges of ``4 * _ROW_BLOCK`` = 16,384 nodes, which the two lanes solve,
-each into its own slice of the outputs.  Every lane pass here writes only
-its own rows or nodes, so its results are the bits of one pass.  The
-metric reduction, the back-transform and everything else here run on the
-calling thread.
+all are) reduces them elementwise.  The driver cuts the node batch into
+slabs, runs of whole rows of its leading axes that hold at most
+``4 * _ROW_BLOCK`` = 16,384 nodes, which the two lanes take; each slab
+reduces its own nodes into a slab-sized scratch, solves them and
+back-transforms its own eigenvectors, into its own slice of the outputs,
+so no full-size array but the outputs is allocated.  Every lane pass here
+writes only its own rows or nodes, so its results are the bits of one
+pass.  Everything else here runs on the calling thread.
 
 Layout rule: every Hermitian field and every eigen output this module
-allocates (the assembled tensor fields, :func:`hat_transform`, the reduced
-matrix and the eigenvalues and eigenvectors of :func:`eig_wrt_metric`) is
-stored entry-plane-first, (n, n) + batch in memory, by one allocator,
-``_plane_first``, and handed out as the usual (..., n, n) view, or
-(..., n) for eigenvalues.  Each entry is then one contiguous plane over
-the grid, so the assembler, the metric reduction, the closed-form kernels
-and the cone layer read and write whole planes.  Readers index by shape and
+allocates (the assembled tensor fields, :func:`hat_transform`, each slab's
+reduced matrix and the eigenvalues and eigenvectors of
+:func:`eig_wrt_metric`) is stored entry-plane-first, (n, n) + batch in
+memory, by one allocator, ``_plane_first``, and handed out as the usual
+(..., n, n) view, or (..., n) for eigenvalues.  Each entry is then one
+contiguous plane over the grid, so the assembler, the metric reduction,
+the closed-form kernels and the cone layer read and write whole planes.  Readers index by shape and
 never rely on C order; an input of any layout is accepted, and values do
 not depend on it.
 """
@@ -458,7 +460,9 @@ def _assemble(grid, u, planes=(), weight=None, hessian=True, lead=(), tail=None)
     The result is allocated entry-plane-first, at the broadcast shape of u,
     the term's fields and ``lead``, the leading shape of a field the caller
     adds afterwards.  A complex u raises :class:`ValidationError`, and a u
-    with more axes than the grid :class:`GridError`.
+    that does not broadcast to the grid's shape, one with more axes than
+    the grid or an axis of length 0 among them, :class:`GridError` naming
+    both shapes (``_check_field``).
 
     Every stencil is an unscaled difference from :func:`_diff`, and the
     scales are folded into one coefficient per product: 1/h^2 and the
@@ -493,8 +497,7 @@ def _assemble(grid, u, planes=(), weight=None, hessian=True, lead=(), tail=None)
     """
     n = grid.n
     u = _field(grid, u)
-    if u.ndim > 2 * n:
-        raise GridError(f"field of shape {u.shape} has more axes than the grid {grid.shape}")
+    _check_field(grid, u, "u", ())
     if np.iscomplexobj(u):
         raise ValidationError(f"u must be real, got dtype {u.dtype}")
     live = [length > 1 for length in u.shape[: 2 * n]]
@@ -972,8 +975,8 @@ def _eigh2(h, lam, vec):
     and divided by s = |hd| + r, the modulus of its largest entry:
     (conj c/s, -1) when hd > 0, else (1, -c/s).  A scalar matrix (s = 0)
     gets the identity.  The second eigenvector is (-conj y, conj x) for a
-    first one (x, y).  Temporaries stay near 2 MiB on a range of
-    ``4 * _ROW_BLOCK`` nodes, the stack :func:`_eigh` hands it.
+    first one (x, y).  Temporaries stay near 2 MiB on a slab of
+    ``4 * _ROW_BLOCK`` nodes, the largest stack :func:`_eigh` hands it.
     """
     a2 = 0.5 * h[:, 0, 0].real
     d2 = 0.5 * h[:, 1, 1].real
@@ -1035,9 +1038,9 @@ def _eigh3(h, lam, vec):
     where p = 1, is shorter than ``_EIG3_GUARD``, which the gap bound
     implies but rounding might not.
 
-    Temporaries stay near 5 MiB on a range of ``4 * _ROW_BLOCK`` nodes, the
-    stack :func:`_eigh` hands it: each intermediate is dropped after its
-    last read.
+    Temporaries stay near 5 MiB on a slab of ``4 * _ROW_BLOCK`` nodes, the
+    largest stack :func:`_eigh` hands it: each intermediate is dropped
+    after its last read.
     """
     diag = [h[:, i, i].real for i in range(3)]
     off = [h[:, 1, 0], h[:, 2, 0], h[:, 2, 1]]
@@ -1125,53 +1128,97 @@ def _eigh3(h, lam, vec):
     return redo
 
 
-def _eigh(h, vectors, overwrite=False):
-    """Batched Hermitian eigensolve: the one driver, for every n.
+def _slabs(batch):
+    """The slabs of a node batch of shape ``batch``: runs of whole rows of
+    its leading axes, cut along the first axis whose trailing rows hold at
+    most ``4 * _ROW_BLOCK`` = 16,384 nodes (read at call time), as many rows
+    of it as fit in that many nodes.  Each is a tuple of slices, one per
+    axis up to the cut one, that keeps every axis; a batch with no axis is
+    one slab, ``()``."""
+    step = 4 * _ROW_BLOCK
+    for axis, length in enumerate(batch):
+        trailing = math.prod(batch[axis + 1:])
+        if trailing <= step:
+            rows = step // trailing
+            return [tuple(slice(i, i + 1) for i in outer) + (slice(lo, min(lo + rows, length)),)
+                    for outer in np.ndindex(batch[:axis]) for lo in range(0, length, rows)]
+    return [()]
 
-    Cuts the stack, on (-1, n[, n]) reshapes of h and of the outputs, into
-    ranges of ``4 * _ROW_BLOCK`` = 16,384 nodes (read at call time) and
-    solves them on two lanes, the calling thread and one helper thread
-    (``errors._on_two_lanes``).  Each range writes only its own slice of
-    the preallocated outputs, so the results are the bits of one pass over
-    ``_ROW_BLOCK``-node blocks, whichever lane took a range.  Two ranges'
-    temporaries are in flight, about 2 MiB each at n = 2 and 5 MiB at
-    n = 3, plus each range's copy under ``overwrite``; shorter ranges ran
-    slower on two lanes than on one, as each numpy call handed the
-    interpreter lock to the other lane.
 
-    The eigenvalues (and eigenvectors) are allocated plane-first, so their
-    reshapes are views and they are returned as they are, with no final
-    copy; h's reshape is a view too when its batch axes merge, as those of
-    a plane-first or C-ordered field do.  The closed forms :func:`_eigh2`
-    and :func:`_eigh3` write into the output slices they are handed and
-    return the nodes they leave to LAPACK's ``eigh``, which solves whole
-    ranges at every other n.  A node with a NaN or infinite entry in the
-    lower triangle or real diagonal, the entries all of them read, gets NaN
-    eigenpairs without a warning: its kernel sees zeros in its place, and
-    LAPACK never sees it.
+def _eigh(h, vectors, metric=None):
+    """Batched Hermitian eigensolve relative to ``metric``, or plain where
+    it is None or flat: the one driver, for every n and metric.
 
-    ``overwrite`` (with ``vectors``) writes the eigenvectors over h, a
-    complex array the caller gives up, whose batch axes must merge into a
-    view; they are returned as h itself.  Each range is then copied before
-    it is solved, in its own memory order, so no kernel's input aliases its
-    output and the kernels still read contiguous planes.
+    Cuts the node batch into slabs (see :func:`_slabs`), at most
+    ``4 * _ROW_BLOCK`` = 16,384 nodes each, and solves them on two lanes,
+    the calling thread and one helper thread (``errors._on_two_lanes``).
+    A slab reduces its own nodes (see :func:`eig_wrt_metric`) into a
+    slab-sized plane-first scratch, from views of h and of
+    ``metric.inv_cholesky`` at their natural shapes, solves them and
+    back-transforms its own eigenvectors, writing only its own slice of the
+    preallocated plane-first outputs.  The results are thus the bits of one
+    pass over the slabs, whichever lane took one, and no full-size array
+    but the outputs is allocated.  Two slabs are in flight, each with its
+    kernel's temporaries, about 2 MiB at n = 2 and 5 MiB at n = 3, and its
+    scratch; shorter slabs ran slower on two lanes than on one, as each
+    numpy call handed the interpreter lock to the other lane.
+
+    On a flat metric the kernels read h's own slab, a view where its axes
+    merge, as those of a plane-first or C-ordered field do.  The closed
+    forms :func:`_eigh2` and :func:`_eigh3` write into the output slices
+    they are handed and return the nodes they leave to LAPACK's ``eigh``,
+    which solves whole slabs at every other n.  A node with a NaN or
+    infinite entry in the lower triangle or real diagonal of the matrix
+    solved, the entries all of them read, gets NaN eigenpairs without a
+    warning: its kernel sees zeros in its place, and LAPACK never sees it.
     """
     n = h.shape[-1]
-    batch = h.shape[:-2]
-    flat = h.reshape(-1, n, n)
+    reduce = metric is not None and not metric.is_flat
+    if reduce:
+        linv = metric.inv_cholesky
+        batch = np.broadcast_shapes(h.shape[:-2], linv.shape[:-2])
+        h = h.reshape((1,) * (len(batch) + 2 - h.ndim) + h.shape)
+        if metric.is_diagonal:
+            d = np.diagonal(linv, axis1=-2, axis2=-1).real[..., :, None]
+            weight = d * np.swapaxes(d, -1, -2)
+        else:
+            linv_h = np.conj(np.swapaxes(linv, -1, -2))
+    else:
+        batch = h.shape[:-2]
     lam = _plane_first(batch, (n,), float)
-    vec = (h if overwrite else _plane_first(batch, (n, n))) if vectors else None
-    lam_f = lam.reshape(-1, n)
-    vec_f = None if vec is None else vec.reshape(-1, n, n)
+    vec = _plane_first(batch, (n, n)) if vectors else None
     kernel = {2: _eigh2, 3: _eigh3}.get(n)
+    slabs = _slabs(batch)
 
-    def solve(lo, hi):
-        blk, lam_b = flat[lo:hi], lam_f[lo:hi]
-        vec_b = None if vec_f is None else vec_f[lo:hi]
+    def solve(slab):
+        def part(x):  # x's rows of the slab; x broadcasts along a length-1 axis
+            return x[tuple(s if length > 1 else slice(None) for s, length in zip(slab, x.shape))]
+
+        lam_s = lam[slab]
+        shape = lam_s.shape[:-1]
+        lam_b = lam_s.reshape(-1, n)
+        vec_s = vec[slab] if vectors else None
+        vec_b = vec_s.reshape(-1, n, n) if vectors else None
+        if reduce:
+            reduced = _plane_first(shape, (n, n))
+            with np.errstate(invalid="ignore"):  # inf times 0 in the reduction
+                if metric.is_diagonal:
+                    np.multiply(part(h), part(weight), out=reduced, dtype=complex)
+                else:
+                    full = part(linv) @ part(h) @ part(linv_h)
+                    np.add(full, np.conj(np.swapaxes(full, -1, -2)), out=reduced)
+                    reduced *= 0.5
+                    del full
+            blk = reduced.reshape(-1, n, n)
+            if vectors and not metric.is_diagonal:  # v, before the back-transform writes L^-H v
+                vec_b = _plane_first(shape, (n, n)).reshape(-1, n, n)
+        else:
+            blk = h[slab].reshape(-1, n, n)
         bad = _non_finite(blk)
         skip = bad.any()
-        if skip or overwrite:
-            blk = blk.copy(order="K")
+        if skip:
+            if not reduce:
+                blk = blk.copy(order="K")
             blk[bad] = 0.0
         lapack = ~bad if kernel is None else kernel(blk, lam_b, vec_b)
         if lapack is not None:
@@ -1185,8 +1232,13 @@ def _eigh(h, vectors, overwrite=False):
             lam_b[bad] = np.nan
             if vectors:
                 vec_b[bad] = np.nan
+        if vectors and reduce:
+            if metric.is_diagonal:
+                vec_s *= part(d)
+            else:
+                np.matmul(part(linv_h), vec_b.reshape(shape + (n, n)), out=vec_s)
 
-    _on_two_lanes(flat.shape[0], 4 * _ROW_BLOCK, solve)
+    _on_two_lanes(len(slabs), 1, lambda lo, hi: [solve(slab) for slab in slabs[lo:hi]])
     return (lam, vec) if vectors else lam
 
 
@@ -1206,15 +1258,15 @@ def eig_wrt_metric(h, metric, vectors=False):
     Every eigenpair comes from :func:`_eigh`, the one driver, flat metric
     or not: closed forms at n = 2 and n = 3, and LAPACK's ``eigh`` at
     near-degenerate n = 3 nodes and at every other n.  All read only the
-    lower triangle and real diagonal of the reduced matrix, a private
-    plane-first array that the eigenvectors overwrite, one copied range at
-    a time; h itself is never written.  The eigenvalues and eigenvectors
-    are returned plane-first on every metric (see the module docstring):
-    the diagonal back-transform scales the eigenvectors in place, and the
-    general one writes its matmul into a plane-first output.  Only the
-    eigensolve runs on two lanes, in ranges of ``4 * _ROW_BLOCK`` nodes;
-    the reduction and the back-transform run on the calling thread, and
-    the scratch beyond the outputs is two ranges' (see :func:`_eigh`).
+    lower triangle and real diagonal of the reduced matrix; h itself is
+    never written.  The driver runs on two lanes, over slabs of whole rows
+    of the leading grid axes holding at most ``4 * _ROW_BLOCK`` = 16,384
+    nodes: each slab reduces its own nodes into a slab-sized scratch,
+    solves them, and back-transforms its own eigenvectors, the diagonal
+    one in place in the output and the general one as a matmul into it.
+    The eigenvalues and eigenvectors are returned plane-first on every
+    metric (see the module docstring), and the scratch beyond them is two
+    slabs' (see :func:`_eigh`).
 
     Non-finite policy: a node with a NaN or infinite entry among those read
     gets NaN eigenvalues and eigenvectors, the others are solved as if it
@@ -1226,23 +1278,4 @@ def eig_wrt_metric(h, metric, vectors=False):
     h = np.asarray(h)
     n = metric.grid.n
     _check_field(metric.grid, h, "field", (n, n))
-    if metric.is_flat:
-        return _eigh(h, vectors)
-    linv = metric.inv_cholesky
-    reduced = _plane_first(np.broadcast_shapes(h.shape[:-2], linv.shape[:-2]), (n, n))
-    with np.errstate(invalid="ignore"):
-        if metric.is_diagonal:
-            d = np.diagonal(linv, axis1=-2, axis2=-1).real[..., :, None]
-            np.multiply(h, d * np.swapaxes(d, -1, -2), out=reduced, dtype=complex)
-        else:
-            linv_h = np.conj(np.swapaxes(linv, -1, -2))
-            full = linv @ h @ linv_h
-            np.add(full, np.conj(np.swapaxes(full, -1, -2)), out=reduced)
-            reduced *= 0.5
-    if not vectors:
-        return _eigh(reduced, False)
-    lam, v = _eigh(reduced, True, overwrite=True)
-    if metric.is_diagonal:
-        v *= d
-        return lam, v
-    return lam, np.matmul(linv_h, v, out=_plane_first(v.shape[:-2], (n, n)))
+    return _eigh(h, vectors, metric)

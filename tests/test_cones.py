@@ -1302,26 +1302,30 @@ class TestFiniteOutputs:
     :class:`ConeDomainError` naming it and its node, with no RuntimeWarning,
     and return every finite one."""
 
-    # points the one cone check accepts, and the outputs that overflow there
+    # points the one cone check accepts, and the output each entry point
+    # refuses there
+    GRADIENT = {"grad": "gradient", "value_grad": "gradient"}
     CASES = [
-        ("log-ma", {}, [5e-324, 1.0, 1.0], "gradient"),  # 1/lam_1
-        ("log-sigma-k", {"k": 3}, [5e-324, 1.0, 1.0], "gradient"),  # sigma_2(1, 1)/sigma_3
-        ("log-p", {}, [-1.4e308, 1.5e308, 1.5e308], "value"),  # the deleted sum S - lam_1
+        ("log-ma", {}, [5e-324, 1.0, 1.0], GRADIENT),  # 1/lam_1
+        ("log-sigma-k", {"k": 3}, [5e-324, 1.0, 1.0], GRADIENT),  # sigma_2(1, 1)/sigma_3
+        # the deleted sum S - lam_1, whose reciprocal would enter the
+        # gradient as 0: the gradient alone is refused too
+        ("log-p", {}, [-1.4e308, 1.5e308, 1.5e308], {"value": "value", "grad": "gradient", "value_grad": "value"}),
     ]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
     @pytest.mark.parametrize("entry", ["value", "grad", "value_grad"])
-    @pytest.mark.parametrize("family, kw, point, bad", CASES, ids=[case[0] for case in CASES])
-    def test_refused_by_name(self, family, kw, point, bad, entry, batched):
+    @pytest.mark.parametrize("family, kw, point, refused", CASES, ids=[case[0] for case in CASES])
+    def test_refused_by_name(self, family, kw, point, refused, entry, batched):
         f = make(family, 3, **kw)
         lam, where = np.array(point), ""
         if batched:
             lam = np.ones((2, 4, 3))
             lam[1, 2] = point
             where = " at node (1, 2), flat index 6"
-        if bad in {"value": ("value",), "grad": ("gradient",), "value_grad": ("value", "gradient")}[entry]:
-            message = f"{f.describe()} {bad}{where} is not finite: "
+        if entry in refused:
+            message = f"{f.describe()} {refused[entry]}{where} is not finite: "
             with pytest.raises(cn.ConeDomainError, match="^" + re.escape(message)):
                 getattr(f, entry)(lam)
         else:

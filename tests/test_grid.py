@@ -196,7 +196,7 @@ class TestDerivatives:
             gr.d1(g, np.ones((16, 1, 8, 1)), 0)
         with pytest.raises(gr.GridError, match="axis 1: field has length 8 where the grid has 1"):
             gr.d2(g, np.ones((8, 8, 8, 1)), 1)
-        with pytest.raises(gr.GridError, match="axis 2: field has length 9 where the grid has 8"):
+        with pytest.raises(gr.GridError, match=re.escape("u of shape (8, 1, 9, 1) does not broadcast")):
             gr.complex_hessian(g, np.ones((8, 1, 9, 1)))
         for short in ((8, 1, 8), (8,)):
             with pytest.raises(gr.GridError, match=r"fewer axes than the grid \(8, 1, 8, 1\)"):
@@ -376,11 +376,22 @@ class TestGField:
         with pytest.raises(gr.GridError, match=re.escape(message)):
             gr.gfield(g, np.zeros(g.shape), np.eye(2), eta)
 
+    @pytest.mark.parametrize("shape", [(8, 1, 0, 1), (0, 1, 8, 1), (8, 0, 8, 1)])
+    def test_u_with_a_zero_length_axis_is_refused(self, shape):
+        # an empty field would come back, as such an axis is never
+        # differentiated
+        g = make_grid(res=(8, 1, 8, 1))
+        message = f"u of shape {shape} does not broadcast to the grid's (8, 1, 8, 1)"
+        for call in (lambda u: gr.complex_hessian(g, u), lambda u: gr.gfield(g, u, np.eye(2)),
+                     lambda u: gr.z_tensor(g, gr.metric_flat(g), u, np.zeros((2, 2, 2)))):
+            with pytest.raises(gr.GridError, match=re.escape(message)):
+                call(np.zeros(shape))
+
     def test_u_with_more_axes_than_the_grid_is_refused(self):
         # a trailing axis would be read as a stack, and the result would be
         # a (..., 3, 2, 2) stack of fields
         g = make_grid(res=(8, 1, 8, 1))
-        message = "field of shape (8, 1, 8, 1, 3) has more axes than the grid (8, 1, 8, 1)"
+        message = "u of shape (8, 1, 8, 1, 3) does not broadcast to the grid's (8, 1, 8, 1)"
         for call in (lambda u: gr.complex_hessian(g, u), lambda u: gr.gfield(g, u, np.eye(2)),
                      lambda u: gr.z_tensor(g, gr.metric_flat(g), u, np.zeros((2, 2, 2)))):
             with pytest.raises(gr.GridError, match=re.escape(message)):
@@ -998,14 +1009,14 @@ class TestClosedFormEigh3:
         TestDiagonalMetric.assert_generalized_eigenpairs(h, metric.matrix(), lam, v)
 
     @staticmethod
-    def scratch_bytes(h, metric):
+    def scratch_bytes(h, metric, vectors=True):
         tracemalloc.start()
         try:
-            out = gr.eig_wrt_metric(h, metric, vectors=True)
+            out = gr.eig_wrt_metric(h, metric, vectors=vectors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak - sum(o.nbytes for o in out)
+        return peak - sum(o.nbytes for o in (out if vectors else (out,)))
 
     def test_scratch_memory_stays_flat(self):
         # The driver allocates its outputs plus two 16,384-node ranges'
@@ -1019,6 +1030,18 @@ class TestClosedFormEigh3:
         # With a metric, the eigenvectors overwrite the reduced matrix
         # instead of taking a second array of that size.
         assert self.scratch_bytes(h, gr.metric_conformal(g, 0.3)) <= 16 * 2**20
+
+    @pytest.mark.parametrize("metric_name", ["conformal", "general"])
+    def test_values_alone_keep_two_slabs_of_scratch(self, metric_name):
+        # Each 16,384-node slab reduces its own nodes into a 2.25 MiB
+        # scratch (on the general metric after two matrix products and a
+        # conjugate of that size), which its kernel's 5 MiB of temporaries
+        # then read: two slabs in flight stay under 16 MiB, where the whole
+        # reduced matrix alone is 36 MiB on these 262,144 nodes.
+        g = make_grid(n=3, res=(8, 8, 8, 8, 8, 8))
+        h = random_hermitian(np.random.default_rng(35), g.shape, 3)
+        metric = TestPlaneFirstLayout.METRICS[metric_name](g)
+        assert self.scratch_bytes(h, metric, vectors=False) <= 16 * 2**20
 
 
 class TestGauduchonFields:
@@ -1275,18 +1298,20 @@ class TestNaturalShape:
         dense = gr.Metric(g, np.broadcast_to(np.eye(2), g.shape + (2, 2)))
         h = gr.complex_hessian(g, np.random.default_rng(31).normal(size=g.shape)) + np.eye(2)
 
+        # the kernel's one slab of the 64 nodes is read from the caller's
+        # own array on both flat metrics, and from a reduced copy otherwise
         solved = []
-        eigh = gr._eigh
-        monkeypatch.setattr(gr, "_eigh", lambda a, *args, **kw: solved.append(a) or eigh(a, *args, **kw))
+        kernel = gr._eigh2
+        monkeypatch.setattr(gr, "_eigh2", lambda blk, *args: solved.append(blk) or kernel(blk, *args))
         for metric in (dense, gr.metric_flat(g)):
             assert metric.is_flat
             solved.clear()
             lam, v = gr.eig_wrt_metric(h, metric, vectors=True)
-            assert len(solved) == 1 and solved[0] is h  # the caller's own array, not reduced
+            assert len(solved) == 1 and np.shares_memory(solved[0], h)  # a view of h, not reduced
             np.testing.assert_allclose(h @ v, v * lam[..., None, :], rtol=0, atol=1e-12)
         solved.clear()
         gr.eig_wrt_metric(h, gr.metric_conformal(g, 0.3))
-        assert len(solved) == 1 and solved[0] is not h
+        assert len(solved) == 1 and not np.shares_memory(solved[0], h)
 
     @pytest.mark.parametrize("shape", [
         (3, 3), (1, 1), (2,), (), (4, 1, 1, 1, 2, 2), (8, 1, 8, 2, 2, 2), (2, 8, 1, 8, 1, 2, 2),
@@ -1769,33 +1794,37 @@ class TestPlaneFirstLayout:
 
 
 def _block_loop(rows, step, task):
-    """A stand-in for ``errors._on_two_lanes`` that runs one
-    ``_ROW_BLOCK``-node block at a time on the calling thread, whatever the
-    range length it is given."""
+    """A stand-in for ``errors._on_two_lanes`` that runs its rows on the
+    calling thread, ``_ROW_BLOCK`` at a time, whatever the range length it
+    is given: one pass over the rows of axis 0 for the assembly, and every
+    slab of ``_eigh``, one at a time in order."""
     return [task(lo, min(lo + gr._ROW_BLOCK, rows)) for lo in range(0, rows, gr._ROW_BLOCK)]
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.usefixtures("two_cpus")
 class TestEighLanes:
-    """``_eigh`` cuts the node stack into ranges of ``4 * _ROW_BLOCK`` nodes,
-    taken by the calling thread and one helper thread; its eigenpairs, NaN
-    nodes and threads are those of one pass over ``_ROW_BLOCK``-node blocks."""
+    """``_eigh`` cuts the node batch into slabs of whole rows of its leading
+    axes, at most ``4 * _ROW_BLOCK`` nodes each, taken by the calling thread
+    and one helper thread, and each slab reduces, solves and back-transforms
+    its own nodes; its eigenpairs, NaN nodes and threads are those of one
+    slab at a time on the calling thread."""
 
-    METRICS = TestPlaneFirstLayout.METRICS
-    NON_FINITE = {5: np.nan, 40_000: np.inf, 40_001: -np.inf}  # ranges 0 and 2
-    DEGENERATE = [20_000, 20_001, 50_620, 50_624]  # range 1 and the tail
+    METRICS = dict(TestPlaneFirstLayout.METRICS, product=lambda g: gr.metric_product(g, product_profile))
+    NON_FINITE = {5: np.nan, 40_000: np.inf, 40_001: -np.inf}  # slabs 0 and 2
+    DEGENERATE = [20_000, 20_001, 50_620, 50_624]  # slab 1 and the short last one
     # LAPACK solves every node at n = 4, so its runs are few
-    CASES = [(n, metric_name, vectors) for n in (2, 3) for metric_name in ("flat", "conformal", "general")
+    CASES = [(n, metric_name, vectors) for n in (2, 3) for metric_name in ("flat", "conformal", "product", "general")
              for vectors in (True, False)]
     CASES += [(4, "flat", True), (4, "conformal", False)]
 
     @classmethod
     def case(cls, n, metric_name):
-        """A grid of 15 ** 4 = 50,625 nodes, three ranges and a tail of
-        1,473, its metric, and a random field on it that is the
-        metric times 2 at the nodes of ``DEGENERATE`` and has an entry of
-        ``NON_FINITE`` in its lower triangle at each of those nodes."""
+        """A grid of 15 ** 4 = 50,625 nodes, four slabs of four rows of
+        axis 0 (13,500 nodes), the last of three, its metric, and a random
+        field on it that is the metric times 2 at the nodes of
+        ``DEGENERATE`` and has an entry of ``NON_FINITE`` in its lower
+        triangle at each of those nodes."""
         g = make_grid(n=n, res=(15, 15) + (1, 1) * (n - 2) + (15, 15))
         step = 4 * gr._ROW_BLOCK
         assert g.num_nodes > 3 * step and g.num_nodes % gr._ROW_BLOCK
@@ -1842,14 +1871,64 @@ class TestEighLanes:
             assert np.isnan(x[bad]).all() and np.isfinite(x[~bad]).all()
         lam = ref[0].reshape(-1, n)
         np.testing.assert_allclose(lam[self.DEGENERATE], 2.0, rtol=1e-12)
+        self.assert_scipy(h, metric, ref[0], range(0, g.num_nodes, 997))
+
+    @staticmethod
+    def assert_scipy(h, metric, lam, nodes):
+        """Eigenvalues at the flat indices ``nodes`` against scipy's
+        generalized eigh, to 1e-12 relative."""
+        n = h.shape[-1]
+        shape = metric.grid.shape
+        hs = np.broadcast_to(h, shape + (n, n)).reshape(-1, n, n)
+        gs, lam = metric.matrix().reshape(-1, n, n), lam.reshape(-1, n)
+        for node in nodes:
+            ref = scipy.linalg.eigh(hs[node], gs[node], eigvals_only=True)
+            np.testing.assert_allclose(lam[node], ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
+
+    @pytest.mark.parametrize("n, vectors", [(2, True), (3, True), (3, False)])
+    def test_a_field_constant_along_axis_0(self, n, vectors, monkeypatch):
+        # the conformal metric varies along axis 0, where each slab reads
+        # the field's one row
+        g = make_grid(n=n, res=(15, 15) + (1, 1) * (n - 2) + (15, 15))
+        metric = self.METRICS["conformal"](g)
+        h = random_hermitian(np.random.default_rng([n, 15]), (1,) + g.shape[1:], n)
+        out = self.runs(h, metric, vectors, monkeypatch)
+        ref = out.pop("blocks")
+        for name, got in out.items():
+            for x, want in zip(got, ref):
+                assert x.shape[: len(g.shape)] == g.shape
+                np.testing.assert_array_equal(x, want, err_msg=name)
+        self.assert_scipy(h, metric, ref[0], range(0, g.num_nodes, 997))
 
     def test_ranges_cover_the_stack_once(self, monkeypatch):
         g, metric, h = self.case(3, "conformal")
         sizes, kernel = [], gr._eigh3
         monkeypatch.setattr(gr, "_eigh3", lambda blk, lam, vec: sizes.append(len(blk)) or kernel(blk, lam, vec))
         gr.eig_wrt_metric(h, metric, vectors=True)
-        step = 4 * gr._ROW_BLOCK
-        assert sorted(sizes) == [g.num_nodes % step] + [step] * (g.num_nodes // step)
+        # whole rows of axis 0, 3,375 nodes each, as many as fit in a slab
+        row = g.num_nodes // g.shape[0]
+        rows = 4 * gr._ROW_BLOCK // row
+        assert sorted(sizes) == [g.shape[0] % rows * row] + [rows * row] * (g.shape[0] // rows)
+
+    @pytest.mark.parametrize("batch, cut, rows", [
+        ((32, 32, 32, 16), 0, 1), ((8,) * 6, 1, 4), ((15, 15, 15, 15), 0, 4), ((3, 5), 0, 3), ((), None, None),
+        ((16_385,), 0, 16_384), ((2, 16_385), 1, 16_384),
+    ])
+    def test_the_slab_rule(self, batch, cut, rows):
+        # cut along the first axis whose trailing rows hold at most 16,384
+        # nodes, as many of its rows as fit; each slab keeps every axis
+        slabs = gr._slabs(batch)
+        if cut is None:
+            assert slabs == [()]
+            return
+        covered = np.zeros(batch, int)
+        for slab in slabs:
+            assert len(slab) == cut + 1 and all(s.stop - s.start == 1 for s in slab[:cut])
+            start, stop = slab[cut].start, slab[cut].stop
+            assert stop - start == min(rows, batch[cut] - start) and covered[slab].ndim == len(batch)
+            assert covered[slab].size <= 4 * gr._ROW_BLOCK
+            covered[slab] += 1
+        assert (covered == 1).all()
 
     def test_one_helper_thread_at_most(self):
         before = threading.active_count()

@@ -484,6 +484,24 @@ class TestTwoLanes:
             er._on_two_lanes(2, 1, task)
         assert seen == ["ignore"]
 
+    def test_a_call_from_inside_a_lane_runs_on_that_lane(self):
+        # the inner call of the helper's task would otherwise queue behind
+        # that task on the helper lane and wait for ever
+        before = threading.active_count()
+
+        def task(lo, hi):
+            return threading.get_ident(), er._on_two_lanes(3, 1, lambda lo, hi: (threading.get_ident(), lo))
+
+        got = []
+        outer = threading.Thread(target=lambda: got.append(er._on_two_lanes(4, 1, task)), daemon=True)
+        outer.start()
+        outer.join(timeout=10)
+        assert not outer.is_alive()
+        assert len(got[0]) == 4
+        for thread, inner in got[0]:
+            assert inner == [(thread, 0), (thread, 1), (thread, 2)]
+        assert threading.active_count() <= before + 1
+
     def test_one_helper_thread_at_most(self):
         before = threading.active_count()
         spec = rand_spec(np.random.default_rng(6), 6, 0.2)
