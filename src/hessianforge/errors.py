@@ -49,8 +49,8 @@ import numpy as np
 # numpy call and ran slower on two lanes than on one, and longer ones
 # outgrow the scratch bound.  A slab's closed-form temporaries are about 2
 # MiB at n = 2 and 5 MiB at n = 3, plus, on a metric that is not flat, its
-# 1 or 2.25 MiB reduced matrix (and on a dense metric its eigenvectors
-# before the back-transform).  The tensor assembly (``grid._assemble``) and
+# 1 or 2.25 MiB reduced matrix, on every such metric; its eigenvectors are
+# back-transformed in place.  The tensor assembly (``grid._assemble``) and
 # ``grid.hat_transform`` run ranges of the fewest whole rows of grid axis 0
 # that hold sixteen blocks, 65,536 nodes: two rows of the 8^6 grid, four of
 # the 32 x 32 x 32 x 16 one.  A range allocates no full-size array; its

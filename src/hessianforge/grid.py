@@ -45,8 +45,9 @@ conjugate of it.  A first-order term, such as the torsion term Z(du) or the
 eta coupling of :func:`gfield`, enters as real coefficient fields on the
 first derivatives, one list per plane, with identically zero fields
 dropped.  The torsion term's planes depend on the metric alone, and
-:class:`Metric` builds them once.  On a diagonal metric the traces and the
-multiples of omega are elementwise.
+:class:`Metric` builds them once.  The traces and the multiples of omega
+sum over the entries the metric uses (``Metric.entries``), which on a
+diagonal metric are the diagonal alone.
 
 The assembler runs on two lanes, the calling thread and one helper thread
 (``errors._on_two_lanes``), over ranges of whole rows of grid axis 0, which
@@ -62,8 +63,10 @@ driver, :func:`_eigh`: closed forms at n = 2 and n = 3, and LAPACK's
 ``eigh`` at every other n and at the n = 3 nodes whose eigenvalues nearly
 coincide, where the closed form would miss a 1e-12 relative target.  On
 every n and metric, a node with a NaN or infinite entry gets NaN eigenpairs
-without a warning.  A diagonal metric (flat, conformal and product metrics
-all are) reduces them elementwise.  The driver cuts the node batch into
+without a warning.  Every metric but the flat one takes one reduction, a
+sum of plane products over the entries of L^-1 it uses, which on a
+diagonal metric (conformal and product metrics are) is h_ij d_i d_j, with d
+the real diagonal of L^-1.  The driver cuts the node batch into
 slabs, runs of whole rows of its leading axes that hold at most
 ``4 * _ROW_BLOCK`` = 16,384 nodes, which the two lanes take; each slab
 reduces its own nodes into a slab-sized scratch, solves them and
@@ -628,9 +631,12 @@ class Metric:
       :func:`_torsion_planes`): the Z planes, read by :func:`z_tensor`,
       and the W/(n-1) planes, read by :func:`gauduchon_fields`;
     - ``is_flat`` (g is exactly the identity), which lets
-      :func:`eig_wrt_metric` skip the reduction, and ``is_diagonal`` (every
-      off-diagonal entry is exactly 0), which makes that reduction,
-      :func:`trace_wrt_metric` and :func:`hat_transform` elementwise.
+      :func:`eig_wrt_metric` skip the reduction;
+    - ``entries``, the (i, j) entries, in row-major order, whose plane of
+      g, ``inverse`` or ``inv_cholesky`` is not identically zero: the terms
+      the reduction of :func:`eig_wrt_metric`, :func:`trace_wrt_metric` and
+      :func:`hat_transform` sum, as the torsion planes leave out their
+      identically zero fields.  A diagonal metric uses its diagonal alone.
 
     Nothing can change afterwards: the dataclass is frozen, and ``g`` is a
     read-only complex copy, so writing into it raises and writing into the
@@ -641,7 +647,7 @@ class Metric:
     grid: ProductGrid
     g: np.ndarray
     is_flat: bool = field(init=False)
-    is_diagonal: bool = field(init=False)
+    entries: tuple = field(init=False)
     inverse: np.ndarray = field(init=False, repr=False)
     inv_cholesky: np.ndarray = field(init=False, repr=False)
     torsion_planes: tuple = field(init=False, repr=False)
@@ -658,9 +664,10 @@ class Metric:
         self._keep("g", g)
         self.validate_positive()
         object.__setattr__(self, "is_flat", bool(np.all(g == np.eye(n))))
-        object.__setattr__(self, "is_diagonal", bool(np.all((g == 0) | np.eye(n, dtype=bool))))
         self._keep("inverse", np.linalg.inv(g))
         self._keep("inv_cholesky", np.linalg.inv(np.linalg.cholesky(g)))
+        used = np.any((g != 0) | (self.inverse != 0) | (self.inv_cholesky != 0), axis=tuple(range(g.ndim - 2)))
+        object.__setattr__(self, "entries", tuple((i, j) for i in range(n) for j in range(n) if used[i, j]))
         planes = _torsion_planes(self, z_coefficients(self.grid, self))
         object.__setattr__(self, "torsion_planes", planes)
 
@@ -848,14 +855,15 @@ def z_tensor(grid, metric, u, za=None):
     return _assemble(grid, u, planes, hessian=False)
 
 
-def _trace(ginv, h, diagonal):
-    """sum g^{i jbar} H_{i jbar}, real, from the inverse metric ``ginv``;
-    on a diagonal metric the elementwise sum of g^{i ibar} Re H_{i ibar}."""
-    if not diagonal:
-        return np.einsum("...ji,...ij->...", ginv, h).real
+def _trace(ginv, h, entries):
+    """sum g^{i jbar} H_{i jbar}, real, from the inverse metric ``ginv``,
+    over a metric's ``entries``, which start at (0, 0), accumulated in
+    place in their row-major order: a diagonal term is g^{i ibar} times
+    Re H_{i ibar}, real times real, and an off-diagonal one
+    Re(g^{i jbar} H_{i jbar})."""
     tr = ginv[..., 0, 0].real * h[..., 0, 0].real
-    for i in range(1, h.shape[-1]):
-        tr += ginv[..., i, i].real * h[..., i, i].real
+    for i, j in entries[1:]:
+        tr += ginv[..., i, i].real * h[..., i, i].real if i == j else (ginv[..., j, i] * h[..., i, j]).real
     return tr
 
 
@@ -865,13 +873,13 @@ def _hat(metric, h, out, lo, hi, per=1, add=False):
     to it: the one hat/trace helper, which :func:`hat_transform` and the
     chihat of :func:`gauduchon_fields` run range by range.  Each entry
     plane is done on its own, -H written (or subtracted) first and the
-    multiple of g added after; on a diagonal metric only to the real
-    diagonal.  A plane-first ``out`` then takes each step as one contiguous
-    run, where a step over all n^2 planes of a range at once would go
-    through numpy's iteration buffers."""
+    multiple of g added after, on the metric's ``entries`` alone, and on
+    the diagonal to the real part alone.  A plane-first ``out`` then takes
+    each step as one contiguous run, where a step over all n^2 planes of a
+    range at once would go through numpy's iteration buffers."""
     ndim = 2 * metric.grid.n + 2
     h, ginv, g = (_rows(x, lo, hi, ndim) for x in (h, metric.inverse, metric.g))
-    tr = _trace(ginv, h, metric.is_diagonal)
+    tr = _trace(ginv, h, metric.entries)
     if per != 1:
         tr = tr / per
     for i in range(metric.grid.n):
@@ -881,30 +889,32 @@ def _hat(metric, h, out, lo, hi, per=1, add=False):
                 np.subtract(entry, h[..., i, j], out=entry)
             else:
                 np.negative(h[..., i, j], out=entry)
-            if not metric.is_diagonal:
-                np.add(entry, tr * g[..., i, j], out=entry)
-            elif i == j:
+            if i == j:
                 np.add(entry.real, tr * g[..., i, i].real, out=entry.real)
+            elif (i, j) in metric.entries:
+                np.add(entry, tr * g[..., i, j], out=entry)
 
 
 def trace_wrt_metric(metric, h):
     """tr_omega H = sum g^{i jbar} H_{i jbar} (real for Hermitian H).
 
-    On a diagonal metric it is the elementwise sum of g^{i ibar} Re H_{i ibar}.
+    The sum runs over the metric's ``entries`` alone, each diagonal term
+    g^{i ibar} Re H_{i ibar}: on a diagonal metric the diagonal terms alone.
     h must end in the metric's (n, n) and broadcast to
     ``grid.shape + (n, n)``, or :class:`GridError` names both shapes.
     """
     _check_field(metric.grid, h, "field", (metric.grid.n,) * 2)
-    return _trace(metric.inverse, h, metric.is_diagonal)
+    return _trace(metric.inverse, h, metric.entries)
 
 
 def hat_transform(metric, h):
     """(tr_omega H) g - H; exchanges the two forms of the deleted-sum equation.
 
-    On a diagonal metric it is -H with (tr_omega H) g_ii added to the
-    diagonal.  h is checked as for :func:`trace_wrt_metric`.  The result is
-    allocated plane-first, and its ranges of whole rows of axis 0, at least
-    ``16 * _ROW_BLOCK`` nodes each, run on two lanes
+    It is -H with (tr_omega H) g_ij added on the metric's ``entries``
+    alone, to the real part of the diagonal: on a diagonal metric to the
+    diagonal alone.  h is checked as for :func:`trace_wrt_metric`.  The
+    result is allocated plane-first, and its ranges of whole rows of axis
+    0, at least ``16 * _ROW_BLOCK`` nodes each, run on two lanes
     (``errors._on_two_lanes``), each into its own rows; a range allocates
     no full-size array, and the result is the bits of one pass.
     """
@@ -934,9 +944,9 @@ def gauduchon_fields(grid, u, chi, rho, metric):
     whole rows of axis 0, at least ``16 * _ROW_BLOCK`` nodes each, through
     the one hat/trace helper, and no range allocates a full-size array.
     Both forms have the broadcast shape of u, chi, rho, the W planes and
-    the metric.  On a diagonal metric the traces and the multiples of omega
-    are elementwise.  ``chi`` is checked as in :func:`gfield`, and ``rho``,
-    a scalar field, must broadcast to ``grid.shape``.
+    the metric.  The traces and the multiples of omega run over the
+    metric's ``entries`` alone.  ``chi`` is checked as in :func:`gfield`,
+    and ``rho``, a scalar field, must broadcast to ``grid.shape``.
     """
     _check_grid(grid, metric)
     _check_field(grid, chi, "chi", (grid.n, grid.n))
@@ -1155,10 +1165,10 @@ def _eigh(h, vectors, metric=None):
     A slab reduces its own nodes (see :func:`eig_wrt_metric`) into a
     slab-sized plane-first scratch, from views of h and of
     ``metric.inv_cholesky`` at their natural shapes, solves them and
-    back-transforms its own eigenvectors, writing only its own slice of the
-    preallocated plane-first outputs.  The results are thus the bits of one
-    pass over the slabs, whichever lane took one, and no full-size array
-    but the outputs is allocated.  Two slabs are in flight, each with its
+    back-transforms its own eigenvectors in place, writing only its own
+    slice of the preallocated plane-first outputs.  The results are thus
+    the bits of one pass over the slabs, whichever lane took one, and no
+    full-size array but the outputs is allocated.  Two slabs are in flight, each with its
     kernel's temporaries, about 2 MiB at n = 2 and 5 MiB at n = 3, and its
     scratch; shorter slabs ran slower on two lanes than on one, as each
     numpy call handed the interpreter lock to the other lane.
@@ -1178,11 +1188,13 @@ def _eigh(h, vectors, metric=None):
         linv = metric.inv_cholesky
         batch = np.broadcast_shapes(h.shape[:-2], linv.shape[:-2])
         h = h.reshape((1,) * (len(batch) + 2 - h.ndim) + h.shape)
-        if metric.is_diagonal:
-            d = np.diagonal(linv, axis1=-2, axis2=-1).real[..., :, None]
-            weight = d * np.swapaxes(d, -1, -2)
-        else:
-            linv_h = np.conj(np.swapaxes(linv, -1, -2))
+        d = np.diagonal(linv, axis1=-2, axis2=-1).real[..., :, None]
+        weight = d * np.swapaxes(d, -1, -2)
+        # the terms L^-1_ik h_kl conj(L^-1_jl) of each lower entry (i, j)
+        # but k = i, l = j, on the entries of L^-1 in use
+        terms = [(i, j, k, l) for i in range(n) for j in range(i + 1) for k in range(i + 1) for l in range(j + 1)
+                 if (i, k) in metric.entries and (j, l) in metric.entries and (k, l) != (i, j)]
+        below = [(i, k) for k in range(n) for i in range(k + 1, n) if (i, k) in metric.entries]
     else:
         batch = h.shape[:-2]
     lam = _plane_first(batch, (n,), float)
@@ -1200,18 +1212,17 @@ def _eigh(h, vectors, metric=None):
         vec_s = vec[slab] if vectors else None
         vec_b = vec_s.reshape(-1, n, n) if vectors else None
         if reduce:
+            hs, ls = part(h), part(linv)
             reduced = _plane_first(shape, (n, n))
             with np.errstate(invalid="ignore"):  # inf times 0 in the reduction
-                if metric.is_diagonal:
-                    np.multiply(part(h), part(weight), out=reduced, dtype=complex)
-                else:
-                    full = part(linv) @ part(h) @ part(linv_h)
-                    np.add(full, np.conj(np.swapaxes(full, -1, -2)), out=reduced)
-                    reduced *= 0.5
-                    del full
+                # (L^-1 h L^-H)_ij = sum_kl L^-1_ik h_kl conj(L^-1_jl): first
+                # h_ij d_i d_j on every entry, then the lower triangle's other
+                # terms; the upper triangle, which no solver reads, stays partial
+                np.multiply(hs, part(weight), out=reduced, dtype=complex)
+                for i, j, k, l in terms:
+                    plane = reduced[..., i, j]
+                    plane += hs[..., k, l] * (ls[..., i, k] * np.conj(ls[..., j, l]))
             blk = reduced.reshape(-1, n, n)
-            if vectors and not metric.is_diagonal:  # v, before the back-transform writes L^-H v
-                vec_b = _plane_first(shape, (n, n)).reshape(-1, n, n)
         else:
             blk = h[slab].reshape(-1, n, n)
         bad = _non_finite(blk)
@@ -1233,10 +1244,13 @@ def _eigh(h, vectors, metric=None):
             if vectors:
                 vec_b[bad] = np.nan
         if vectors and reduce:
-            if metric.is_diagonal:
-                vec_s *= part(d)
-            else:
-                np.matmul(part(linv_h), vec_b.reshape(shape + (n, n)), out=vec_s)
+            # v becomes L^-H v = (I + N D^-1) D v in place, with D = diag(d) and
+            # N the strict upper triangle of L^-H: first d_i v_ij, then row k
+            # adds the rows i > k, which it has not yet overwritten
+            vec_s *= part(d)
+            for i, k in below:
+                row = vec_s[..., k, :]
+                row += (np.conj(ls[..., i, k]) / ls[..., i, i].real)[..., None] * vec_s[..., i, :]
 
     _on_two_lanes(len(slabs), 1, lambda lo, hi: [solve(slab) for slab in slabs[lo:hi]])
     return (lam, vec) if vectors else lam
@@ -1249,11 +1263,15 @@ def eig_wrt_metric(h, metric, vectors=False):
     ``grid.shape + (n, n)``, or :class:`GridError` names both shapes, on
     every metric.  Unless the metric is exactly the identity, the
     generalized problem is reduced through ``metric.inv_cholesky``, the
-    per-node L^-1 the metric holds from construction: h becomes L^-1 h L^-H, symmetrized, and an
-    eigenvector v of that becomes L^-H v, so returned eigenvectors are
-    metric-orthonormal.  For a diagonal metric L^-1 is the diagonal d of
-    1/sqrt(g_ii), and both steps are elementwise: h_ij d_i d_j and d_i v_i;
-    the real weight keeps h Hermitian, so no symmetrization follows.
+    per-node L^-1 the metric holds from construction.  With d the real
+    diagonal of L^-1, h becomes h_ij d_i d_j, one complex times real
+    multiply, and the lower triangle then adds the other terms of
+    L^-1 h L^-H, one plane product each, over the entries of L^-1 in use
+    (``metric.entries``).  An eigenvector v of that becomes L^-H v, in
+    place: d_i v_ij first, then row k adds the rows i > k, which it has
+    not yet overwritten.  Returned eigenvectors are thus
+    metric-orthonormal.  On a diagonal metric, such as the conformal and
+    product ones, both steps are elementwise, h_ij d_i d_j and d_i v_ij.
 
     Every eigenpair comes from :func:`_eigh`, the one driver, flat metric
     or not: closed forms at n = 2 and n = 3, and LAPACK's ``eigh`` at
@@ -1262,8 +1280,8 @@ def eig_wrt_metric(h, metric, vectors=False):
     never written.  The driver runs on two lanes, over slabs of whole rows
     of the leading grid axes holding at most ``4 * _ROW_BLOCK`` = 16,384
     nodes: each slab reduces its own nodes into a slab-sized scratch,
-    solves them, and back-transforms its own eigenvectors, the diagonal
-    one in place in the output and the general one as a matmul into it.
+    solves them, and back-transforms its own eigenvectors in place in the
+    output.
     The eigenvalues and eigenvectors are returned plane-first on every
     metric (see the module docstring), and the scratch beyond them is two
     slabs' (see :func:`_eigh`).

@@ -1019,24 +1019,23 @@ class TestClosedFormEigh3:
         return peak - sum(o.nbytes for o in (out if vectors else (out,)))
 
     def test_scratch_memory_stays_flat(self):
-        # The driver allocates its outputs plus two 16,384-node ranges'
+        # The driver allocates its outputs plus two 16,384-node slabs'
         # temporaries in flight, about 5 MiB each, and with a metric each
-        # range's 2.25 MiB copy of the reduced matrix; one copy of h is 36
-        # MiB on these 262,144 nodes, and a kernel vectorised over all of
-        # them at once needs about 140 MiB.
+        # slab's 2.25 MiB reduced matrix; one copy of h is 36 MiB on these
+        # 262,144 nodes, and a kernel vectorised over all of them at once
+        # needs about 140 MiB.  On every metric the back-transform writes
+        # L^-H v in place in the slab's own eigenvectors, so the dense
+        # metric takes no second slab-sized array.
         g = make_grid(n=3, res=(8, 8, 8, 8, 8, 8))
         h = random_hermitian(np.random.default_rng(34), g.shape, 3)
-        assert self.scratch_bytes(h, gr.metric_flat(g)) <= 16 * 2**20
-        # With a metric, the eigenvectors overwrite the reduced matrix
-        # instead of taking a second array of that size.
-        assert self.scratch_bytes(h, gr.metric_conformal(g, 0.3)) <= 16 * 2**20
+        for make in TestPlaneFirstLayout.METRICS.values():
+            assert self.scratch_bytes(h, make(g)) <= 16 * 2**20
 
     @pytest.mark.parametrize("metric_name", ["conformal", "general"])
     def test_values_alone_keep_two_slabs_of_scratch(self, metric_name):
         # Each 16,384-node slab reduces its own nodes into a 2.25 MiB
-        # scratch (on the general metric after two matrix products and a
-        # conjugate of that size), which its kernel's 5 MiB of temporaries
-        # then read: two slabs in flight stay under 16 MiB, where the whole
+        # scratch, one plane at a time on every metric, which its kernel's
+        # 5 MiB of temporaries then read: two slabs in flight stay under 16 MiB, where the whole
         # reduced matrix alone is 36 MiB on these 262,144 nodes.
         g = make_grid(n=3, res=(8, 8, 8, 8, 8, 8))
         h = random_hermitian(np.random.default_rng(35), g.shape, 3)
@@ -1348,11 +1347,11 @@ class TestDiagonalMetric:
         g = self.grid3()
         for metric in (gr.metric_flat(g), gr.metric_conformal(g, 0.3),
                        gr.metric_product(g, product_profile)):
-            assert metric.is_diagonal
+            assert metric.entries == ((0, 0), (1, 1), (2, 2))
         rng = np.random.default_rng(40)
         a = rng.normal(size=g.shape + (3, 3)) + 1j * rng.normal(size=g.shape + (3, 3))
         spd = gr.Metric(g, a @ np.conj(np.swapaxes(a, -1, -2)) + 0.3 * np.eye(3))
-        assert not spd.is_diagonal and not spd.is_flat
+        assert spd.entries == tuple(np.ndindex(3, 3)) and not spd.is_flat
 
     @pytest.mark.parametrize("n, make", [
         (2, lambda g: gr.metric_conformal(g, 0.3)),
@@ -1368,13 +1367,35 @@ class TestDiagonalMetric:
         values = gr.eig_wrt_metric(h, metric)  # LAPACK's eigvalsh, or the same closed form
         np.testing.assert_allclose(values, lam, rtol=0, atol=1e-12 * max(1.0, np.abs(lam).max()))
 
+    @pytest.mark.parametrize("make", [
+        lambda g: gr.metric_conformal(g, 0.3),
+        lambda g: gr.metric_product(g, product_profile),
+    ], ids=["conformal", "product"])
+    def test_diagonal_bits_are_the_elementwise_formula(self, make):
+        # on a diagonal metric the one reduction is h_ij d_i d_j, the
+        # back-transform d_i v_ij and the trace sum g^{i ibar} Re h_ii, with
+        # d the real diagonal of L^-1, bit for bit
+        g = self.grid3()
+        metric = make(g)
+        h = random_hermitian(np.random.default_rng(47), g.shape, 3)
+        d = np.diagonal(metric.inv_cholesky, axis1=-2, axis2=-1).real
+        lam, v = gr._eigh(h * (d[..., :, None] * d[..., None, :]), True)
+        got = gr.eig_wrt_metric(h, metric, vectors=True)
+        np.testing.assert_array_equal(got[0], lam)
+        np.testing.assert_array_equal(got[1], d[..., :, None] * v)
+        ginv = metric.inverse
+        trace = ginv[..., 0, 0].real * h[..., 0, 0].real
+        for i in (1, 2):
+            trace = trace + ginv[..., i, i].real * h[..., i, i].real
+        np.testing.assert_array_equal(gr.trace_wrt_metric(metric, h), trace)
+
     def test_one_off_diagonal_entry_takes_the_cholesky_path(self):
         g = self.grid3()
         gm = gr.metric_conformal(g, 0.3).matrix().copy()
         gm[3, 0, 0, 0, 4, 5, 0, 2] = 0.2 + 0.1j
         gm[3, 0, 0, 0, 4, 5, 2, 0] = 0.2 - 0.1j
         metric = gr.Metric(g, gm)
-        assert not metric.is_diagonal
+        assert metric.entries == ((0, 0), (0, 2), (1, 1), (2, 0), (2, 2))
         h = random_hermitian(np.random.default_rng(42), g.shape, 3)
         lam, v = gr.eig_wrt_metric(h, metric, vectors=True)
         self.assert_generalized_eigenpairs(h, gm, lam, v)
@@ -1480,9 +1501,9 @@ class TestDiagonalMetric:
 
 class TestGeneralMetric:
     """A metric that is neither diagonal nor constant: e^phi I plus a constant
-    Hermitian off-diagonal part.  It has torsion and dense Z planes, and it
-    takes the einsum trace and the matrix multiples of omega, which no
-    diagonal metric reaches."""
+    Hermitian off-diagonal part.  It has torsion and dense Z planes, and
+    every one of its n^2 entries is in use, so the traces and the multiples
+    of omega take the off-diagonal terms that no diagonal metric reaches."""
 
     OFF = np.array([[0.0, 0.2 + 0.1j, -0.1j], [0.2 - 0.1j, 0.0, 0.15], [0.1j, 0.15, 0.0]])
 
@@ -1507,7 +1528,7 @@ class TestGeneralMetric:
         g = make_grid(n=n, res=res)
         metric = self.metric(g)
         metric.validate_positive()
-        assert not metric.is_diagonal
+        assert metric.entries == tuple(np.ndindex(n, n))
         rng = np.random.default_rng(50)
         u = rng.normal(size=g.shape)
         chi = 3.0 * metric.matrix() + 0.3 * random_hermitian(rng, g.shape, n)
@@ -1775,10 +1796,10 @@ class TestPlaneFirstLayout:
     @pytest.mark.parametrize("metric_name", ["flat", "conformal"])
     def test_no_full_size_copy(self, metric_name):
         # A plane-first field reshapes to the driver's (-1, n, n) stack as a
-        # view: the scratch beyond the outputs is two ranges in flight, each
-        # a few range-sized stacks of matrices (its copy under the metric's
-        # overwrite and its kernel's temporaries), where one copy of h would
-        # be 16 MiB.
+        # view: the scratch beyond the outputs is two slabs in flight, each
+        # a few slab-sized stacks of matrices (its reduced matrix on the
+        # conformal metric and its kernel's temporaries), where one copy of
+        # h would be 16 MiB.
         g = make_grid(res=(32, 16, 32, 16))
         metric = self.METRICS[metric_name](g)
         h = gr.complex_hessian(g, np.random.default_rng(73).normal(size=g.shape))
