@@ -1168,10 +1168,11 @@ def _eigh(h, vectors, metric=None):
     back-transforms its own eigenvectors in place, writing only its own
     slice of the preallocated plane-first outputs.  The results are thus
     the bits of one pass over the slabs, whichever lane took one, and no
-    full-size array but the outputs is allocated.  Two slabs are in flight, each with its
-    kernel's temporaries, about 2 MiB at n = 2 and 5 MiB at n = 3, and its
-    scratch; shorter slabs ran slower on two lanes than on one, as each
-    numpy call handed the interpreter lock to the other lane.
+    full-size array but the outputs is allocated.  Two slabs are in
+    flight, each with its kernel's temporaries, about 2 MiB at n = 2 and
+    5 MiB at n = 3, and its scratch; shorter slabs ran slower on two lanes
+    than on one, as each numpy call handed the interpreter lock to the
+    other lane.
 
     On a flat metric the kernels read h's own slab, a view where its axes
     merge, as those of a plane-first or C-ordered field do.  The closed
