@@ -30,11 +30,16 @@ the quotient family has a finite limit, the ratio of two slopes.  Along
 the diagonal ray every family is 1-homogeneous or logarithmic, so the
 level c with f(c, ..., c) = sigma is a closed form too.
 
-Everything here is pure and accepts batched input along leading axes, and
-runs on the calling thread, but for ``concavity_probe``: it runs ranges of
-``2 * _ROW_BLOCK`` points (8192) on two lanes, the calling thread and one
-helper thread (``errors._on_two_lanes``), two ranges' evaluations in
-flight.  ``value_grad`` and the other entry points run on one thread.
+Everything here is pure and accepts batched input along leading axes.
+Two kinds of call cut a batch, in flat order, into ranges that run on two
+lanes, the calling thread and one helper thread (``errors._on_two_lanes``),
+at most two ranges in flight: ``value``, ``grad`` and ``value_grad``
+(``ConeFunction._outputs``), in ranges of ``16 * _ROW_BLOCK`` points
+(65,536), each range writing its own slice of outputs allocated once; and
+``concavity_probe``, in ranges of ``2 * _ROW_BLOCK`` points (8192).  Both
+run a batch that a range refuses again as one range on the calling thread
+(``_ran_in_ranges``), so that its error is the one pass's.  Everything else
+runs on the calling thread.
 Layout rule: sigma tables are computed order-first, each order one
 contiguous plane over the batch, and reductions over a short last axis (a
 min over orders or deleted sums, a sum over coordinates) fold column by
@@ -111,32 +116,41 @@ def _sigma_table(lam, top):
     return np.moveaxis(e, 0, -1)
 
 
-def _fold(ufunc, table, each=None):
+def _fold(ufunc, table, out=None, each=None, scratch=None):
     """ufunc folded over the short last axis, one column at a time in index
     order: whole-plane operations where a reduction along the last axis
     would run numpy's slow short-axis loop.  A min is exact; a sum adds in
-    index order (numpy's own sum does too below 8 terms).  ``each``, a unary
-    function, is applied to one column at a time before it is folded in, so
-    no table of its values is formed.  The result is a new array, never a
-    view of the table.  A single vector gives a float64 scalar."""
+    index order (numpy's own sum does too below 8 terms).  The result goes
+    into ``out``, a float array of the batch shape, where one is given, and
+    is otherwise a new array, never a view of the table; a single vector
+    gives a float64 scalar.  ``each(column, out=...)``, a unary ufunc or a
+    function of that form, is applied to one column at a time before it is
+    folded in, writing the first column's into ``out``, which must then be
+    given, and each later one's into ``scratch``, a plane of out's shape
+    (a new one where None), so no table of its values is formed."""
     n = table.shape[-1]
-    column = (lambda j: table[..., j]) if each is None else (lambda j: np.asarray(each(table[..., j])))
-    # the table's first two columns fold into a new array, so neither is
-    # copied; each's first column is new, and the rest fold into it
-    pair = each is None and n > 1
-    out = np.asarray(ufunc(column(0), column(1))) if pair else np.array(column(0), copy=each is None)
-    for j in range(2 if pair else 1, n):
-        ufunc(out, column(j), out=out)
+    if each is not None:
+        each(table[..., 0], out=out)
+        for j in range(1, n):
+            scratch = np.empty_like(out) if scratch is None else scratch
+            ufunc(out, each(table[..., j], out=scratch), out=out)
+        return out[()]
+    # the table's first two columns fold into out, so neither is copied
+    first = ufunc(table[..., 0], table[..., 1], out=out) if n > 1 else np.positive(table[..., 0], out=out)
+    out = np.asarray(first)
+    for j in range(2, n):
+        ufunc(out, table[..., j], out=out)
     return out[()]
 
 
-def _finite_min(table):
+def _finite_min(table, out=None):
     """The smallest entry of the last axis, NaN where the largest is not
     finite, so that an entry that overflowed is refused with those that are
-    not > 0.  The largest is folded only where the table holds an entry
-    that is not finite; 0 times it is NaN there and 0 elsewhere.  Run under
-    the caller's errstate: 0 times inf is the point."""
-    low = _fold(np.minimum, table)
+    not > 0; formed in ``out`` where given, as ``_fold`` does.  The largest
+    is folded only where the table holds an entry that is not finite; 0
+    times it is NaN there and 0 elsewhere.  Run under the caller's
+    errstate: 0 times inf is the point."""
+    low = _fold(np.minimum, table, out)
     if not np.max(table, initial=0.0) < math.inf:
         return low + 0.0 * _fold(np.maximum, table)
     return low
@@ -149,6 +163,39 @@ def _refused(ok, lam):
     for one point."""
     node, first = _first_bad(ok)
     return node, f" at node {node}, flat index {first}" if lam.ndim > 1 else ""
+
+
+def _like(x):
+    """A new float array of x's shape, in the layout numpy gives the output
+    of a function of x's entries (a ufunc's, in order K)."""
+    return np.nditer([x, None], ["zerosize_ok"], [["readonly"], ["writeonly", "allocate"]]).operands[1]
+
+
+def _as_rows(x, batch):
+    """x with its first ``batch`` axes, a batch of points, flattened into
+    one, as a view; None where that takes a copy, as numpy's reshape would
+    make for a read-only broadcast or a Fortran-order batch of two axes."""
+    axes = [(size, stride) for size, stride in zip(x.shape[:batch], x.strides[:batch]) if size != 1]
+    if any(stride != size * inner for (_, stride), (size, inner) in zip(axes, axes[1:])):
+        return None
+    return x.reshape((-1,) + x.shape[batch:])
+
+
+def _ran_in_ranges(points, step, task):
+    """Whether ``task(lo, hi)`` ran on every range of ``step`` of the
+    ``points`` on two lanes (``errors._on_two_lanes``): the rule of the cone
+    evaluations that run in ranges.  False, with no task run, for a batch
+    of one range or less; and False when a range raised
+    :class:`ConeDomainError`.  The caller then runs the whole batch as one
+    range on the calling thread, so that the error names the node, flat
+    index and inequality of one pass."""
+    if points <= step:
+        return False
+    try:
+        _on_two_lanes(points, step, task)
+    except ConeDomainError:
+        return False
+    return True
 
 
 def _floats(lam, name):
@@ -194,29 +241,36 @@ def sigma_k(lam, k):
     return _sigma_table(lam, max(orders))[..., index][()]
 
 
-def _deleted_table(lam, orders):
+def _deleted_table(lam, orders, out=None):
     """sigma_j of float lam with each coordinate deleted in turn, for each
     order j in ``orders`` (each 0..n-1).
 
-    Shape ``(len(orders),) + lam.shape``: one plane per order read, its last
-    axis indexing the deleted coordinate.  One pass of the recurrence over
-    the stacked deleted vectors, run to the highest order read, so no
-    unstable downdate is needed.  The pass runs on ``_ROW_BLOCK`` points at
-    a time and writes each block's planes into the output: the stacked
-    (points, n, n-1) vectors and the table of orders are O(block), and only
-    the output is O(points).
+    One plane of lam's shape per order read, its last axis indexing the
+    deleted coordinate: a new array of shape ``(len(orders),) + lam.shape``,
+    or ``out``, a sequence of such planes, written in place, where given
+    (a family writes its gradient's own plane so).  One pass of the
+    recurrence over the stacked deleted vectors, run to the highest order
+    read, so no unstable downdate is needed.  The pass runs on
+    ``_ROW_BLOCK`` points at a time and writes each block's planes into the
+    output: the stacked (points, n, n-1) vectors and the table of orders
+    are O(block), and only the output is O(points).
     """
+    if out is not None and any(_as_rows(plane, lam.ndim - 1) is None for plane in out):
+        for plane, new in zip(out, _deleted_table(lam, orders)):  # planes whose rows are no view
+            np.copyto(plane, new)
+        return out
     n = lam.shape[-1]
     m = np.arange(n - 1)
     deleted = m + (m >= np.arange(n)[:, None])
     rows = lam.reshape(-1, n)
-    out = np.empty((len(orders),) + rows.shape)
+    out = np.empty((len(orders),) + lam.shape) if out is None else out
+    planes = [plane.reshape(rows.shape) for plane in out]
     for lo in range(0, rows.shape[0], _ROW_BLOCK):
         table = _sigma_table(rows[lo:lo + _ROW_BLOCK, deleted], max(orders))
-        for plane, j in zip(out, orders):
+        for plane, j in zip(planes, orders):
             plane[lo:lo + _ROW_BLOCK] = table[..., j]
         del table  # so the next block's vectors and table form without it
-    return out.reshape((len(orders),) + lam.shape)
+    return out
 
 
 def sigma_deleted(lam, k):
@@ -331,12 +385,14 @@ class ConeFunction:
     A subclass declares a family: ``family``, its name for the factory;
     ``orders``, the names of the integer orders it takes, in constructor
     order, each stored as an int attribute of that name (n and every order
-    go through ``_integer``); ``_plane``, which returns the family's
-    acceptance plane over the batch and the data its other hooks read;
-    ``_value`` and ``_grad``, which run on points known to lie in the cone
-    and receive that data beside lam; and ``_build_cone`` only where the
-    cone is not Gamma_k, with k the order ``k`` and n where the family takes
-    none.  ``describe`` and the factory read ``family`` and ``orders``.
+    go through ``_integer``); ``_plane``, which forms the family's
+    acceptance plane over the batch in the plane it is given and returns it
+    with the data its other hooks read; ``_value`` and ``_grad``, which run
+    on points known to lie in the cone, receive that data beside lam and
+    write their output into the array ``out`` they are given; and
+    ``_build_cone`` only where the cone is not Gamma_k, with k the order
+    ``k`` and n where the family takes none.  ``describe`` and the factory
+    read ``family`` and ``orders``.
 
     The one cone check, ``_check``, asks ``_plane`` for the plane and
     accepts a point only where its entry is > 0 and finite: a NaN or an
@@ -371,16 +427,20 @@ class ConeFunction:
     def _build_cone(self, n):
         return Cone.gamma(getattr(self, "k", n), n)
 
-    def _plane(self, lam):
+    def _plane(self, lam, out):
         """(plane, table): the smallest of sigma_1..sigma_k, NaN where one
-        overflowed, and the sigma table, which ``_value`` and ``_grad`` read."""
+        overflowed, formed in ``out`` (a new array where None), and the sigma
+        table, which ``_value`` and ``_grad`` read."""
         table = self.cone._table(lam)
-        return _finite_min(table), table
+        return _finite_min(table, out), table
 
-    def _value(self, lam, table):
+    def _value(self, lam, table, out, scratch):
+        """Write the value into ``out``; ``scratch``, a plane of out's shape
+        or None, is free for a family that folds a function of each column
+        (``_fold``)."""
         raise NotImplementedError
 
-    def _grad(self, lam, table):
+    def _grad(self, lam, table, out):
         raise NotImplementedError
 
     def _ray_limit(self, lam, i):
@@ -394,44 +454,82 @@ class ConeFunction:
         return True, math.inf
 
     # -- public surface
-    def _check(self, lam):
-        """(lam, data): lam as a float array inside the cone, and the data
-        of ``_plane`` that ``_value`` and ``_grad`` read."""
-        lam = self.cone._point(lam)
+    def _check(self, lam, plane=None):
+        """The data of ``_plane`` that ``_value`` and ``_grad`` read, once the
+        float points lam (``Cone._point``) are known to lie in the cone; the
+        acceptance plane is formed in ``plane`` where one is given."""
         with np.errstate(over="ignore", invalid="ignore"):
-            plane, data = self._plane(lam)
+            plane, data = self._plane(lam, plane)
             # NaN fails; an empty batch passes
             if np.min(plane, initial=math.inf) > 0.0 and np.max(plane, initial=0.0) < math.inf:
-                return lam, data
+                return data
             node, where = _refused((plane > 0.0) & (plane < math.inf), lam)
             raise ConeDomainError(f"point outside {self.cone.ray_description()}{where}: "
                                   + self.cone.violated_inequality(lam[node]))
 
     def _outputs(self, lam, names):
-        """The outputs ``names`` ("value", "grad") at the points lam, which
-        pass the one cone check first.  They are formed with overflow,
-        division by zero and invalid values silenced, and each is then
-        folded into one sum, which a NaN or infinite entry makes non-finite:
-        an output that is not finite everywhere is refused with
-        :class:`ConeDomainError` naming it and its first such node, as a
-        point inside the cone can still overflow one (1/lam_1 at
-        lam_1 = 5e-324, a deleted sum past 1.8e308).  A sum that overflows
-        from finite entries alone is let through by an entrywise test."""
-        lam, data = self._check(lam)
+        """The outputs ``names`` ("value", "grad") at the points lam.
+
+        The points are converted and their length checked first
+        (``Cone._point``), and each output is allocated once, in the layout
+        that numpy gives a function of lam's entries.  The batch is then cut,
+        in flat order, into ranges of ``16 * _ROW_BLOCK`` points (65,536,
+        read at call time), and each range runs ``_evaluate`` on whichever of
+        two lanes, the calling thread and one helper thread
+        (``errors._on_two_lanes``), is free, writing straight into its own
+        slice of the outputs: no full-size temporary and no copy of an
+        output is formed, and the outputs are the same bits as one pass.  A
+        batch of one range or less, a single point, and a batch whose points
+        (or outputs) cannot be viewed as rows without a copy (a read-only
+        broadcast, say) run as one range on the calling thread.  If a range
+        is refused, the whole batch runs again as one range on the calling
+        thread, so the :class:`ConeDomainError` names the same node, flat
+        index and inequality as one pass does (``_ran_in_ranges``)."""
+        lam = self.cone._point(lam)
+        outputs = [_like(lam[..., 0] if name == "value" else lam) for name in names]
+        rows = [_as_rows(x, lam.ndim - 1) for x in [lam] + outputs]
+
+        def task(lo, hi):
+            self._evaluate(rows[0][lo:hi], names, [x[lo:hi] for x in rows[1:]])
+
+        if any(x is None for x in rows) or not _ran_in_ranges(len(rows[0]), 16 * _ROW_BLOCK, task):
+            self._evaluate(lam, names, outputs)
+        return tuple(x[()] for x in outputs)
+
+    def _evaluate(self, lam, names, outputs):
+        """Write the outputs ``names`` at the float points lam into
+        ``outputs``, arrays of lam's batch shape for "value" and of lam's
+        shape for "grad", after the one cone check, whose plane is formed in
+        the value, or in the gradient's first column, before they are.  The
+        value is formed before the gradient, in whose first column a family
+        that folds a function of each column of lam finds its scratch.  The
+        outputs are formed with overflow, division by zero and invalid
+        values silenced, and each is then folded into one sum, which a NaN
+        or infinite entry makes non-finite: an output that is not finite
+        everywhere is refused with :class:`ConeDomainError` naming it and
+        its first such node, as a point inside the cone can still overflow
+        one (1/lam_1 at lam_1 = 5e-324, a deleted sum past 1.8e308).  A sum
+        that overflows from finite entries alone is let through by an
+        entrywise test."""
+        out = dict(zip(names, outputs))
+        column = out["grad"][..., 0] if "grad" in out else None
+        data = self._check(lam, out["value"] if "value" in out else column)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            outputs = tuple(getattr(self, "_" + name)(lam, data) for name in names)
-            for name, x in zip(names, outputs):
+            if "value" in out:
+                self._value(lam, data, out["value"], column)
+            if "grad" in out:
+                self._grad(lam, data, out["grad"])
+            for name, x in out.items():
                 if math.isfinite(np.sum(x)):
                     continue
                 ok = np.isfinite(x)
-                if ok.ndim == lam.ndim:  # a gradient: one row per point
+                if name == "grad":  # one row per point
                     ok = ok.all(axis=-1)
                 if ok.all():
                     continue
                 node, where = _refused(ok, lam)
                 raise ConeDomainError(f"{self.describe()} {'gradient' if name == 'grad' else name}{where} "
                                       f"is not finite: {x[node]}")
-        return outputs
 
     def value(self, lam):
         return self._outputs(lam, ("value",))[0]
@@ -467,14 +565,14 @@ class LogMA(ConeFunction):
     family = "log-ma"
     _log_degree = property(lambda self: self.n)
 
-    def _plane(self, lam):
-        return _finite_min(lam), None
+    def _plane(self, lam, out):
+        return _finite_min(lam, out), None
 
-    def _value(self, lam, table):
-        return _fold(np.add, lam, np.log)
+    def _value(self, lam, table, out, scratch):
+        _fold(np.add, lam, out, np.log, scratch)
 
-    def _grad(self, lam, table):
-        return 1.0 / lam
+    def _grad(self, lam, table, out):
+        np.divide(1.0, lam, out=out)
 
 
 class SigmaKRoot(ConeFunction):
@@ -483,13 +581,14 @@ class SigmaKRoot(ConeFunction):
     family = "sigma-k-root"
     orders = ("k",)
 
-    def _value(self, lam, table):
-        return table[..., self.k - 1] ** (1.0 / self.k)
+    def _value(self, lam, table, out, scratch):
+        np.copyto(out, table[..., self.k - 1])
+        out **= 1.0 / self.k  # the operator's power, as x ** p forms it
 
-    def _grad(self, lam, table):
+    def _grad(self, lam, table, out):
         ek = table[..., self.k - 1, None]
-        dk = sigma_deleted(lam, self.k - 1)
-        return (1.0 / self.k) * ek ** (1.0 / self.k - 1.0) * dk
+        _deleted_table(lam, (self.k - 1,), [out])
+        np.multiply((1.0 / self.k) * ek ** (1.0 / self.k - 1.0), out, out=out)
 
 
 class LogSigmaK(SigmaKRoot):
@@ -498,11 +597,12 @@ class LogSigmaK(SigmaKRoot):
     family = "log-sigma-k"
     _log_degree = property(lambda self: self.k)
 
-    def _value(self, lam, table):
-        return np.log(table[..., self.k - 1])
+    def _value(self, lam, table, out, scratch):
+        np.log(table[..., self.k - 1], out=out)
 
-    def _grad(self, lam, table):
-        return sigma_deleted(lam, self.k - 1) / table[..., self.k - 1, None]
+    def _grad(self, lam, table, out):
+        _deleted_table(lam, (self.k - 1,), [out])
+        np.divide(out, table[..., self.k - 1, None], out=out)
 
 
 class QuotientRoot(ConeFunction):
@@ -520,21 +620,20 @@ class QuotientRoot(ConeFunction):
         if not 1 <= self.l < self.k <= self.n:
             raise ValidationError(f"need 1 <= l < k <= n, got k={self.k}, l={self.l}")
 
-    def _value(self, lam, table):
-        r = table[..., self.k - 1] / table[..., self.l - 1]
-        return r ** (1.0 / (self.k - self.l))
+    def _value(self, lam, table, out, scratch):
+        np.divide(table[..., self.k - 1], table[..., self.l - 1], out=out)
+        out **= 1.0 / (self.k - self.l)  # the operator's power, as x ** p forms it
 
-    def _grad(self, lam, table):
+    def _grad(self, lam, table, out):
         ek = table[..., self.k - 1, None]
         el = table[..., self.l - 1, None]
-        dk, dl = _deleted_table(lam, (self.k - 1, self.l - 1))
+        _, dl = _deleted_table(lam, (self.k - 1, self.l - 1), [out, np.empty_like(out)])
         val = (ek / el) ** (1.0 / (self.k - self.l))
-        # val / (k - l) * (dk / ek - dl / el), with the difference formed in
-        # place: one (points, n) array besides the deleted planes
-        grad = np.divide(dk, ek)
-        grad -= np.divide(dl, el, out=dl)
-        grad *= val / (self.k - self.l)
-        return grad
+        # val / (k - l) * (dk / ek - dl / el), with dk formed in out and the
+        # difference in place there: one (points, n) array besides out
+        np.divide(out, ek, out=out)
+        out -= np.divide(dl, el, out=dl)
+        out *= val / (self.k - self.l)
 
     def _ray_limit(self, lam, i):
         # The ratio of the slopes of sigma_k and sigma_l along the ray.
@@ -566,38 +665,38 @@ class LogDeletedSums(ConeFunction):
     def _build_cone(self, n):
         return Cone.deleted_sum(n)
 
-    def _plane(self, lam):
+    def _plane(self, lam, out):
         total = _fold(np.add, lam)
-        return total - _fold(np.maximum, lam), total
+        return np.subtract(total, _fold(np.maximum, lam, out), out=out), total
 
-    def _value(self, lam, total):
-        return _fold(np.add, lam, lambda column: np.log(total - column))
+    def _value(self, lam, total, out, scratch):
+        _fold(np.add, lam, out, lambda column, out: np.log(np.subtract(total, column, out=out), out=out), scratch)
 
-    def grad(self, lam):
-        """The gradient, refused where ``value`` is: a deleted sum past
-        1.8e308 overflows to inf and makes the value infinite, but would
-        enter the gradient as 1/inf = 0, finite and wrong.  The largest
-        deleted sum, S - min lam, is checked here alone, after the gradient;
-        ``value_grad`` refuses such a point through its value."""
-        grad = super().grad(lam)
-        lam = np.asarray(lam, dtype=float)
+    def _evaluate(self, lam, names, outputs):
+        """As every family, and the gradient alone refused where ``value``
+        is: a deleted sum past 1.8e308 overflows to inf and makes the value
+        infinite, but would enter the gradient as 1/inf = 0, finite and
+        wrong.  The largest deleted sum, S - min lam, is checked here, on
+        the range's own points, after the gradient; ``value_grad`` refuses
+        such a point through its value."""
+        super()._evaluate(lam, names, outputs)
+        if "value" in names:
+            return
         with np.errstate(over="ignore"):
             ok = _fold(np.add, lam) - _fold(np.minimum, lam) < math.inf
         if not np.all(ok):
             node, where = _refused(ok, lam)
             raise ConeDomainError(f"{self.describe()} gradient{where} is not finite: "
                                   f"deleted sum {int(np.argmin(lam[node])) + 1} = inf")
-        return grad
 
-    def _grad(self, lam, total):
+    def _grad(self, lam, total, out):
         # the reciprocal deleted sums r_j = 1 / (S - lam_j) in the gradient's
         # own columns, then their deleted sums, sum r - r_j, in place
-        grad = np.empty_like(lam)
         for j in range(self.n):
-            column = grad[..., j]
+            column = out[..., j]
             np.subtract(total, lam[..., j], out=column)
             np.divide(1.0, column, out=column)
-        return np.subtract(_fold(np.add, grad)[..., None], grad, out=grad)
+        np.subtract(_fold(np.add, out)[..., None], out, out=out)
 
 
 FAMILIES = {f.family: f for f in (LogMA, SigmaKRoot, LogSigmaK, QuotientRoot, LogDeletedSums)}
@@ -670,7 +769,8 @@ def c_subsolution_margin(f, lam, psi, i):
     limit.  ``lam`` must be a single vector in the cone, and ``psi`` a
     finite real.
     """
-    lam, _ = f._check(lam)
+    lam = f.cone._point(lam)
+    f._check(lam)
     if lam.shape != (f.n,):
         raise ValidationError(f"expected a single vector of length {f.n}, got shape {lam.shape}")
     i = _integer(i, "direction index i")
@@ -705,16 +805,19 @@ def concavity_probe(f, lam, mu):
     ``value_grad(lam)``, ``value(mu)`` and fold run on whichever of two
     lanes, the calling thread and one helper thread
     (``errors._on_two_lanes``), is free; numpy's loops release the
-    interpreter lock, so two ranges run at once.  Each range writes its
+    interpreter lock, so two ranges run at once.  A range is shorter than
+    the cone functions' own, so each of its evaluations is one range on its
+    lane.  Each range writes its
     slacks into one preallocated result, so the result is the same bits as
     one pass over the batch.  Two ranges' evaluations are in flight, under
     3 MiB each at n = 6 for the families with a sigma table, besides the
     result and a copy of a batch that cannot be viewed as rows (a Fortran
     or plane-first one).  A batch of one range or less, or lam and mu of
-    different shapes, run on the calling thread in one pass.  If a range is refused, the whole batch is
-    run again on the calling thread, so the :class:`ConeDomainError` names
-    the same node, flat index and inequality as one pass does: lam's
-    first refused point, and mu's only where lam has none.
+    different shapes, run on the calling thread in one pass.  If a range is
+    refused, the whole batch is run again on the calling thread
+    (``_ran_in_ranges``), so the :class:`ConeDomainError` names the same
+    node, flat index and inequality as one pass does: lam's first refused
+    point, and mu's only where lam has none.
     """
     name = f"a point of {f.cone.ray_description()}"
     lam, mu = _floats(lam, name), _floats(mu, name)
@@ -727,11 +830,7 @@ def concavity_probe(f, lam, mu):
     def task(lo, hi):
         out[lo:hi] = _slack(f, lam_rows[lo:hi], mu_rows[lo:hi])
 
-    try:
-        _on_two_lanes(len(out), step, task)
-    except ConeDomainError:
-        return _slack(f, lam, mu)
-    return out.reshape(lam.shape[:-1])
+    return out.reshape(lam.shape[:-1]) if _ran_in_ranges(len(out), step, task) else _slack(f, lam, mu)
 
 
 def gamma_infinity_member(lam_prime, cone):

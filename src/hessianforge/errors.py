@@ -11,7 +11,9 @@ numpy's and LAPACK's loops, which release the interpreter lock, run two at
 once.  Its callers are the lemma batteries and the stability scan
 (``hermitian``; ranges of ``_ROW_BLOCK // 4`` = 1024 rows), the concavity
 probe (``cones.concavity_probe``; ranges of ``2 * _ROW_BLOCK`` = 8192
-points), the per-node eigensolve with its metric reduction and
+points), the cone functions' ``value``, ``grad`` and ``value_grad``
+(``cones.ConeFunction._outputs``; ranges of ``16 * _ROW_BLOCK`` = 65,536
+points, each writing its own slice of the outputs), the per-node eigensolve with its metric reduction and
 back-transform (``grid._eigh``; slabs of whole rows of the leading grid
 axes, at most ``4 * _ROW_BLOCK`` = 16,384 nodes) and the tensor assembly
 (``grid._assemble`` and ``grid.hat_transform``; ranges of whole rows of
@@ -35,7 +37,7 @@ import numpy as np
 # Rows per block of the batched passes: the deleted-coordinate recurrence
 # (``cones._deleted_table``) runs one block at a time on the thread that
 # calls it, and its largest transient stays near 1 MiB: 4096 x 6 deleted
-# vectors of length 5 in doubles.  Three callers run ranges of it on two
+# vectors of length 5 in doubles.  Five callers run ranges of it on two
 # lanes (``_on_two_lanes``), read at call time.  The lemma batteries and
 # the stability scan run ranges of a quarter block, so two ranges of 1024
 # bordered 6 x 6 matrices, about 0.6 MiB, are in flight.  The concavity
@@ -43,11 +45,17 @@ import numpy as np
 # evaluations are in flight.  At n = 6 a range's peak is under 3 MiB (2.4
 # to 2.8 MiB traced for the families with a sigma table), most of it one
 # block's deleted vectors and their table; its gradient and lam - mu are
-# 0.4 MiB each.  The per-node eigensolve (``grid._eigh``) runs slabs of
-# whole rows of the leading grid axes that hold at most four blocks, 16,384
-# nodes: shorter ones hand the interpreter lock from lane to lane at every
-# numpy call and ran slower on two lanes than on one, and longer ones
-# outgrow the scratch bound.  A slab's closed-form temporaries are about 2
+# 0.4 MiB each.  The cone functions' ``value``, ``grad`` and ``value_grad``
+# run ranges of sixteen blocks, 65,536 points, the tensor assembly's
+# length: each range writes its own slice of outputs allocated once, and
+# its scratch is its share of the planes one pass forms, 0.5 MiB a plane:
+# traced, at most 0.5 MiB for log-ma, 1.5 MiB for log-p and 2 to 6.8 MiB
+# for a family's sigma table and deleted planes at n = 2 to 6.  The
+# per-node eigensolve (``grid._eigh``) runs slabs of whole rows of the
+# leading grid axes that hold at most four blocks, 16,384 nodes: shorter
+# ones hand the interpreter lock from lane to lane at every numpy call and
+# ran slower on two lanes than on one, and longer ones outgrow the scratch
+# bound.  A slab's closed-form temporaries are about 2
 # MiB at n = 2 and 5 MiB at n = 3, plus, on a metric that is not flat, its
 # 1 or 2.25 MiB reduced matrix, on every such metric; its eigenvectors are
 # back-transformed in place.  The tensor assembly (``grid._assemble``) and

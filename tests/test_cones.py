@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from test_hermitian import InlineLane, two_cpus  # noqa: F401 (a fixture)
+from test_hermitian import InlineLane, NoHelper, two_cpus  # noqa: F401 (a fixture)
 
 from hessianforge import cones as cn
 from hessianforge import errors as er
@@ -1455,3 +1455,172 @@ class TestProbeLanes:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+def outcome(call, lam):
+    """("raised", message) of a call refused with ConeDomainError, or
+    ("returned", outputs) with each output's bits and shape."""
+    try:
+        got = call(lam)
+    except cn.ConeDomainError as exc:
+        return "raised", str(exc)
+    return "returned", [(np.asarray(x).tobytes(), np.shape(x)) for x in (got if type(got) is tuple else (got,))]
+
+
+@pytest.mark.usefixtures("two_cpus")
+class TestConeLanes:
+    """``value``, ``grad`` and ``value_grad`` cut their flattened batch into
+    ranges of ``16 * _ROW_BLOCK`` points, taken by the calling thread and one
+    helper thread, each range writing its own slice of the outputs; their
+    outputs, errors and threads are those of one pass."""
+
+    BLOCK = 1  # ranges of 16 points: 60 points are three ranges and a tail of 12
+    ENTRIES = ("value", "grad", "value_grad")
+    # points inside each family's cone at n = 3 where an output overflows
+    OVERFLOW = {
+        "log-ma": [5e-324, 1.0, 1.0],  # 1 / lam_1
+        "sigma-k-root": [1e-320, 1e150, 1e150],  # sigma_3^(-2/3) sigma_2(lam_2, lam_3)
+        "log-sigma-k": [1.0, 1e-310, 1e-310],  # sigma_1(lam_1, lam_3) / sigma_2
+        "quotient-root": [1e-320, 1e150, 1e150],  # sigma_2(lam_2, lam_3) / sigma_3
+        "log-p": [-1.4e308, 1.5e308, 1.5e308],  # the deleted sum S - lam_1
+    }
+
+    @staticmethod
+    def outputs(f, lam):
+        return [f.value(lam), f.grad(lam), *f.value_grad(lam)]
+
+    @staticmethod
+    def spy_ranges(monkeypatch):
+        """The batch shapes that ``_evaluate`` runs on, with the thread of each."""
+        ranges, evaluate = [], cn.ConeFunction._evaluate
+
+        def spy(self, lam, names, outputs):
+            ranges.append((lam.shape[:-1], threading.get_ident()))
+            return evaluate(self, lam, names, outputs)
+
+        monkeypatch.setattr(cn.ConeFunction, "_evaluate", spy)
+        return ranges
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_outputs_do_not_depend_on_the_lane_or_the_range(self, family, n, monkeypatch):
+        f = make(family, n, **families_at(n)[family])
+        lam = sample_cone(f.cone, 60, np.random.default_rng(200 + n))
+        # a Fortran-order batch of two axes: neither lam nor the gradient
+        # can be viewed as rows, and a deleted plane is written through a copy
+        given = layouts(lam, n) | {"F-batch": np.asfortranarray(lam.reshape(4, 15, n))}
+        for name, x in given.items():
+            monkeypatch.setattr(cn, "_ROW_BLOCK", 10**9)  # one range, on the caller alone
+            one_pass = self.outputs(f, x)
+            value, grad = reference_value_grad(f, x)
+            for got, want in zip(one_pass, [value, grad, value, grad]):
+                np.testing.assert_array_equal(got, want, err_msg=name)
+            monkeypatch.setattr(cn, "_ROW_BLOCK", self.BLOCK)
+            two_lanes = self.outputs(f, x)
+            with monkeypatch.context() as patch:
+                patch.setattr(er, "_helper_lane", InlineLane())
+                helper_first = self.outputs(f, x)
+            for got in (two_lanes, helper_first):
+                for a, b in zip(got, one_pass, strict=True):
+                    assert a.shape == b.shape, name
+                    np.testing.assert_array_equal(a, b, err_msg=name)
+                    if family in ("log-ma", "log-p"):
+                        assert a.strides == b.strides, name
+
+    def test_ranges_cover_the_batch_once(self, monkeypatch):
+        f = make("quotient-root", 6, k=3, l=1)
+        lam = sample_cone(f.cone, 60, np.random.default_rng(206))
+        monkeypatch.setattr(cn, "_ROW_BLOCK", self.BLOCK)
+        ranges = self.spy_ranges(monkeypatch)
+        cuts = {"C": [(12,), (16,), (16,), (16,)], "F": [(12,), (16,), (16,), (16,)],
+                "strided": [(12,), (16,), (16,), (16,)], "eig_wrt_metric": [(16,)] * 4,
+                "broadcast": [(60, 2)], "F-batch": [(4, 15)]}  # no view as rows: one range
+        for name, x in (layouts(lam, 6) | {"F-batch": np.asfortranarray(lam.reshape(4, 15, 6))}).items():
+            for entry in self.ENTRIES:
+                ranges.clear()
+                getattr(f, entry)(x)
+                assert sorted(shape for shape, _ in ranges) == cuts[name], (name, entry)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("helper", ["inline", "thread"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "outside", "overflow"])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_a_refusal_in_the_last_range_raises_the_one_pass_message(self, family, bad, helper, monkeypatch):
+        # node (3, 10), flat index 55, lies in the tail range, points 48..59
+        f = make(family, 3, **families_at(3)[family])
+        lam = sample_cone(f.cone, 60, np.random.default_rng(7)).reshape(4, 15, 3)
+        lam[3, 10] = {"nan": [1.0, math.nan, 1.0], "inf": [1.0, math.inf, 1.0], "outside": [-1.0, -1.0, -1.0],
+                      "overflow": self.OVERFLOW[family]}[bad]
+        raised = 0
+        for entry in self.ENTRIES:
+            monkeypatch.setattr(cn, "_ROW_BLOCK", 10**9)
+            one_pass = outcome(getattr(f, entry), lam)
+            monkeypatch.setattr(cn, "_ROW_BLOCK", self.BLOCK)
+            with monkeypatch.context() as patch:
+                if helper == "inline":
+                    patch.setattr(er, "_helper_lane", InlineLane())
+                assert outcome(getattr(f, entry), lam) == one_pass, entry
+            if one_pass[0] == "raised":
+                raised += 1
+                assert " at node (3, 10), flat index 55" in one_pass[1]
+        assert raised == 3 if bad != "overflow" else raised >= 1
+
+    def test_one_cpu_runs_every_range_on_the_caller(self, monkeypatch):
+        f = make("log-p", 3)
+        lam = sample_cone(f.cone, 60, np.random.default_rng(8))
+        monkeypatch.setattr(cn, "_ROW_BLOCK", self.BLOCK)
+        two_lanes = self.outputs(f, lam)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(er, "_helper_lane", NoHelper())
+        ranges = self.spy_ranges(monkeypatch)
+        for got, want in zip(self.outputs(f, lam), two_lanes, strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert len(ranges) == 3 * 4 and {thread for _, thread in ranges} == {threading.get_ident()}
+
+    def test_a_call_from_inside_a_lane_hands_no_range_to_the_helper(self, monkeypatch):
+        f = make("log-ma", 2)
+        lam = sample_cone(f.cone, 60, np.random.default_rng(9))
+        monkeypatch.setattr(cn, "_ROW_BLOCK", self.BLOCK)
+        want = f.value_grad(lam)
+        monkeypatch.setattr(er, "_helper_lane", NoHelper())
+        ranges = self.spy_ranges(monkeypatch)
+        # one range of the outer call runs on the caller, inside a lane
+        got = er._on_two_lanes(1, 1, lambda lo, hi: f.value_grad(lam))[0]
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert len(ranges) == 4 and {thread for _, thread in ranges} == {threading.get_ident()}
+
+    def test_one_helper_thread_at_most(self, monkeypatch):
+        monkeypatch.setattr(cn, "_ROW_BLOCK", self.BLOCK)
+        before = threading.active_count()
+        for family in FAMILY_NAMES:
+            f = make(family, 3, **families_at(3)[family])
+            for x in layouts(sample_cone(f.cone, 60, np.random.default_rng(10)), 3).values():
+                self.outputs(f, x)
+        assert threading.active_count() <= before + 1
+
+    @staticmethod
+    def scratch(f, entry, lam):
+        """Traced peak of one call beyond the outputs it returns."""
+        tracemalloc.start()
+        try:
+            got = getattr(f, entry)(lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(x.nbytes for x in (got if type(got) is tuple else (got,)))
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_scratch_stays_within_two_ranges(self, n, monkeypatch):
+        # ranges of 4096 points and a batch of three and a half: one range
+        # holds its share of the planes a pass forms, and at most two ranges
+        # are in flight.  One pass formed them full size, 2.2 to 3.5 times a
+        # range's scratch wherever it had any.
+        monkeypatch.setattr(cn, "_ROW_BLOCK", 256)
+        step = 16 * 256
+        lam = np.exp(np.random.default_rng(n).uniform(0.0, 1.0, (7 * step // 2, n)))
+        for family, kw in families_at(n).items():
+            f = make(family, n, **kw)
+            for entry in self.ENTRIES:
+                one = self.scratch(f, entry, lam[:step])
+                assert self.scratch(f, entry, lam) < 2 * one + 2**15, (family, entry)
