@@ -1389,7 +1389,7 @@ class TestDiagonalMetric:
             trace = trace + ginv[..., i, i].real * h[..., i, i].real
         np.testing.assert_array_equal(gr.trace_wrt_metric(metric, h), trace)
 
-    def test_one_off_diagonal_entry_takes_the_cholesky_path(self):
+    def test_one_off_diagonal_entry_adds_its_pair_to_the_entries_in_use(self):
         g = self.grid3()
         gm = gr.metric_conformal(g, 0.3).matrix().copy()
         gm[3, 0, 0, 0, 4, 5, 0, 2] = 0.2 + 0.1j
